@@ -35,17 +35,16 @@ __all__ = [
 ]
 
 
-def triangular_kernel(x: float, y: float) -> float:
+def triangular_kernel(x, y):
     """Piecewise-bilinear kernel (1 - max(x,y)) * min(x,y) on [0, 1]^2.
 
     This is the inverse kernel of the one-dimensional Dirichlet Laplacian, so
     its eigenvalues are 1/(k pi)^2 with eigenfunctions sqrt(2) sin(k pi x).
+    x and y may be broadcastable arrays.
     """
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
+    if not np.all((0.0 <= x) & (x <= 1.0) & (0.0 <= y) & (y <= 1.0)):
         raise ValueError("triangular kernel is defined on [0, 1]^2")
-    if y <= x:
-        return (1.0 - x) * y
-    return x * (1.0 - y)
+    return np.where(y <= x, (1.0 - x) * y, x * (1.0 - y))
 
 
 def triangular_eigensystem(k: int):
@@ -70,15 +69,19 @@ class SincKernel:
         if not self.c > 0:
             raise ValueError("sinc kernel needs c > 0")
 
-    def __call__(self, x: float, y: float) -> float:
-        d = x - y
-        if abs(d) <= 1e-12:
-            return self.c / math.pi
-        return math.sin(self.c * d) / (math.pi * d)
+    def __call__(self, x, y):
+        d = np.subtract(x, y)
+        diagonal = np.abs(d) <= 1e-12
+        d = np.where(diagonal, 1.0, d)
+        return np.where(diagonal, self.c / math.pi, np.sin(self.c * d) / (math.pi * d))
 
 
 class TabulatedKernel:
-    """Kernel given by symmetric samples on a fixed quadrature grid."""
+    """Kernel given by symmetric samples on a fixed quadrature grid.
+
+    It can only be evaluated at its own nodes; x and y may be broadcastable
+    arrays of them.
+    """
 
     def __init__(self, grid: QuadratureGrid, samples):
         samples = np.asarray(samples, dtype=float)
@@ -89,16 +92,16 @@ class TabulatedKernel:
             raise ValueError("tabulated samples must be symmetric within 1e-12")
         self.grid = grid
         self.samples = 0.5 * (samples + samples.T)
-        self._index = {float(x): i for i, x in enumerate(grid.nodes)}
 
-    def _locate(self, x: float) -> int:
-        i = int(np.argmin(np.abs(self.grid.nodes - x)))
-        if abs(self.grid.nodes[i] - x) > 1e-12:
+    def _locate(self, x):
+        nodes = self.grid.nodes
+        i = np.minimum(np.searchsorted(nodes, np.subtract(x, 1e-12)), nodes.size - 1)
+        if not np.all(np.abs(nodes[i] - x) <= 1e-12):
             raise ValueError("tabulated kernel can only be evaluated at its own nodes")
         return i
 
-    def __call__(self, x: float, y: float) -> float:
-        return float(self.samples[self._locate(x), self._locate(y)])
+    def __call__(self, x, y):
+        return self.samples[self._locate(x), self._locate(y)]
 
 
 @dataclass
@@ -125,15 +128,30 @@ class KernelSpec:
         return None
 
 
-def _parse_params(text: str) -> dict:
+def _parse_params(text: str, what: str, required=(), optional=()) -> dict[str, float]:
+    """Float parameters from the 'key=value,...' tail of a 'head:...' string.
+
+    The one grammar behind kernel, constraint and p-function strings: every
+    key in `required` must appear, and no key outside `required` and
+    `optional` is accepted.  `what` names the head in error messages.
+    """
     params = {}
     for chunk in text.split(","):
         if not chunk:
             continue
-        if "=" not in chunk:
-            raise ValueError(f"malformed kernel parameter {chunk!r}")
-        key, _, value = chunk.partition("=")
-        params[key.strip()] = value.strip()
+        key, sep, value = chunk.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ValueError(f"malformed {what} parameter {chunk!r}")
+        if key not in required and key not in optional:
+            raise ValueError(f"unknown {what} parameter {key!r}")
+        try:
+            params[key] = float(value)
+        except ValueError as exc:
+            raise ValueError(f"bad {what} parameter {chunk!r}") from exc
+    for key in required:
+        if key not in params:
+            raise ValueError(f"{what} requires {key}=...")
     return params
 
 
@@ -146,18 +164,10 @@ def parse_kernel(text: str) -> KernelSpec:
             raise ValueError("triangular kernel takes no parameters")
         return KernelSpec("triangular", a=0.0, b=1.0)
     if head == "sinc":
-        params = _parse_params(rest)
-        unknown = set(params) - {"c", "a", "b"}
-        if unknown:
-            raise ValueError(f"unknown sinc parameters: {sorted(unknown)}")
-        if "c" not in params:
-            raise ValueError("sinc kernel requires c=...")
-        try:
-            c = float(params["c"])
-            a = float(params.get("a", -1.0))
-            b = float(params.get("b", 1.0))
-        except ValueError as exc:
-            raise ValueError(f"bad sinc parameter: {exc}") from exc
+        params = _parse_params(rest, "sinc kernel", required=("c",), optional=("a", "b"))
+        c = params["c"]
+        a = params.get("a", -1.0)
+        b = params.get("b", 1.0)
         if not c > 0:
             raise ValueError("sinc kernel needs c > 0")
         if not a < b:
@@ -216,13 +226,9 @@ def _prolate_matrix(c: float, order: int) -> SymmetricOperatorMatrix:
     a = np.zeros(order)
     a[1:] = m[1:] / np.sqrt(4.0 * m[1:] ** 2 - 1.0)
     a_next = (m + 1.0) / np.sqrt(4.0 * (m + 1.0) ** 2 - 1.0)
-    entries = np.zeros((order, order))
     diag = m * (m + 1.0) + c * c * (a * a + a_next * a_next)
-    entries[np.arange(order), np.arange(order)] = diag
-    for i in range(order - 2):
-        coupling = c * c * a_next[i] * a_next[i + 1]
-        entries[i, i + 2] = coupling
-        entries[i + 2, i] = coupling
+    coupling = c * c * a_next[:-2] * a_next[1:-1]
+    entries = np.diag(diag) + np.diag(coupling, 2) + np.diag(coupling, -2)
     return SymmetricOperatorMatrix(entries)
 
 

@@ -25,6 +25,7 @@ from .errors import (
     HypothesisWarning,
     InfeasibleSpecError,
 )
+from .kernels import _parse_params
 
 __all__ = [
     "ConstraintSequence",
@@ -163,33 +164,20 @@ def parse_constraint(text: str) -> ConstraintSequence:
     'prolate:c=1', 'sinc_log:c=10'."""
     head, _, rest = text.partition(":")
     head = head.strip()
-    params = {}
-    for chunk in rest.split(","):
-        if not chunk:
-            continue
-        if "=" not in chunk:
-            raise ValueError(f"malformed constraint parameter {chunk!r}")
-        key, _, value = chunk.partition("=")
-        try:
-            params[key.strip()] = float(value)
-        except ValueError as exc:
-            raise ValueError(f"bad constraint parameter {chunk!r}") from exc
+    what = f"{head} constraint"
     if head == "identity":
+        _parse_params(rest, what)
         return ConstraintSequence.identity()
     if head == "derivative":
+        _parse_params(rest, what)
         return ConstraintSequence.derivative()
     if head == "power":
-        if "p" not in params:
-            raise ValueError("power constraint requires p=...")
+        params = _parse_params(rest, what, required=("p",), optional=("scale",))
         return ConstraintSequence.power(params["p"], params.get("scale", 1.0))
     if head == "prolate":
-        if "c" not in params:
-            raise ValueError("prolate constraint requires c=...")
-        return ConstraintSequence.prolate(params["c"])
+        return ConstraintSequence.prolate(_parse_params(rest, what, required=("c",))["c"])
     if head == "sinc_log":
-        if "c" not in params:
-            raise ValueError("sinc_log constraint requires c=...")
-        return ConstraintSequence.sinc_log(params["c"])
+        return ConstraintSequence.sinc_log(_parse_params(rest, what, required=("c",))["c"])
     raise ValueError(f"unknown constraint {head!r}")
 
 

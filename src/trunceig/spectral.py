@@ -3,9 +3,11 @@
 A symmetric kernel K(x, y) on [a, b] is sampled on a Gauss-Legendre grid and
 scaled into the symmetric matrix sqrt(w_i) K(x_i, x_j) sqrt(w_j), whose
 eigenpairs approximate the eigenvalues and (weighted) eigenfunction samples of
-the integral operator.  The eigensolver is a self-contained cyclic Jacobi
-iteration: deterministic, orthogonal by construction, and robust for every
-symmetric input.
+the integral operator.  The eigensolve is LAPACK's symmetric driver, called
+through numpy.linalg.eigh.
+
+Kernels are array-valued: K(X, Y) takes broadcastable node arrays and returns
+the samples at every (X, Y) pair; a scalar return is broadcast.
 """
 
 from __future__ import annotations
@@ -143,17 +145,17 @@ class SymmetricOperatorMatrix:
 def nystrom_matrix(kernel, grid: QuadratureGrid) -> SymmetricOperatorMatrix:
     """Symmetrically scaled kernel samples sqrt(w_i) K(x_i, x_j) sqrt(w_j).
 
+    The kernel is called once, as kernel(x[:, None], x[None, :]) on the node
+    column and row, and its result is broadcast to n x n, so a kernel that
+    returns a constant scalar is accepted.
+
     The matrix shares its eigenvalues with the quadrature discretization of
     the integral operator, and eigenvector components v[i] recover weighted
     eigenfunction samples via psi(x_i) = v[i] / sqrt(w_i).
     """
     n = grid.size
     nodes = grid.nodes
-    samples = np.empty((n, n), dtype=float)
-    for i in range(n):
-        xi = nodes[i]
-        for j in range(n):
-            samples[i, j] = kernel(xi, nodes[j])
+    samples = np.broadcast_to(kernel(nodes[:, None], nodes[None, :]), (n, n))
     if not np.all(np.isfinite(samples)):
         bad = np.argwhere(~np.isfinite(samples))[0]
         raise NumericDomainError(
@@ -164,118 +166,15 @@ def nystrom_matrix(kernel, grid: QuadratureGrid) -> SymmetricOperatorMatrix:
     return SymmetricOperatorMatrix(scaled)
 
 
-def _jacobi_rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Round-robin schedule of pivot pairs: each round pairs disjoint indices.
-
-    One full pass over all rounds visits every unordered pair (p, q) exactly
-    once, so a pass is one classic Jacobi sweep.  Because the pairs within a
-    round share no index, their rotations commute and the whole round can be
-    applied with vectorized column and row mixes.
-    """
-    m = n if n % 2 == 0 else n + 1
-    arr = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        ps = []
-        qs = []
-        for i in range(m // 2):
-            x, y = arr[i], arr[m - 1 - i]
-            if x < n and y < n:
-                ps.append(min(x, y))
-                qs.append(max(x, y))
-        rounds.append((np.array(ps, dtype=np.intp), np.array(qs, dtype=np.intp)))
-        arr = [arr[0], arr[-1], *arr[1:-1]]
-    return tuple(rounds)
-
-
 def eigh(m: SymmetricOperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Full eigendecomposition of a symmetric matrix by LAPACK (numpy.linalg.eigh).
 
     Returns (eigenvalues, eigenvectors) with eigenvalues ordered by
     non-increasing magnitude (stable under ties) and eigenvectors as rows of
     the second array.  Each eigenvector has its first nonzero component
     positive, which pins the otherwise arbitrary sign.
-
-    Pivots cycle in round-robin order: each round rotates a set of disjoint
-    index pairs, whose rotations commute exactly, so the round is applied as
-    one vectorized update.  A rotation angle only depends on the 2x2 block of
-    its own pair and disjoint rotations never touch each other's blocks, so
-    the result is identical to processing the same pairs one at a time.
-
-    The sweep loop stops once the off-diagonal Frobenius norm falls below
-    1e-12 times the Frobenius norm of the input; if 100 sweeps do not get
-    there a ConvergenceError carries the residual.
     """
-    a = m.entries.copy()
-    n = m.order
-    v = np.eye(n)
-
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return np.zeros(n), np.eye(n)
-    tol = 1e-12 * norm
-    # If every off-diagonal entry is below tol/n the off-diagonal Frobenius
-    # norm is below tol, so entries under this threshold are left alone.
-    skip = tol / n
-
-    converged = False
-    rounds = _jacobi_rounds(n)
-    for _ in range(100):
-        off = float(np.sqrt(max(np.sum(a * a) - np.sum(np.diag(a) ** 2), 0.0)))
-        if off <= tol:
-            converged = True
-            break
-        rotations = 0
-        for p_all, q_all in rounds:
-            apq = a[p_all, q_all]
-            sel = np.abs(apq) > skip
-            if not sel.any():
-                continue
-            p = p_all[sel]
-            q = q_all[sel]
-            apq = apq[sel]
-            rotations += p.size
-
-            app = a[p, p]
-            aqq = a[q, q]
-            theta = (aqq - app) / (2.0 * apq)
-            root = np.sqrt(theta * theta + 1.0)
-            # Same as 1/(theta+root) for theta >= 0 and -1/(root-theta)
-            # otherwise, but the denominator |theta|+root never vanishes.
-            t = np.where(theta >= 0.0, 1.0, -1.0) / (np.abs(theta) + root)
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-
-            col_p = a[:, p]
-            col_q = a[:, q]
-            a[:, p] = col_p * c - col_q * s
-            a[:, q] = col_p * s + col_q * c
-            row_p = a[p, :]
-            row_q = a[q, :]
-            a[p, :] = c[:, None] * row_p - s[:, None] * row_q
-            a[q, :] = s[:, None] * row_p + c[:, None] * row_q
-            # Exact update targets for the rotated 2x2 blocks.
-            a[p, p] = app - t * apq
-            a[q, q] = aqq + t * apq
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-
-            vec_p = v[:, p]
-            vec_q = v[:, q]
-            v[:, p] = vec_p * c - vec_q * s
-            v[:, q] = vec_p * s + vec_q * c
-        if rotations == 0:
-            converged = True
-            break
-    if not converged:
-        off = float(np.sqrt(max(np.sum(a * a) - np.sum(np.diag(a) ** 2), 0.0)))
-        if off > tol:
-            raise ConvergenceError(
-                f"Jacobi sweeps exhausted: off-diagonal norm {off:.3e} "
-                f"above tolerance {tol:.3e} after 100 sweeps"
-            )
-
-    lam = np.diag(a).copy()
+    lam, v = np.linalg.eigh(m.entries)
     order = np.argsort(-np.abs(lam), kind="stable")
     lam = lam[order]
     vectors = v[:, order].T.copy()

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
+from .kernels import _parse_params
 from .regularize import ConstraintSequence, _validate_eigenvalues
 
 __all__ = [
@@ -95,18 +96,7 @@ def parse_pfunction(text: str) -> PFunction:
             raise ValueError("explog takes no parameters")
         return PFunction.explog()
     if head == "power":
-        params = {}
-        for chunk in rest.split(","):
-            if not chunk:
-                continue
-            key, _, value = chunk.partition("=")
-            try:
-                params[key.strip()] = float(value)
-            except ValueError as exc:
-                raise ValueError(f"bad parameter {chunk!r}") from exc
-        if "gamma" not in params:
-            raise ValueError("power preset requires gamma=...")
-        return PFunction.power(params["gamma"])
+        return PFunction.power(_parse_params(rest, "power preset", required=("gamma",))["gamma"])
     raise ValueError(f"unknown p function {head!r}")
 
 

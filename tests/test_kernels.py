@@ -80,6 +80,9 @@ def test_tabulated_kernel_lookup():
             assert kern(g.nodes[i], g.nodes[j]) == samples[i, j]
     with pytest.raises(ValueError):
         kern(0.5 * (g.nodes[0] + g.nodes[1]), g.nodes[0])
+    assert np.array_equal(kern(g.nodes[:, None], g.nodes[None, :]), samples)
+    with pytest.raises(ValueError):
+        kern(g.nodes[:, None], g.nodes[None, :] + 1e-6)
     with pytest.raises(ValueError):
         TabulatedKernel(g, samples + np.triu(np.ones((6, 6)), k=1))
 

@@ -136,7 +136,8 @@ def test_parse_constraint_grammar():
     assert parse_constraint("prolate:c=1.5").c == 1.5
     assert parse_constraint("sinc_log:c=10").c == 10.0
     assert parse_constraint("power:p=2").describe() == "power:p=2,scale=1"
-    for bad in ("power", "power:1", "power:q=2", "prolate", "spline:c=1", "power:p=x"):
+    for bad in ("power", "power:1", "power:q=2", "prolate", "spline:c=1", "power:p=x",
+                "identity:p=99", "derivative:c=5", "power:p=1,zz=3", "sinc_log:c=10,scale=3"):
         with pytest.raises(ValueError):
             parse_constraint(bad)
 

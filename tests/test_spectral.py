@@ -1,4 +1,4 @@
-"""Quadrature, Nystrom discretization, and the Jacobi eigensolver."""
+"""Quadrature, Nystrom discretization, and the eigensolver."""
 
 import numpy as np
 import pytest
@@ -101,12 +101,22 @@ def test_nystrom_matrix_rejects_non_finite_kernel():
     g = gauss_legendre(4, 0.0, 1.0)
 
     def bad(x, y):
-        if x > 0.8 and y > 0.8:
-            return float("nan")
-        return x * y
+        return np.where((x > 0.8) & (y > 0.8), np.nan, x * y)
 
     with pytest.raises(NumericDomainError, match=r"\(3, 3\)"):
         nystrom_matrix(bad, g)
+
+
+def test_nystrom_matrix_calls_kernel_once_on_broadcast_nodes():
+    g = gauss_legendre(7, 0.0, 1.0)
+    shapes = []
+
+    def recording(x, y):
+        shapes.append((np.shape(x), np.shape(y)))
+        return x * y
+
+    nystrom_matrix(recording, g)
+    assert shapes == [((7, 1), (1, 7))]
 
 
 def test_eigh_two_by_two_closed_form():

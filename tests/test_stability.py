@@ -97,7 +97,8 @@ def test_parse_pfunction_grammar():
     p = parse_pfunction("power:gamma=0.25")
     assert p.kind == "power" and p.gamma == 0.25
     assert p.describe() == "power:gamma=0.25"
-    for bad in ("power", "power:gamma=2", "explog:c=1", "linear", "power:gamma=x"):
+    for bad in ("power", "power:gamma=2", "explog:c=1", "linear", "power:gamma=x",
+                "power:gamma=0.5,zz=2"):
         with pytest.raises(ValueError):
             parse_pfunction(bad)
 
