@@ -66,23 +66,28 @@ def _pair(text) -> tuple[float, float]:
     return values[0], values[1]
 
 
+def _system(spec, args) -> spectral.SpectralSystem:
+    """Discrete eigensystem of a parsed kernel: a tabulated kernel on its own
+    grid, any other on --n-nodes Gauss-Legendre nodes."""
+    if spec.kind == "tabulated":
+        grid = spec.table.grid
+    else:
+        grid = spectral.gauss_legendre(int(args.n_nodes), spec.a, spec.b)
+    return spectral.spectral_system(spec.kernel(), grid)
+
+
 def _eigen_sequence(args) -> np.ndarray:
     """Eigenvalue sequence for rule-based commands.
 
     The triangular kernel uses its closed-form eigenvalues 1/(k pi)^2 over
-    --n-modes modes; other kernels are discretized on --n-nodes quadrature
-    nodes and keep their retained positive eigenvalues.
+    --n-modes modes; other kernels are discretized by _system and keep their
+    retained positive eigenvalues.
     """
     spec = kernels.parse_kernel(args.kernel)
     if spec.kind == "triangular":
         k = np.arange(1, int(args.n_modes) + 1, dtype=float)
         return 1.0 / (k * math.pi) ** 2
-    if spec.kind == "tabulated":
-        grid = spec.table.grid
-    else:
-        grid = spectral.gauss_legendre(int(args.n_nodes), spec.a, spec.b)
-    system = spectral.spectral_system(spec.kernel(), grid)
-    lam = system.eigenvalues
+    lam = _system(spec, args).eigenvalues
     lam = lam[lam > 0]
     if lam.size == 0:
         raise ValueError("kernel has no positive retained eigenvalues")
@@ -93,11 +98,7 @@ def _eigen_sequence(args) -> np.ndarray:
 
 def cmd_spectrum(args) -> int:
     spec = kernels.parse_kernel(args.kernel)
-    if spec.kind == "tabulated":
-        grid = spec.table.grid
-    else:
-        grid = spectral.gauss_legendre(int(args.n_nodes), spec.a, spec.b)
-    system = spectral.spectral_system(spec.kernel(), grid)
+    system = _system(spec, args)
     count = system.n_modes
     if args.n_modes is not None:
         count = min(count, int(args.n_modes))
@@ -116,12 +117,11 @@ def cmd_spectrum(args) -> int:
 def cmd_truncate(args) -> int:
     lam = _eigen_sequence(args)
     beta = regularize.parse_constraint(args.constraint)
-    betas = beta.values(lam.size)
     E = float(args.E)
     rows = []
     for eps in _float_list(args.eps_grid):
         k1 = regularize.truncation_identity(lam, eps, E)
-        k2 = regularize.truncation_weighted(lam, betas, eps, E)
+        k2 = regularize.truncation_weighted(lam, beta, eps, E)
         rows.append((eps, k1, k2))
     _write(args.output, _csv(rows, "eps,k1,k2"))
     return 0
@@ -150,22 +150,18 @@ def cmd_solve(args) -> int:
 
 def _build_instance(lam, beta, eps, args, seed):
     if args.f_coeffs is not None:
-        return regularize.synthesize_problem(
-            lam, beta, eps, float(args.E),
-            f_coeffs=_float_list(args.f_coeffs),
-            noise_mode=args.noise_mode, seed=seed, tight=args.tight,
-        )
-    c, q = _pair(args.f_decay)
+        law = {"f_coeffs": _float_list(args.f_coeffs)}
+    else:
+        law = {"f_decay": _pair(args.f_decay)}
     return regularize.synthesize_problem(
         lam, beta, eps, float(args.E),
-        f_decay=(c, q), noise_mode=args.noise_mode, seed=seed, tight=args.tight,
+        noise_mode=args.noise_mode, seed=seed, tight=args.tight, **law,
     )
 
 
 def cmd_sweep(args) -> int:
     lam = _eigen_sequence(args)
     beta = regularize.parse_constraint(args.constraint)
-    betas = beta.values(lam.size)
     pfun = stability.parse_pfunction(args.p)
     E = float(args.E)
     k_vec = np.arange(1, lam.size + 1, dtype=float)
@@ -180,7 +176,7 @@ def cmd_sweep(args) -> int:
         bound_m = math.sqrt(2.0) * stability.stability_bound(eps, E, pfun)
         report6 = regularize.weighted_rule_residuals(instance, rec2)
         report7 = regularize.identity_rule_residuals(instance, rec1)
-        flow = infotheory.information_flow_comparison(lam, betas, eps, E)
+        flow = infotheory.information_flow_comparison(lam, beta, eps, E)
         rows.append(
             (
                 eps,
@@ -206,11 +202,10 @@ def cmd_sweep(args) -> int:
 def cmd_entropy(args) -> int:
     lam = _eigen_sequence(args)
     beta = regularize.parse_constraint(args.constraint)
-    betas = beta.values(lam.size)
     E = float(args.E)
     rows = []
     for eps in _float_list(args.eps_grid):
-        flow = infotheory.information_flow_comparison(lam, betas, eps, E)
+        flow = infotheory.information_flow_comparison(lam, beta, eps, E)
         rows.append(
             (
                 eps,

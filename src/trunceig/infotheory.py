@@ -18,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError
-from .regularize import ConstraintSequence, truncation_identity, truncation_weighted
+from .regularize import (
+    ConstraintSequence,
+    _validate_eigenvalues,
+    _weights,
+    truncation_identity,
+    truncation_weighted,
+)
 
 __all__ = [
     "Ellipsoid",
@@ -57,21 +63,18 @@ class Ellipsoid:
 
 
 def ellipsoid_of(eigenvalues, beta, E: float) -> Ellipsoid:
-    """Data ellipsoid of the constraint set: semi-axes E lambda_k / beta_k."""
+    """Data ellipsoid of the constraint set: semi-axes E lambda_k / beta_k.
+
+    beta=None is the plain constraint beta = 1.
+    """
     lam = np.asarray(eigenvalues, dtype=float)
     if np.any(lam <= 0):
         raise ValueError("eigenvalues must be positive")
     if E <= 0:
         raise ValueError("E must be positive")
     if beta is None:
-        betas = np.ones(lam.size)
-    elif isinstance(beta, ConstraintSequence):
-        betas = beta.values(lam.size)
-    else:
-        betas = np.asarray(beta, dtype=float)
-    if betas.shape != lam.shape or np.any(betas <= 0):
-        raise ValueError("need one positive weight per eigenvalue")
-    return Ellipsoid(E * lam / betas)
+        beta = ConstraintSequence.identity()
+    return Ellipsoid(E * lam / _weights(beta, lam.size))
 
 
 @dataclass
@@ -129,14 +132,11 @@ def information_flow_comparison(eigenvalues, beta, eps: float, E: float) -> Flow
     constraint that sharpens the reconstruction also shrinks the number of
     messages the regularized data can still encode.
     """
-    from .regularize import _validate_eigenvalues
-
     lam = _validate_eigenvalues(eigenvalues)
     if eps <= 0 or E <= 0:
         raise ValueError("need eps > 0 and E > 0")
-    betas = beta.values(lam.size) if isinstance(beta, ConstraintSequence) else np.asarray(beta, dtype=float)
     k1 = truncation_identity(lam, eps, E)
-    k2 = truncation_weighted(lam, betas, eps, E)
+    k2 = truncation_weighted(lam, beta, eps, E)
 
     def bits(cut: int) -> float:
         if cut == 0:

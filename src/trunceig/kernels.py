@@ -294,19 +294,10 @@ def legendre_series(coefficients, x) -> np.ndarray:
     """Evaluate sum_m coeff[m] * sqrt(m + 1/2) * P_m(x)."""
     coefficients = np.asarray(coefficients, dtype=float)
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for m in range(coefficients.size):
-        if m == 0:
-            base = p_prev
-        elif m == 1:
-            base = p
-        else:
-            p_prev, p = p, ((2 * m - 1) * x * p - (m - 1) * p_prev) / m
-            base = p
-        out += coefficients[m] * math.sqrt(m + 0.5) * base
-    return out
+    if coefficients.size == 0:
+        return np.zeros_like(x)
+    scale = np.sqrt(np.arange(coefficients.size) + 0.5)
+    return np.polynomial.legendre.legval(x, coefficients * scale)
 
 
 def shannon_number(omega: float, X: float) -> float:

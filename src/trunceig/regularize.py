@@ -14,10 +14,11 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from ._json import dumps
 from .errors import (
     ConvergenceError,
@@ -62,9 +63,7 @@ class ConstraintSequence:
         self.p = float(p)
         self.scale = float(scale)
         self.c = float(c)
-        self.seq = None if seq is None else np.asarray(seq, dtype=float)
-        if self.seq is not None and np.any(self.seq <= 0):
-            raise ValueError("custom constraint weights must be positive")
+        self.seq = None if seq is None else _weights(seq, np.size(seq))
         if unbounded is None:
             unbounded = {
                 "identity": False,
@@ -116,9 +115,7 @@ class ConstraintSequence:
 
     def _chi(self, count: int) -> np.ndarray:
         if self._chi_cache is None or self._chi_cache.size < count:
-            from .kernels import prolate_eigenvalues
-
-            self._chi_cache = prolate_eigenvalues(self.c, count).chi
+            self._chi_cache = kernels.prolate_eigenvalues(self.c, count).chi
         return self._chi_cache[:count]
 
     def values(self, count: int) -> np.ndarray:
@@ -185,6 +182,8 @@ def _validate_eigenvalues(eigenvalues) -> np.ndarray:
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("eigenvalues must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("eigenvalues must be finite")
     if np.any(lam <= 0):
         raise ValueError("eigenvalues must be positive")
     if np.any(np.diff(lam) > 1e-12 * float(lam[0])):
@@ -192,13 +191,29 @@ def _validate_eigenvalues(eigenvalues) -> np.ndarray:
     return lam
 
 
+def _weights(beta, size: int, count: int | None = None) -> np.ndarray:
+    """Constraint weights beta_1 .. beta_count for `size` eigenvalues.
+
+    The one rule for what a constraint argument may be: a ConstraintSequence
+    gives beta.values(count); an array must hold exactly one finite, positive
+    weight per eigenvalue, and its first `count` entries are used.  count
+    defaults to size.
+    """
+    if isinstance(beta, ConstraintSequence):
+        return beta.values(size if count is None else count)
+    try:
+        betas = np.asarray(beta, dtype=float)
+    except (TypeError, ValueError):
+        betas = None
+    if betas is None or betas.shape != (size,) or not np.all(np.isfinite(betas) & (betas > 0)):
+        raise ValueError("need one finite, positive constraint weight per eigenvalue")
+    return betas[:count]
+
+
 def truncation_identity(eigenvalues, eps: float, E: float) -> int:
-    """Largest k with lambda_k >= eps / E (0 if none)."""
-    lam = _validate_eigenvalues(eigenvalues)
-    if eps < 0 or E <= 0:
-        raise ValueError("need eps >= 0 and E > 0")
-    hits = np.nonzero(lam >= eps / E)[0]
-    return int(hits[-1] + 1) if hits.size else 0
+    """Largest k with lambda_k >= eps / E (0 if none): the beta = 1 case of
+    truncation_weighted."""
+    return truncation_weighted(eigenvalues, ConstraintSequence.identity(), eps, E)
 
 
 def truncation_weighted(eigenvalues, beta, eps: float, E: float) -> int:
@@ -206,12 +221,7 @@ def truncation_weighted(eigenvalues, beta, eps: float, E: float) -> int:
     lam = _validate_eigenvalues(eigenvalues)
     if eps < 0 or E <= 0:
         raise ValueError("need eps >= 0 and E > 0")
-    betas = beta.values(lam.size) if isinstance(beta, ConstraintSequence) else np.asarray(beta, dtype=float)
-    if betas.shape != lam.shape:
-        raise ValueError("need one constraint weight per eigenvalue")
-    if np.any(betas <= 0):
-        raise ValueError("constraint weights must be positive")
-    hits = np.nonzero(lam >= (eps / E) * betas)[0]
+    hits = np.nonzero(lam >= (eps / E) * _weights(beta, lam.size))[0]
     return int(hits[-1] + 1) if hits.size else 0
 
 
@@ -245,9 +255,11 @@ class ProblemInstance:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (m,):
                 raise ValueError(f"{name} must have one entry per mode")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
             setattr(self, name, arr)
-        if self.eps < 0 or self.E <= 0:
-            raise ValueError("need eps >= 0 and E > 0")
+        if not (0 <= self.eps < math.inf and 0 < self.E < math.inf):
+            raise ValueError("need finite eps >= 0 and E > 0")
         noise_norm = float(np.linalg.norm(self.noise))
         if noise_norm > self.eps * (1.0 + 1e-9):
             raise ValueError("noise norm exceeds its stated bound eps")
@@ -264,7 +276,7 @@ class ProblemInstance:
 
     @property
     def betas(self) -> np.ndarray:
-        return self.beta.values(self.eigenvalues.size)
+        return _weights(self.beta, self.eigenvalues.size)
 
     @property
     def n_modes(self) -> int:
@@ -419,7 +431,7 @@ def synthesize_problem(
     if not np.all(np.isfinite(f)):
         raise InfeasibleSpecError("solution coefficients are not finite")
 
-    betas = beta.values(m)
+    betas = _weights(beta, m)
     budget = float(np.sum(betas**2 * f**2))
     if tight:
         if budget == 0.0:
@@ -595,16 +607,13 @@ def strong_error_bound(eigenvalues, beta, eps: float, E: float) -> StrongErrorBo
     lam = _validate_eigenvalues(eigenvalues)
     if eps <= 0 or E <= 0:
         raise ValueError("need eps > 0 and E > 0")
-    if isinstance(beta, ConstraintSequence):
-        betas = beta.values(lam.size)
-        if not beta.unbounded:
-            warnings.warn(
-                "constraint weights are bounded; the error bound does not shrink",
-                HypothesisWarning,
-                stacklevel=2,
-            )
-    else:
-        betas = np.asarray(beta, dtype=float)
+    betas = _weights(beta, lam.size)
+    if isinstance(beta, ConstraintSequence) and not beta.unbounded:
+        warnings.warn(
+            "constraint weights are bounded; the error bound does not shrink",
+            HypothesisWarning,
+            stacklevel=2,
+        )
     ratio = eps / E
     spectrum = lam * lam + (ratio * betas) ** 2
     k0 = int(np.argmin(spectrum)) + 1

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
 from .kernels import _parse_params
-from .regularize import ConstraintSequence, _validate_eigenvalues
+from .regularize import _validate_eigenvalues, _weights
 
 __all__ = [
     "PFunction",
@@ -161,9 +160,7 @@ def check_condition(eigenvalues, beta, p: PFunction, K: int) -> tuple[bool, int 
     lam = _validate_eigenvalues(eigenvalues)
     if not 1 <= K <= lam.size:
         raise ValueError("K must lie in [1, number of modes]")
-    betas = beta.values(K) if isinstance(beta, ConstraintSequence) else np.asarray(beta, dtype=float)[:K]
-    if betas.shape != (K,) or np.any(betas <= 0):
-        raise ValueError("need K positive constraint weights")
+    betas = _weights(beta, lam.size, K)
     for k in range(K):
         lhs = lam[k] ** 2
         rhs = betas[k] ** 2 * p_eval(p, 1.0 / betas[k] ** 2)
@@ -193,7 +190,7 @@ def stability_sup_exact(eigenvalues, beta, eps: float, E: float, K: int | None =
         K = lam.size
     if not 1 <= K <= lam.size:
         raise ValueError("K must lie in [1, number of modes]")
-    betas = beta.values(K) if isinstance(beta, ConstraintSequence) else np.asarray(beta, dtype=float)[:K]
+    betas = _weights(beta, lam.size, K)
     lam2 = lam[:K] ** 2
     bet2 = betas**2
     e2 = eps * eps

@@ -212,3 +212,18 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["truncate", "--config", str(list_cfg)]) == 2
     assert main(["truncate", "--config", str(tmp_path / "nope.json")]) == 4
     capsys.readouterr()  # swallow the accumulated argparse chatter
+
+
+@pytest.mark.parametrize("field", ["beta", "eigenvalues", "f_true", "g_noisy", "eps", "E"])
+def test_solve_rejects_non_finite_instance(tmp_path, capsys, field):
+    inst = tmp_path / "inst.json"
+    assert main(["simulate", "--n-modes", "10", "--constraint", "derivative",
+                 "--output", str(inst)]) == 0
+    payload = json.loads(inst.read_text())
+    if isinstance(payload[field], list):
+        payload[field][3] = math.nan
+    else:
+        payload[field] = math.nan
+    inst.write_text(json.dumps(payload))  # written as the NaN literal json reads back
+    assert main(["solve", "--instance", str(inst)]) == 2
+    assert capsys.readouterr().out == ""

@@ -9,12 +9,17 @@ import pytest
 
 from trunceig import (
     ConstraintSequence,
+    PFunction,
     ProblemInstance,
+    check_condition,
+    ellipsoid_of,
     feasibility_check,
     identity_rule_residuals,
+    information_flow_comparison,
     make_noise,
     parse_constraint,
     range_compatibility_sums,
+    stability_sup_exact,
     strong_error_bound,
     synthesize_problem,
     truncated_solution,
@@ -468,3 +473,31 @@ def test_range_compatibility_sums_reports_both():
     assert linear == pytest.approx(float(np.sum(direct)), rel=1e-14)
     assert squared == pytest.approx(float(np.sum(direct**2)), rel=1e-14)
     assert squared >= 0.0
+
+
+# Every entry point that takes the weight sequence beta follows one contract:
+# an array holds exactly one finite, positive weight per eigenvalue.
+LAM_5 = TRI_LAM_80[:5]
+BETA_TAKERS = {
+    "truncation_weighted": lambda b: truncation_weighted(LAM_5, b, 1e-3, 1.0),
+    "strong_error_bound": lambda b: strong_error_bound(LAM_5, b, 1e-3, 1.0),
+    "check_condition": lambda b: check_condition(LAM_5, b, PFunction.power(1.0 / 3.0), 5),
+    "stability_sup_exact": lambda b: stability_sup_exact(LAM_5, b, 1e-3, 1.0),
+    "ellipsoid_of": lambda b: ellipsoid_of(LAM_5, b, 1.0),
+    "information_flow_comparison": lambda b: information_flow_comparison(LAM_5, b, 1e-3, 1.0),
+}
+BAD_WEIGHTS = {
+    "zero": [1.0, 2.0, 0.0, 4.0, 5.0],
+    "negative": [1.0, 2.0, -3.0, 4.0, 5.0],
+    "nan": [1.0, 2.0, math.nan, 4.0, 5.0],
+    "one_too_few": [1.0, 2.0, 3.0, 4.0],
+    "one_too_many": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_WEIGHTS))
+@pytest.mark.parametrize("taker", sorted(BETA_TAKERS))
+def test_beta_takers_reject_bad_weights(taker, bad):
+    BETA_TAKERS[taker](np.arange(1.0, 6.0))  # the valid sequence is accepted
+    with pytest.raises(ValueError):
+        BETA_TAKERS[taker](np.array(BAD_WEIGHTS[bad]))
