@@ -52,10 +52,13 @@ def _write(path: str | None, text: str):
 
 def _float_list(text) -> list[float]:
     if isinstance(text, (list, tuple)):
-        return [float(v) for v in text]
-    values = [float(chunk) for chunk in str(text).split(",") if chunk.strip()]
-    if not values:
-        raise ValueError("expected a comma-separated list of numbers")
+        values = [float(v) for v in text]
+    else:
+        values = [float(chunk) for chunk in str(text).split(",") if chunk.strip()]
+        if not values:
+            raise ValueError("expected a comma-separated list of numbers")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError("expected finite numbers")
     return values
 
 

@@ -68,10 +68,11 @@ def ellipsoid_of(eigenvalues, beta, E: float) -> Ellipsoid:
     beta=None is the plain constraint beta = 1.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    if np.any(lam <= 0):
-        raise ValueError("eigenvalues must be positive")
-    if E <= 0:
-        raise ValueError("E must be positive")
+    # Not _validate_eigenvalues: the axes are sorted, so any order is allowed.
+    if lam.ndim != 1 or lam.size == 0 or not np.all(np.isfinite(lam) & (lam > 0)):
+        raise ValueError("need a non-empty 1-d array of finite, positive eigenvalues")
+    if not 0 < E < math.inf:
+        raise ValueError("E must be finite and positive")
     if beta is None:
         beta = ConstraintSequence.identity()
     return Ellipsoid(E * lam / _weights(beta, lam.size))
@@ -103,8 +104,8 @@ def _axis_bits(semi_axes: np.ndarray, eps: float) -> tuple[int, float]:
 
 def entropy_lower_bound(ellipsoid: Ellipsoid, eps: float) -> InfoReport:
     """Volume lower bound on the eps-entropy of an ellipsoid."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be finite and positive")
     cutoff, bits = _axis_bits(ellipsoid.semi_axes, eps)
     return InfoReport(eps, cutoff, bits, bits)
 
@@ -133,8 +134,8 @@ def information_flow_comparison(eigenvalues, beta, eps: float, E: float) -> Flow
     messages the regularized data can still encode.
     """
     lam = _validate_eigenvalues(eigenvalues)
-    if eps <= 0 or E <= 0:
-        raise ValueError("need eps > 0 and E > 0")
+    if not (0 < eps < math.inf and 0 < E < math.inf):
+        raise ValueError("need finite eps > 0 and E > 0")
     k1 = truncation_identity(lam, eps, E)
     k2 = truncation_weighted(lam, beta, eps, E)
 
@@ -201,8 +202,8 @@ def packing_number_exact(point_set: FinitePointSet, eps: float) -> tuple[int, li
     farther than eps apart.  Returns the count and one witness (sorted point
     indices).
     """
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
+    if not 0 <= eps < math.inf:
+        raise ValueError("eps must be finite and non-negative")
     _check_budget(point_set)
     m = point_set.size
     dist = point_set._distances()
@@ -242,8 +243,8 @@ def covering_number_exact(point_set: FinitePointSet, eps: float) -> tuple[int, l
     Exact branch-and-bound set cover.  Returns the count and the chosen
     centers (sorted point indices).
     """
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
+    if not 0 <= eps < math.inf:
+        raise ValueError("eps must be finite and non-negative")
     _check_budget(point_set)
     m = point_set.size
     dist = point_set._distances()

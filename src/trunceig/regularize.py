@@ -219,8 +219,8 @@ def truncation_identity(eigenvalues, eps: float, E: float) -> int:
 def truncation_weighted(eigenvalues, beta, eps: float, E: float) -> int:
     """Largest k with lambda_k >= (eps / E) * beta_k (0 if none)."""
     lam = _validate_eigenvalues(eigenvalues)
-    if eps < 0 or E <= 0:
-        raise ValueError("need eps >= 0 and E > 0")
+    if not (0 <= eps < math.inf and 0 < E < math.inf):
+        raise ValueError("need finite eps >= 0 and E > 0")
     hits = np.nonzero(lam >= (eps / E) * _weights(beta, lam.size))[0]
     return int(hits[-1] + 1) if hits.size else 0
 
@@ -605,8 +605,8 @@ class StrongErrorBound:
 
 def strong_error_bound(eigenvalues, beta, eps: float, E: float) -> StrongErrorBound:
     lam = _validate_eigenvalues(eigenvalues)
-    if eps <= 0 or E <= 0:
-        raise ValueError("need eps > 0 and E > 0")
+    if not (0 < eps < math.inf and 0 < E < math.inf):
+        raise ValueError("need finite eps > 0 and E > 0")
     betas = _weights(beta, lam.size)
     if isinstance(beta, ConstraintSequence) and not beta.unbounded:
         warnings.warn(

@@ -227,3 +227,14 @@ def test_solve_rejects_non_finite_instance(tmp_path, capsys, field):
     inst.write_text(json.dumps(payload))  # written as the NaN literal json reads back
     assert main(["solve", "--instance", str(inst)]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["truncate", "--eps-grid", "nan,1e-3"],
+    ["entropy", "--E", "nan"],
+    ["stability", "--eps-grid", "nan,1e-2,1e-3,1e-4,1e-5"],
+    ["stability", "--E", "inf"],
+], ids=["truncate-nan-eps", "entropy-nan-E", "stability-nan-eps", "stability-inf-E"])
+def test_non_finite_eps_or_E_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""

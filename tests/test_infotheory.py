@@ -55,6 +55,27 @@ def test_ellipsoid_of_closed_forms():
         ellipsoid_of(TRI_LAM_80, np.ones(79), 1.0)
 
 
+def test_ellipsoid_of_rejects_non_finite_or_malformed_eigenvalues():
+    # Unordered positive eigenvalues are fine: the axes are sorted.
+    assert np.array_equal(ellipsoid_of([0.1, 0.5, 0.3], None, 1.0).semi_axes, [0.5, 0.3, 0.1])
+    for bad in ([0.5, math.nan, 0.1], [0.5, math.inf, 0.1], [0.5, -math.inf], [],
+                [[0.5, 0.1]], [0.5, 0.0]):
+        with pytest.raises(ValueError):
+            ellipsoid_of(bad, None, 1.0)
+    for E in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ellipsoid_of([0.5, 0.1], None, E)
+
+
+def test_exact_cover_and_pack_reject_non_finite_eps():
+    # A NaN radius gave every ball no points, so the greedy cover never ended.
+    square = FinitePointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+    for exact in (covering_number_exact, packing_number_exact):
+        for eps in (math.nan, math.inf, -0.1):
+            with pytest.raises(ValueError):
+                exact(square, eps)
+
+
 def test_entropy_lower_bound_triangular_value():
     report = entropy_lower_bound(ellipsoid_of(TRI_LAM_80, None, 1.0), 0.01)
     assert report.cutoff == 3

@@ -1,6 +1,7 @@
 """Comparison functions, the Jensen-style cap, exact suprema, regime fits."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,114 @@ from trunceig import (
     stability_report,
     stability_sup_exact,
 )
+from trunceig.regularize import _validate_eigenvalues, _weights
 
 TRI_LAM = 1.0 / (np.arange(1, 51) * math.pi) ** 2
 DERIV_BETA = math.pi * np.arange(1, 51, dtype=float)
+
+
+def _sup_by_pairs(eigenvalues, beta, eps: float, E: float, K: int | None = None) -> float:
+    """Reference supremum by vertex enumeration, O(K^2) time and memory.
+
+    In u_k = f_k^2 this is a linear program with two resource constraints, so
+    the optimum sits on a vertex supported on at most two modes: enumerate
+    every single mode and every pair with both constraints active.
+    """
+    lam = _validate_eigenvalues(eigenvalues)
+    if eps <= 0 or E <= 0:
+        raise ValueError("need eps > 0 and E > 0")
+    if K is None:
+        K = lam.size
+    if not 1 <= K <= lam.size:
+        raise ValueError("K must lie in [1, number of modes]")
+    betas = _weights(beta, lam.size, K)
+    lam2 = lam[:K] ** 2
+    bet2 = betas**2
+    e2 = eps * eps
+    E2 = E * E
+
+    best = float(np.max(np.minimum(e2 / lam2, E2 / bet2)))
+
+    # Pair vertices: both constraints active on modes (i, j).  Degenerate
+    # vertices (a zero coordinate) coincide with single-mode candidates, so
+    # only strictly non-negative solutions of well-conditioned pairs matter.
+    li = lam2[:, None]
+    lj = lam2[None, :]
+    bi = bet2[:, None]
+    bj = bet2[None, :]
+    det = li * bj - lj * bi
+    cond_scale = li * bj + lj * bi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ui = (e2 * bj - E2 * lj) / det
+        uj = (E2 * li - e2 * bi) / det
+    upper = np.triu(np.ones((K, K), dtype=bool), k=1)
+    valid = upper & (np.abs(det) > 1e-12 * cond_scale) & (ui >= 0.0) & (uj >= 0.0)
+    if np.any(valid):
+        best = max(best, float(np.max(ui[valid] + uj[valid])))
+    return math.sqrt(best)
+
+
+def _random_instance(seed: int):
+    """Seeded (eigenvalues, beta, eps, E, K) with K <= 200 and eps in [1e-7, 1]."""
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 201))
+    lam = np.sort(rng.uniform(1e-6, 1.0, size) ** rng.uniform(1.0, 6.0))[::-1].copy()
+    beta = rng.uniform(0.1, 10.0, size) ** rng.uniform(0.5, 3.0)
+    if seed % 3 == 0:
+        beta = np.sort(beta)  # the usual shape: weights grow with k
+    eps = float(10.0 ** rng.uniform(-7.0, 0.0))
+    E = float(10.0 ** rng.uniform(-2.0, 1.0))
+    K = int(rng.integers(1, size + 1)) if seed % 4 == 0 else None
+    return lam, beta, eps, E, K
+
+
+# Points (a_k, b_k) = (lambda_k^2 / eps^2, beta_k^2 / E^2) in degenerate layouts.
+SUP_DEGENERATE = {
+    "K=1": ([0.3], [2.0], 0.1, 1.0, None),
+    "repeated-points": ([0.5, 0.5, 0.5, 0.2, 0.2], [1.0, 1.0, 1.0, 3.0, 3.0], 0.1, 1.0, None),
+    "point-on-diagonal": ([1.0, 0.5, 0.25], [0.25, 1.0, 8.0], 0.5, 1.0, None),  # (1, 1)
+    "collinear-hull": ([4.0, 3.0, 2.0], [2.0, math.sqrt(11.0), 4.0], 1.0, 1.0, None),  # b = 20 - a
+    "all-noise-bound": ([1.0, 0.5, 0.25], [1.0, 1.0, 1.0], 1e-3, 1.0, None),
+    "all-budget-bound": ([1.0, 0.5, 0.25], [1.0, 2.0, 3.0], 10.0, 1.0, None),
+    "K-prefix": (TRI_LAM, DERIV_BETA, 1e-3, 1.0, 17),
+}
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [pytest.param(_random_instance(seed), id=f"random-{seed}") for seed in range(300)]
+    + [pytest.param(case, id=name) for name, case in SUP_DEGENERATE.items()],
+)
+def test_sup_exact_matches_pair_enumeration(instance):
+    lam, beta, eps, E, K = instance
+    expected = _sup_by_pairs(lam, beta, eps, E, K)
+    assert stability_sup_exact(lam, beta, eps, E, K) == pytest.approx(expected, rel=1e-12)
+
+
+def test_sup_exact_degenerate_closed_forms():
+    def sup(name):
+        return stability_sup_exact(*SUP_DEGENERATE[name])
+
+    assert sup("K=1") == pytest.approx(0.1 / 0.3, rel=1e-15)
+    assert sup("point-on-diagonal") == pytest.approx(1.0, rel=1e-15)
+    # The hull edge b = 20 - a crosses a = b at 10 between two of its points.
+    assert sup("collinear-hull") == pytest.approx(math.sqrt(0.1), rel=1e-14)
+    assert sup("all-noise-bound") == pytest.approx(1e-3 / 0.25, rel=1e-15)
+    assert sup("all-budget-bound") == pytest.approx(1.0, rel=1e-15)
+
+
+def test_sup_exact_memory_is_linear_in_modes():
+    K = 2000
+    lam = 1.0 / (np.arange(1, K + 1) * math.pi) ** 2
+    beta = ConstraintSequence.derivative()
+    tracemalloc.start()
+    try:
+        stability_sup_exact(lam, beta, 1e-4, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A K x K float64 array alone would take 32 MB.
+    assert peak < 2_000_000
 
 
 def test_pfunction_presets_closed_forms():
@@ -120,6 +226,52 @@ def test_check_condition_boundary_cases():
         check_condition(TRI_LAM, DERIV_BETA, p, 0)
     with pytest.raises(ValueError):
         check_condition(TRI_LAM, DERIV_BETA, p, 51)
+
+
+def _condition_by_loop(lam, betas, p, K):
+    """Reference check_condition: one scalar p_eval per mode."""
+    for k in range(K):
+        if lam[k] ** 2 < betas[k] ** 2 * p_eval(p, 1.0 / betas[k] ** 2) * (1.0 - 1e-9):
+            return False, k + 1
+    return True, None
+
+
+@pytest.mark.parametrize("p", [
+    PFunction.power(1.0 / 3.0),
+    PFunction.explog(),
+    PFunction.custom(np.geomspace(1e-5, 1e3, 400), np.geomspace(1e-5, 1e3, 400) ** 3),
+], ids=["power", "explog", "custom"])
+def test_check_condition_matches_the_scalar_loop(p):
+    late = 1.01 * DERIV_BETA
+    late[6] *= 0.01  # violates from mode 7 only
+    verdicts = set()
+    for betas in (DERIV_BETA, 1.01 * DERIV_BETA, 0.5 * DERIV_BETA, 0.05 * DERIV_BETA, late):
+        for K in (1, 7, 50):
+            expected = _condition_by_loop(TRI_LAM, betas, p, K)
+            assert check_condition(TRI_LAM, betas, p, K) == expected
+            verdicts.add(expected)
+    assert (True, None) in verdicts and (False, 7) in verdicts
+
+
+@pytest.mark.parametrize("p", [
+    PFunction.power(0.25),
+    PFunction.explog(),
+    PFunction.custom(np.linspace(0.1, 1.0, 10), np.linspace(0.1, 1.0, 10) ** 2),
+], ids=["power", "explog", "custom"])
+def test_p_eval_on_arrays_matches_scalar_calls(p):
+    r = np.array([0.0, 0.1, 0.25, 0.5, 1.0])
+    values = p_eval(p, r)
+    assert isinstance(values, np.ndarray) and values.shape == r.shape
+    scalars = [p_eval(p, float(x)) for x in r]
+    assert all(type(v) is float for v in scalars)
+    np.testing.assert_allclose(values, scalars, rtol=1e-15, atol=0.0)
+    assert values[0] == 0.0 and scalars[0] == 0.0
+    with pytest.raises(ValueError):
+        p_eval(p, np.array([0.5, -1e-3]))
+    if p.kind == "custom":
+        with pytest.raises(ValueError, match="tabulated range"):
+            p_eval(p, np.array([0.5, 2.0]))
+        assert p_eval(p, 0.0) == 0.0  # below the table, but p(0) = 0 exactly
 
 
 def test_stability_bound_values_and_scaling():
