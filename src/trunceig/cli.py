@@ -251,6 +251,7 @@ def cmd_stability(args) -> int:
 
 def cmd_cover(args) -> int:
     points = np.atleast_2d(np.loadtxt(args.points, delimiter=",", dtype=float, ndmin=2))
+    infotheory._check_budget(points.shape[0])  # before the quadratic distance matrix
     point_set = infotheory.FinitePointSet(points)
     eps = float(args.eps)
     n_cover, _ = infotheory.covering_number_exact(point_set, eps)

@@ -7,13 +7,16 @@ measures how many distinguishable data sets -- and hence recoverable
 messages -- the problem supports at noise level eps.  Alongside the volume
 lower bounds there are exact combinatorial solvers for small finite point
 sets, which let the chain "covering <= packing" be checked against ground
-truth rather than against itself.
+truth rather than against itself.  Both are branch-and-bound searches over
+Python-int bitmasks of the points, relabelled so that bit order is the
+search's vertex order: packing is a maximum clique over "farther than eps"
+masks, covering a set cover over closed-ball masks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,8 +57,8 @@ class Ellipsoid:
         self.semi_axes = np.sort(np.asarray(self.semi_axes, dtype=float))[::-1].copy()
         if self.semi_axes.ndim != 1 or self.semi_axes.size == 0:
             raise ValueError("an ellipsoid needs at least one semi-axis")
-        if np.any(self.semi_axes <= 0):
-            raise ValueError("semi-axes must be positive")
+        if not np.all(np.isfinite(self.semi_axes) & (self.semi_axes > 0)):
+            raise ValueError("semi-axes must be finite and positive")
 
     @property
     def dim(self) -> int:
@@ -164,123 +167,111 @@ def shannon_entropy_estimate(shannon_number: float, eps: float) -> float:
 
 @dataclass
 class FinitePointSet:
-    """A small set of distinct points in a common Euclidean space."""
+    """A small set of distinct points in a common Euclidean space.
+
+    The pairwise distance matrix is built once, here, and both exact solvers
+    read it.  It is quadratic in memory, so the class is meant for small sets:
+    check a point count against EXACT_BUDGET before building one.
+    """
 
     points: np.ndarray
+    distances: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[0] == 0:
             raise ValueError("points must form a non-empty 2-d array")
-        d = self._distances()
-        m = self.points.shape[0]
-        if m > 1:
-            off = d[np.triu_indices(m, k=1)]
-            if float(np.min(off)) <= 1e-12:
-                raise ValueError("points must be pairwise distinct (min spacing 1e-12)")
-
-    def _distances(self) -> np.ndarray:
         diff = self.points[:, None, :] - self.points[None, :, :]
-        return np.sqrt(np.sum(diff * diff, axis=2))
+        self.distances = np.sqrt(np.sum(diff * diff, axis=2))
+        off = self.distances[np.triu_indices(self.size, k=1)]
+        if off.size and float(np.min(off)) <= 1e-12:
+            raise ValueError("points must be pairwise distinct (min spacing 1e-12)")
 
     @property
     def size(self) -> int:
         return int(self.points.shape[0])
 
 
-def _check_budget(point_set: FinitePointSet):
-    if point_set.size > EXACT_BUDGET:
-        raise BudgetExceededError(
-            f"exact search limited to {EXACT_BUDGET} points, got {point_set.size}"
-        )
+def _check_budget(count: int):
+    if count > EXACT_BUDGET:
+        raise BudgetExceededError(f"exact search limited to {EXACT_BUDGET} points, got {count}")
+
+
+def _degree_ordered_masks(relation: np.ndarray) -> tuple[list[int], list[int]]:
+    """Rows of a symmetric boolean relation as int bitmasks over the points sorted
+    by ascending row count: bit q of masks[p] is relation[order[p], order[q]]."""
+    order = np.argsort(relation.sum(axis=1), kind="stable").tolist()
+    rows = relation[np.ix_(order, order)]
+    return order, [sum(1 << q for q in np.flatnonzero(row).tolist()) for row in rows]
 
 
 def packing_number_exact(point_set: FinitePointSet, eps: float) -> tuple[int, list[int]]:
     """Largest number of points with pairwise distances strictly above eps.
 
-    Branch-and-bound maximum clique on the graph whose edges join points
-    farther than eps apart.  Returns the count and one witness (sorted point
-    indices).
+    Branch-and-bound maximum clique (Carraghan & Pardalos 1990) on the graph
+    whose edges join points farther than eps apart, with the candidate set of
+    each node an int bitmask.  Candidates are taken lowest degree first, and a
+    branch is pruned once |clique| + |candidates| <= |best|; the first leaf
+    reached is a greedy clique, so no separate incumbent is needed.  Returns
+    the count and one witness (sorted point indices).
     """
     if not 0 <= eps < math.inf:
         raise ValueError("eps must be finite and non-negative")
-    _check_budget(point_set)
-    m = point_set.size
-    dist = point_set._distances()
-    adj = dist > eps
-
-    # Greedy seed gives the search a non-trivial incumbent to prune against.
-    order = sorted(range(m), key=lambda i: -int(np.sum(adj[i])))
+    _check_budget(point_set.size)
+    order, neighbours = _degree_ordered_masks(point_set.distances > eps)
     best: list[int] = []
-    for i in order:
-        if all(adj[i, j] for j in best):
-            best.append(i)
 
-    current: list[int] = []
-
-    def extend(candidates: list[int]):
+    def extend(clique: list[int], candidates: int):
         nonlocal best
         if not candidates:
-            if len(current) > len(best):
-                best = current.copy()
+            if len(clique) > len(best):
+                best = clique
             return
-        if len(current) + len(candidates) <= len(best):
-            return
-        for pos, i in enumerate(candidates):
-            if len(current) + len(candidates) - pos <= len(best):
-                break
-            current.append(i)
-            extend([j for j in candidates[pos + 1:] if adj[i, j]])
-            current.pop()
+        while candidates and len(clique) + candidates.bit_count() > len(best):
+            low = candidates & -candidates
+            candidates ^= low
+            p = low.bit_length() - 1
+            extend(clique + [p], candidates & neighbours[p])
 
-    extend(order)
-    return len(best), sorted(best)
+    extend([], (1 << point_set.size) - 1)
+    return len(best), sorted(order[p] for p in best)
 
 
 def covering_number_exact(point_set: FinitePointSet, eps: float) -> tuple[int, list[int]]:
     """Fewest closed eps-balls centered at set points that cover the set.
 
-    Exact branch-and-bound set cover.  Returns the count and the chosen
-    centers (sorted point indices).
+    Exact branch-and-bound set cover over ball bitmasks.  Each node branches
+    on the uncovered point that the fewest balls hold; distance is symmetric,
+    so those are the balls centred inside that point's own ball.  Centres are
+    tried in order of how many uncovered points each covers, and a branch is
+    pruned once |chosen| + ceil(|uncovered| / widest ball) >= |best|, starting
+    from the cover by every point.  Returns the count and the chosen centers
+    (sorted point indices).
     """
     if not 0 <= eps < math.inf:
         raise ValueError("eps must be finite and non-negative")
-    _check_budget(point_set)
+    _check_budget(point_set.size)
     m = point_set.size
-    dist = point_set._distances()
-    balls = [frozenset(np.nonzero(dist[i] <= eps)[0].tolist()) for i in range(m)]
-    max_ball = max(len(b) for b in balls)
+    # Fewest balls first, so the lowest uncovered bit is the branch point.
+    order, balls = _degree_ordered_masks(point_set.distances <= eps)
+    widest = max(ball.bit_count() for ball in balls)
+    best = list(range(m))
 
-    # Greedy cover as the incumbent.
-    uncovered = set(range(m))
-    greedy: list[int] = []
-    while uncovered:
-        i = max(range(m), key=lambda i: len(balls[i] & uncovered))
-        greedy.append(i)
-        uncovered -= balls[i]
-    best = greedy
-
-    chosen: list[int] = []
-
-    def solve(uncovered: frozenset):
+    def solve(chosen: list[int], uncovered: int):
         nonlocal best
+        if len(chosen) + math.ceil(uncovered.bit_count() / widest) >= len(best):
+            return
         if not uncovered:
-            if len(chosen) < len(best):
-                best = chosen.copy()
+            best = chosen
             return
-        if len(chosen) + math.ceil(len(uncovered) / max_ball) >= len(best):
-            return
-        # Branch on the hardest point: the one fewest balls can cover.
-        target = min(uncovered, key=lambda e: sum(1 for b in balls if e in b))
-        options = [i for i in range(m) if target in balls[i]]
-        options.sort(key=lambda i: -len(balls[i] & uncovered))
-        for i in options:
-            chosen.append(i)
-            solve(uncovered - balls[i])
-            chosen.pop()
+        target = (uncovered & -uncovered).bit_length() - 1
+        options = [q for q in range(m) if balls[target] >> q & 1]
+        options.sort(key=lambda q: -(balls[q] & uncovered).bit_count())
+        for q in options:
+            solve(chosen + [q], uncovered & ~balls[q])
 
-    solve(frozenset(range(m)))
-    return len(best), sorted(best)
+    solve([], (1 << m) - 1)
+    return len(best), sorted(order[q] for q in best)
 
 
 def sample_ellipsoid(ellipsoid: Ellipsoid, dim_cut: int, count: int, seed: int) -> FinitePointSet:

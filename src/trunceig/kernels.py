@@ -311,8 +311,9 @@ def shannon_number(omega: float, X: float) -> float:
 def plateau_count(eigenvalues, threshold: float) -> int:
     """Number of eigenvalues at or above threshold in a non-increasing sequence."""
     eigenvalues = np.asarray(eigenvalues, dtype=float)
-    if eigenvalues.ndim != 1 or eigenvalues.size == 0:
-        raise ValueError("eigenvalues must be a non-empty 1-d sequence")
+    finite = bool(np.all(np.isfinite(eigenvalues))) and math.isfinite(threshold)
+    if eigenvalues.ndim != 1 or eigenvalues.size == 0 or not finite:
+        raise ValueError("need a non-empty 1-d array of finite eigenvalues and a finite threshold")
     scale = float(np.max(np.abs(eigenvalues)))
     if np.any(np.diff(eigenvalues) > 1e-12 * max(scale, 1.0)):
         raise ValueError("eigenvalues must be non-increasing")

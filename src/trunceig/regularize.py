@@ -359,8 +359,8 @@ def make_noise(seed: int, eps: float, mode: str, eigenvalues, k_noise: int | Non
     """
     lam = np.asarray(eigenvalues, dtype=float)
     m = lam.size
-    if eps < 0:
-        raise ValueError("eps must be non-negative")
+    if not 0 <= eps < math.inf:
+        raise ValueError("need finite eps >= 0")
     if k_noise is None:
         k_noise = m
     if not 1 <= k_noise <= m:
@@ -416,6 +416,8 @@ def synthesize_problem(
     """
     lam = _validate_eigenvalues(eigenvalues)
     m = lam.size
+    if not (0 <= eps < math.inf and 0 < E < math.inf):
+        raise ValueError("need finite eps >= 0 and E > 0")
     if (f_coeffs is None) == (f_decay is None):
         raise ValueError("give exactly one of f_coeffs or f_decay")
     if f_coeffs is not None:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,3 +239,32 @@ def test_solve_rejects_non_finite_instance(tmp_path, capsys, field):
 def test_non_finite_eps_or_E_exits_2(capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--E", "nan"],
+    ["simulate", "--eps", "nan"],
+], ids=["sweep-nan-E", "simulate-nan-eps"])
+def test_synthesis_names_non_finite_eps_or_E(capsys, argv):
+    # These used to blame f_true or the noise vector for the bad input.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need finite eps >= 0 and E > 0\n"
+
+
+def test_cover_over_budget_exits_before_distance_matrix(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    rng = np.random.default_rng(0)
+    np.savetxt(pts, rng.uniform(-1.0, 1.0, size=(1000, 2)), delimiter=",")
+    tracemalloc.start()
+    try:
+        rc = main(["cover", "--points", str(pts), "--eps", "0.1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: exact search limited to 30 points, got 1000\n"
+    assert peak < 5e6  # the 1000 x 1000 x 2 difference tensor alone is 16 MB

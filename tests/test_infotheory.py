@@ -26,6 +26,96 @@ from trunceig.errors import BudgetExceededError
 TRI_LAM_80 = 1.0 / (np.arange(1, 81) * math.pi) ** 2
 
 
+# The list- and frozenset-based solvers that the bitmask search replaced, kept
+# as the reference it is checked against.  They read the point set's distance
+# matrix in place of a per-call build, and skip the budget check: every case
+# below has at most 30 points.
+def _pack_by_lists(point_set: FinitePointSet, eps: float) -> tuple[int, list[int]]:
+    """Largest number of points with pairwise distances strictly above eps.
+
+    Branch-and-bound maximum clique on the graph whose edges join points
+    farther than eps apart.  Returns the count and one witness (sorted point
+    indices).
+    """
+    if not 0 <= eps < math.inf:
+        raise ValueError("eps must be finite and non-negative")
+    m = point_set.size
+    dist = point_set.distances
+    adj = dist > eps
+
+    # Greedy seed gives the search a non-trivial incumbent to prune against.
+    order = sorted(range(m), key=lambda i: -int(np.sum(adj[i])))
+    best: list[int] = []
+    for i in order:
+        if all(adj[i, j] for j in best):
+            best.append(i)
+
+    current: list[int] = []
+
+    def extend(candidates: list[int]):
+        nonlocal best
+        if not candidates:
+            if len(current) > len(best):
+                best = current.copy()
+            return
+        if len(current) + len(candidates) <= len(best):
+            return
+        for pos, i in enumerate(candidates):
+            if len(current) + len(candidates) - pos <= len(best):
+                break
+            current.append(i)
+            extend([j for j in candidates[pos + 1:] if adj[i, j]])
+            current.pop()
+
+    extend(order)
+    return len(best), sorted(best)
+
+
+def _cover_by_sets(point_set: FinitePointSet, eps: float) -> tuple[int, list[int]]:
+    """Fewest closed eps-balls centered at set points that cover the set.
+
+    Exact branch-and-bound set cover.  Returns the count and the chosen
+    centers (sorted point indices).
+    """
+    if not 0 <= eps < math.inf:
+        raise ValueError("eps must be finite and non-negative")
+    m = point_set.size
+    dist = point_set.distances
+    balls = [frozenset(np.nonzero(dist[i] <= eps)[0].tolist()) for i in range(m)]
+    max_ball = max(len(b) for b in balls)
+
+    # Greedy cover as the incumbent.
+    uncovered = set(range(m))
+    greedy: list[int] = []
+    while uncovered:
+        i = max(range(m), key=lambda i: len(balls[i] & uncovered))
+        greedy.append(i)
+        uncovered -= balls[i]
+    best = greedy
+
+    chosen: list[int] = []
+
+    def solve(uncovered: frozenset):
+        nonlocal best
+        if not uncovered:
+            if len(chosen) < len(best):
+                best = chosen.copy()
+            return
+        if len(chosen) + math.ceil(len(uncovered) / max_ball) >= len(best):
+            return
+        # Branch on the hardest point: the one fewest balls can cover.
+        target = min(uncovered, key=lambda e: sum(1 for b in balls if e in b))
+        options = [i for i in range(m) if target in balls[i]]
+        options.sort(key=lambda i: -len(balls[i] & uncovered))
+        for i in options:
+            chosen.append(i)
+            solve(uncovered - balls[i])
+            chosen.pop()
+
+    solve(frozenset(range(m)))
+    return len(best), sorted(best)
+
+
 def test_ellipsoid_sorts_and_validates():
     e = Ellipsoid(np.array([0.3, 1.0, 0.5]))
     assert np.array_equal(e.semi_axes, [1.0, 0.5, 0.3])
@@ -34,6 +124,14 @@ def test_ellipsoid_sorts_and_validates():
         Ellipsoid(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         Ellipsoid(np.array([]))
+
+
+def test_ellipsoid_rejects_non_finite_semi_axes():
+    # A NaN axis was sorted to the front and then dropped by the entropy sum;
+    # an infinite one gave infinitely many bits.
+    for axes in ([0.5, math.nan, 0.1], [0.5, math.inf, 0.1], [math.nan], [0.5, -math.inf]):
+        with pytest.raises(ValueError):
+            Ellipsoid(np.array(axes))
 
 
 def test_ellipsoid_of_closed_forms():
@@ -243,6 +341,43 @@ def test_covering_never_exceeds_packing():
             assert np.all(np.min(d[:, centers], axis=1) <= eps)
             # A maximal separated set is itself a net.
             assert np.all(np.min(d[:, witness], axis=1) <= eps)
+
+
+def _solver_family():
+    """Seeded (name, point set, eps) cases: random sets with eps at distance
+    quantiles, exactly at pairwise distances, at 0 and past the diameter, plus
+    equally spaced collinear sets (tied distances) and single points."""
+    for m in (2, 3, 5, 8, 12, 16, 20, 24, 27):
+        for dim in (1, 2, 3, 4):
+            rng = np.random.default_rng(100 * m + dim)
+            ps = FinitePointSet(rng.uniform(-1.0, 1.0, size=(m, dim)))
+            off = np.sort(ps.distances[np.triu_indices(m, k=1)])
+            radii = {f"q{q}": float(np.quantile(off, q)) for q in (0.05, 0.1, 0.3, 0.5, 0.7, 0.9)}
+            radii.update(at_min=float(off[0]), at_median=float(off[off.size // 2]),
+                         at_diameter=float(off[-1]), zero=0.0, past_diameter=2.0 * float(off[-1]))
+            for label, eps in radii.items():
+                yield f"random-m{m}-d{dim}-{label}", ps, eps
+    for m in (1, 2, 3, 5, 10, 20, 30):
+        for eps in (0.0, 1.0, 100.0):
+            yield f"collinear-m{m}-eps{eps:g}", FinitePointSet(np.arange(float(m))[:, None]), eps
+    for dim in (1, 4):
+        yield f"single-d{dim}", FinitePointSet(np.full((1, dim), 0.5)), 0.0
+
+
+_FAMILY = list(_solver_family())
+
+
+@pytest.mark.parametrize("ps, eps", [case[1:] for case in _FAMILY],
+                         ids=[case[0] for case in _FAMILY])
+def test_exact_solvers_match_reference(ps, eps):
+    m, witness = packing_number_exact(ps, eps)
+    n, centers = covering_number_exact(ps, eps)
+    assert (m, n) == (_pack_by_lists(ps, eps)[0], _cover_by_sets(ps, eps)[0])
+    d = ps.distances
+    assert len(witness) == m and witness == sorted(set(witness))
+    assert np.all(d[np.ix_(witness, witness)][np.triu_indices(m, k=1)] > eps)
+    assert len(centers) == n and centers == sorted(set(centers))
+    assert np.all(np.min(d[:, centers], axis=1) <= eps)
 
 
 def test_exact_search_budget():

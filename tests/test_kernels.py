@@ -203,6 +203,16 @@ def test_plateau_count_basics():
         plateau_count(lam[::-1].copy(), 0.5)
 
 
+def test_plateau_count_rejects_non_finite_input():
+    # A NaN eigenvalue passed the order check and was silently not counted.
+    for lam in ([1.0, math.nan, 0.2], [math.inf, 1.0, 0.2], [1.0, 0.5, -math.inf]):
+        with pytest.raises(ValueError):
+            plateau_count(lam, 0.5)
+    for threshold in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            plateau_count([1.0, 0.5, 0.2], threshold)
+
+
 def test_bandlimited_spectrum_step_profile(sinc_sys_400):
     # c = 10: about 2c/pi modes near 1, then a sharp fall.
     lam = sinc_sys_400.eigenvalues

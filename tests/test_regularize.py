@@ -217,6 +217,20 @@ def test_synthesize_problem_zero_eps_is_noise_free():
     assert np.array_equal(inst.g_noisy, inst.g_clean)
 
 
+def test_synthesis_rejects_non_finite_eps_or_E_by_name():
+    # A NaN eps or E used to surface as "f_true must be finite" or "noise must
+    # be finite", or as a NaN noise vector from make_noise itself.
+    lam = TRI_LAM_80[:10]
+    beta = ConstraintSequence.identity()
+    for eps, E in ((math.nan, 1.0), (math.inf, 1.0), (-1e-3, 1.0), (1e-3, math.nan),
+                   (1e-3, math.inf), (1e-3, 0.0)):
+        with pytest.raises(ValueError, match=r"^need finite eps >= 0 and E > 0$"):
+            synthesize_problem(lam, beta, eps, E, f_decay=(1.0, 1.0), seed=0)
+    for eps in (math.nan, math.inf, -1e-3):
+        with pytest.raises(ValueError, match=r"^need finite eps >= 0$"):
+            make_noise(0, eps, "flat", lam)
+
+
 def test_problem_instance_invariants():
     lam = np.array([0.5, 0.25])
     beta = ConstraintSequence.identity()
