@@ -26,7 +26,6 @@ from .infotheory import (
 )
 from .kernels import (
     KernelSpec,
-    ProlateSpectrum,
     SincKernel,
     TabulatedKernel,
     legendre_series,

@@ -6,8 +6,9 @@ CSV and 17 in JSON, so identical inputs and seeds give byte-identical output.
 Commands that draw noise take a single --seed; a sweep derives the seed for
 its i-th row as seed + i.
 
-Exit codes: 0 success, 2 argument or parse error, 3 infeasible synthesis
-request, 4 I/O failure.
+Exit codes: 0 success, 2 argument or parse error (including a size above
+spectral.MAX_ORDER, or a discretization that did not resolve or converge),
+3 infeasible synthesis request, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 import numpy as np
 
 from . import infotheory, kernels, regularize, spectral, stability
-from .errors import InfeasibleSpecError
+from .errors import ConvergenceError, InfeasibleSpecError, ResolutionError
 
 __all__ = ["main"]
 
@@ -60,6 +61,15 @@ def _float_list(text) -> list[float]:
     if not all(math.isfinite(v) for v in values):
         raise ValueError("expected finite numbers")
     return values
+
+
+class _AtLeastOne(argparse.Action):
+    """Store an int option; a value below 1 is a usage error (exit 2)."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 1:
+            parser.error(f"argument {option_string}: must be at least 1, got {value}")
+        setattr(namespace, self.dest, value)
 
 
 def _pair(text) -> tuple[float, float]:
@@ -274,7 +284,7 @@ def _add_kernel_options(sub, modes_default=100):
                      help="'triangular', 'sinc:c=10[,a=-1,b=1]', or 'tabulated:FILE'")
     sub.add_argument("--n-nodes", type=int, default=200,
                      help="quadrature nodes for discretized kernels")
-    sub.add_argument("--n-modes", type=int, default=modes_default,
+    sub.add_argument("--n-modes", type=int, action=_AtLeastOne, default=modes_default,
                      help="number of modes to use (triangular: analytic modes)")
 
 
@@ -342,7 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_problem_options(sub)
     sub.add_argument("--eps-grid", default="1e-2,1e-3,1e-4,1e-5,1e-6,1e-7")
     sub.add_argument("--p", default="power:gamma=0.3333333333333333")
-    sub.add_argument("--K", type=int, default=None, help="modes in the exact supremum")
+    sub.add_argument("--K", type=int, action=_AtLeastOne, default=None,
+                     help="modes in the exact supremum")
 
     sub = new_command("cover", cmd_cover, "exact covering/packing numbers of a point file")
     sub.add_argument("--points", required=True, help="CSV file, one point per row")
@@ -393,7 +404,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
+    except (ValueError, ResolutionError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -158,8 +158,8 @@ def information_flow_comparison(eigenvalues, beta, eps: float, E: float) -> Flow
 
 def shannon_entropy_estimate(shannon_number: float, eps: float) -> float:
     """Step-spectrum entropy heuristic S * log2(1/eps)."""
-    if shannon_number <= 0:
-        raise ValueError("the mode count S must be positive")
+    if not 0 < shannon_number < math.inf:
+        raise ValueError("the mode count S must be finite and positive")
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0, 1)")
     return shannon_number * math.log2(1.0 / eps)

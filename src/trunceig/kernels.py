@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionError
-from .spectral import QuadratureGrid, SymmetricOperatorMatrix, eigh
+from .spectral import MAX_ORDER, QuadratureGrid, eigh
 
 __all__ = [
     "triangular_kernel",
@@ -26,7 +26,6 @@ __all__ = [
     "TabulatedKernel",
     "KernelSpec",
     "parse_kernel",
-    "ProlateSpectrum",
     "prolate_eigenvalues",
     "prolate_modes",
     "legendre_series",
@@ -204,25 +203,11 @@ def parse_kernel(text: str) -> KernelSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ProlateSpectrum:
-    """Eigenvalues chi_0 < chi_1 < ... of the commuting differential operator."""
-
-    c: float
-    chi: np.ndarray
-    basis_order: int
-
-    def __post_init__(self):
-        self.chi = np.asarray(self.chi, dtype=float)
-        if not self.c > 0:
-            raise ValueError("bandwidth c must be positive")
-        if np.any(self.chi <= 0):
-            raise ValueError("operator eigenvalues must be positive")
-        if np.any(np.diff(self.chi) <= 0):
-            raise ValueError("operator eigenvalues must be strictly increasing")
-
-
-def _prolate_matrix(c: float, order: int) -> SymmetricOperatorMatrix:
+def _prolate_matrix(c: float, order: int) -> np.ndarray:
+    if order > MAX_ORDER:
+        raise ValueError(
+            f"prolate basis order {order} exceeds the limit MAX_ORDER = {MAX_ORDER}"
+        )
     m = np.arange(order, dtype=float)
     # Off-diagonal of multiplication-by-x in the normalized Legendre basis:
     # a_m = m / sqrt(4 m^2 - 1), with a_0 = 0.
@@ -231,63 +216,43 @@ def _prolate_matrix(c: float, order: int) -> SymmetricOperatorMatrix:
     a_next = (m + 1.0) / np.sqrt(4.0 * (m + 1.0) ** 2 - 1.0)
     diag = m * (m + 1.0) + c * c * (a * a + a_next * a_next)
     coupling = c * c * a_next[:-2] * a_next[1:-1]
-    entries = np.diag(diag) + np.diag(coupling, 2) + np.diag(coupling, -2)
-    return SymmetricOperatorMatrix(entries)
+    return np.diag(diag) + np.diag(coupling, 2) + np.diag(coupling, -2)
 
 
-def _prolate_chi_raw(c: float, count: int, order: int) -> np.ndarray:
-    lam, _ = eigh(_prolate_matrix(c, order))
-    return np.sort(lam)[:count]
+def prolate_modes(c: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest `count` eigenvalues chi_0 < chi_1 < ... of the commuting
+    operator for bandwidth c, and the normalized-Legendre coefficient rows of
+    their eigenfunctions.
 
-
-def prolate_eigenvalues(c: float, count: int, basis_order: int | None = None) -> ProlateSpectrum:
-    """Smallest `count` eigenvalues of the commuting operator for bandwidth c.
-
-    The basis order defaults to count + 30 and doubles automatically until
-    the last requested eigenvalue is stable under adding 10 more basis
-    functions; an explicitly passed basis_order is checked once and raises
-    ResolutionError if it is too small.
+    The basis order starts at count + 30 and doubles until the last requested
+    eigenvalue is stable under adding 10 more basis functions.  chi and the
+    rows both come from that order + 10 solve, whose order is rows.shape[1].
+    Raises ResolutionError after six orders.
     """
-    if not c > 0:
-        raise ValueError("bandwidth c must be positive")
+    if not 0 < c < math.inf:
+        raise ValueError("bandwidth c must be finite and positive")
     if count < 1:
         raise ValueError("count must be at least 1")
 
-    def stable(order: int) -> np.ndarray | None:
-        chi = _prolate_chi_raw(c, count, order)
-        chi_check = _prolate_chi_raw(c, count, order + 10)
-        shift = float(np.max(np.abs(chi - chi_check)))
+    def solve(order: int) -> tuple[np.ndarray, np.ndarray]:
+        lam, vectors = eigh(_prolate_matrix(c, order))
+        idx = np.argsort(lam)[:count]
+        return lam[idx], vectors[idx]
+
+    for order in ((count + 30) * 2**k for k in range(6)):
+        # The larger solve first: an order above MAX_ORDER fails before any work.
+        chi_check, rows = solve(order + 10)
+        chi, _ = solve(order)
         scale = max(float(np.abs(chi[-1])), 1.0)
-        if shift <= 1e-8 * scale:
-            return chi_check
-        return None
-
-    if basis_order is not None:
-        if basis_order < count + 10:
-            raise ValueError("basis_order must be at least count + 10")
-        chi = stable(basis_order)
-        if chi is None:
-            raise ResolutionError(
-                f"basis_order {basis_order} leaves chi_{count - 1} unresolved"
-            )
-        return ProlateSpectrum(c, chi, basis_order)
-
-    order = count + 30
-    for _ in range(6):
-        chi = stable(order)
-        if chi is not None:
-            return ProlateSpectrum(c, chi, order)
-        order *= 2
+        if float(np.max(np.abs(chi - chi_check))) <= 1e-8 * scale:
+            return chi_check, rows
     raise ResolutionError(f"operator eigenvalues did not stabilize by order {order}")
 
 
-def prolate_modes(c: float, count: int, basis_order: int | None = None):
-    """Spectrum plus normalized-Legendre coefficient rows of the eigenfunctions."""
-    spectrum = prolate_eigenvalues(c, count, basis_order)
-    order = spectrum.basis_order
-    lam, vectors = eigh(_prolate_matrix(c, order))
-    idx = np.argsort(lam)[:count]
-    return spectrum, vectors[idx]
+def prolate_eigenvalues(c: float, count: int) -> np.ndarray:
+    """Smallest `count` eigenvalues chi_0 < chi_1 < ... of the commuting
+    operator for bandwidth c, as resolved by prolate_modes."""
+    return prolate_modes(c, count)[0]
 
 
 def legendre_series(coefficients, x) -> np.ndarray:
@@ -303,8 +268,8 @@ def legendre_series(coefficients, x) -> np.ndarray:
 def shannon_number(omega: float, X: float) -> float:
     """Time-bandwidth mode count omega * X / pi for the band [-omega, omega]
     restricted to an interval of length X."""
-    if not (omega > 0 and X > 0):
-        raise ValueError("omega and X must be positive")
+    if not (0 < omega < math.inf and 0 < X < math.inf):
+        raise ValueError("omega and X must be finite and positive")
     return omega * X / math.pi
 
 

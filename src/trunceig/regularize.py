@@ -81,8 +81,8 @@ class ConstraintSequence:
 
     @classmethod
     def power(cls, p: float, scale: float = 1.0) -> "ConstraintSequence":
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (-math.inf < p < math.inf and 0 < scale < math.inf):
+            raise ValueError("power constraint needs a finite p and a finite scale > 0")
         return cls("power", p=p, scale=scale)
 
     @classmethod
@@ -93,8 +93,8 @@ class ConstraintSequence:
     @classmethod
     def prolate(cls, c: float) -> "ConstraintSequence":
         """beta_k^2 = chi_{k-1}(c): the commuting-operator constraint."""
-        if c <= 0:
-            raise ValueError("bandwidth c must be positive")
+        if not 0 < c < math.inf:
+            raise ValueError("bandwidth c must be finite and positive")
         return cls("prolate", c=c)
 
     @classmethod
@@ -105,8 +105,8 @@ class ConstraintSequence:
         logarithm is not positive, so the commuting-operator values chi_{k-1}
         are used instead.
         """
-        if c <= 0:
-            raise ValueError("bandwidth c must be positive")
+        if not 0 < c < math.inf:
+            raise ValueError("bandwidth c must be finite and positive")
         return cls("sinc_log", c=c)
 
     @classmethod
@@ -115,7 +115,7 @@ class ConstraintSequence:
 
     def _chi(self, count: int) -> np.ndarray:
         if self._chi_cache is None or self._chi_cache.size < count:
-            self._chi_cache = kernels.prolate_eigenvalues(self.c, count).chi
+            self._chi_cache = kernels.prolate_eigenvalues(self.c, count)
         return self._chi_cache[:count]
 
     def values(self, count: int) -> np.ndarray:

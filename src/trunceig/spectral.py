@@ -59,6 +59,15 @@ SPLIT_ORDER = 24
 CHECK_ORDER = 16
 DEFECT_RTOL = 1e-12
 
+# Largest order of any dense build: the Gauss-Legendre node count (and so the
+# Nystrom matrix) and the prolate basis order in kernels.  Both are checked
+# before anything of that size is allocated.  At the limit, on a 2-core x86-64
+# VM with 1 BLAS thread, `trunceig spectrum --kernel sinc:c=10 --n-nodes 2048`
+# takes 2.3-2.4 s at 200 MB peak RSS, and `trunceig stability --constraint
+# prolate:c=1 --n-modes 2008` (basis order 2038, checked at 2048) takes
+# 4.8-5.0 s at 229 MB.
+MAX_ORDER = 2048
+
 
 @dataclass
 class QuadratureGrid:
@@ -107,6 +116,8 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureGrid:
     """
     if n < 2:
         raise ValueError("need at least two nodes")
+    if n > MAX_ORDER:
+        raise ValueError(f"{n} quadrature nodes exceed the limit MAX_ORDER = {MAX_ORDER}")
     if not float(a) < float(b):
         raise ValueError("interval must satisfy a < b")
 
@@ -147,20 +158,12 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureGrid:
 
 @dataclass
 class SymmetricOperatorMatrix:
-    """A dense symmetric matrix; symmetrized exactly at construction."""
+    """A Nystrom build: the exactly symmetric array `entries` and its order.
+
+    Only nystrom_matrix makes one; eigh and row_defect take plain arrays.
+    """
 
     entries: np.ndarray
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=float)
-        if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-            raise ValueError("entries must form a square matrix")
-        if not np.all(np.isfinite(self.entries)):
-            bad = np.argwhere(~np.isfinite(self.entries))[0]
-            raise NumericDomainError(
-                f"non-finite matrix entry at ({bad[0]}, {bad[1]})"
-            )
-        self.entries = 0.5 * (self.entries + self.entries.T)
 
     @property
     def order(self) -> int:
@@ -188,18 +191,26 @@ def nystrom_matrix(kernel, grid: QuadratureGrid) -> SymmetricOperatorMatrix:
         )
     root_w = np.sqrt(grid.weights)
     scaled = root_w[:, None] * samples * root_w[None, :]
-    return SymmetricOperatorMatrix(scaled)
+    return SymmetricOperatorMatrix(0.5 * (scaled + scaled.T))
 
 
-def eigh(m: SymmetricOperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
+def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a symmetric matrix by LAPACK (numpy.linalg.eigh).
 
+    m must be a square array of finite entries; a non-finite entry raises
+    NumericDomainError naming it.  LAPACK reads only the lower triangle.
     Returns (eigenvalues, eigenvectors) with eigenvalues ordered by
     non-increasing magnitude (stable under ties) and eigenvectors as rows of
     the second array.  Each eigenvector has its first nonzero component
     positive, which pins the otherwise arbitrary sign.
     """
-    lam, v = np.linalg.eigh(m.entries)
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("eigh needs a square matrix")
+    if not np.all(np.isfinite(m)):
+        bad = np.argwhere(~np.isfinite(m))[0]
+        raise NumericDomainError(f"non-finite matrix entry at ({bad[0]}, {bad[1]})")
+    lam, v = np.linalg.eigh(m)
     order = np.argsort(-np.abs(lam), kind="stable")
     lam = lam[order]
     vectors = v[:, order].T.copy()
@@ -266,11 +277,11 @@ class SpectralSystem:
         return cls(grid, lam, fun, negative_count=negative)
 
 
-def row_defect(kernel, grid: QuadratureGrid, matrix: SymmetricOperatorMatrix) -> np.ndarray:
+def row_defect(kernel, grid: QuadratureGrid, matrix: np.ndarray) -> np.ndarray:
     """Row defects d_i = int_a^b K(x_i, y) dy - sum_j w_j K(x_i, x_j) of a Nystrom build.
 
-    `matrix` is nystrom_matrix(kernel, grid); the grid's own row sums are read
-    from it as (S sqrt(w))_i / sqrt(w_i).  The integral is the SPLIT_ORDER
+    `matrix` is the array nystrom_matrix(kernel, grid).entries; the grid's own
+    row sums are read from it as (S sqrt(w))_i / sqrt(w_i).  The integral is the SPLIT_ORDER
     Gauss-Legendre sum on [a, x_i] plus the one on [x_i, b], from a single
     kernel call on an n x 2 (SPLIT_ORDER + CHECK_ORDER) array of split nodes.
     Rows whose CHECK_ORDER sums disagree with it (a kernel that oscillates too
@@ -295,7 +306,7 @@ def row_defect(kernel, grid: QuadratureGrid, matrix: SymmetricOperatorMatrix) ->
     with np.errstate(invalid="ignore"):  # non-finite rows compare False
         resolved = np.abs(integral - check) <= DEFECT_RTOL * scale
     root_w = np.sqrt(grid.weights)
-    defect = integral - (matrix.entries @ root_w) / root_w
+    defect = integral - (matrix @ root_w) / root_w
     return np.where(resolved, defect, 0.0)
 
 
@@ -310,8 +321,8 @@ def spectral_system(kernel, grid: QuadratureGrid) -> SpectralSystem:
     at round-off for kernels smooth across it.  Tabulated kernels, which
     cannot be evaluated between their nodes, get no correction.
     """
-    matrix = nystrom_matrix(kernel, grid)
-    matrix.entries[np.diag_indices(grid.size)] += row_defect(kernel, grid, matrix)
+    matrix = nystrom_matrix(kernel, grid).entries
+    matrix[np.diag_indices(grid.size)] += row_defect(kernel, grid, matrix)
     lam, vectors = eigh(matrix)
     if lam.size == 0 or np.max(np.abs(lam)) == 0.0:
         return SpectralSystem(grid, np.zeros(0), np.zeros((0, grid.size)),

@@ -234,8 +234,7 @@ def test_criterion_10_shannon_plateau_and_entropy_estimate(acceptance_report):
 
 
 def test_criterion_11_prolate_reference_eigenvalue(acceptance_report):
-    spectrum = prolate_eigenvalues(1.0, 11)
-    chi10 = float(spectrum.chi[10])
+    chi10 = float(prolate_eigenvalues(1.0, 11)[10])
     asymptote = 10.0 * 11.0 + 1.0 / 2.0
     ok = abs(chi10 - 110.5) <= 0.05
     acceptance_report(11, ok,

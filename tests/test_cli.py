@@ -7,7 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from trunceig import spectral
 from trunceig.cli import main
+from trunceig.errors import ConvergenceError
+from trunceig.spectral import MAX_ORDER
 
 
 def run_rows(path):
@@ -268,3 +271,74 @@ def test_cover_over_budget_exits_before_distance_matrix(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: exact search limited to 30 points, got 1000\n"
     assert peak < 5e6  # the 1000 x 1000 x 2 difference tensor alone is 16 MB
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--kernel", "sinc:c=10", "--n-nodes", str(MAX_ORDER + 1)],
+    ["stability", "--constraint", "prolate:c=1", "--n-modes", str(MAX_ORDER)],
+], ids=["n-nodes", "prolate-n-modes"])
+def test_size_limit_exits_before_dense_build(capsys, argv):
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f" the limit MAX_ORDER = {MAX_ORDER}\n")
+    assert peak < 5e6  # one MAX_ORDER x MAX_ORDER matrix alone is 34 MB
+
+
+POWER_ERROR = "error: power constraint needs a finite p and a finite scale > 0\n"
+BANDWIDTH_ERROR = "error: bandwidth c must be finite and positive\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["entropy", "--constraint", "power:p=nan"], POWER_ERROR),
+    (["stability", "--constraint", "power:p=nan"], POWER_ERROR),
+    (["truncate", "--constraint", "power:p=1,scale=nan"], POWER_ERROR),
+    (["truncate", "--constraint", "power:p=1,scale=inf"], POWER_ERROR),
+    (["truncate", "--constraint", "sinc_log:c=inf"], BANDWIDTH_ERROR),
+    (["truncate", "--constraint", "sinc_log:c=nan"], BANDWIDTH_ERROR),
+    (["truncate", "--constraint", "prolate:c=inf"], BANDWIDTH_ERROR),
+], ids=["entropy-power-p-nan", "stability-power-p-nan", "truncate-scale-nan",
+        "truncate-scale-inf", "sinc_log-c-inf", "sinc_log-c-nan", "prolate-c-inf"])
+def test_non_finite_constraint_parameter_exits_2(capsys, argv, err):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
+def test_unresolved_prolate_basis_exits_2(capsys):
+    assert main(["truncate", "--constraint", "prolate:c=1e6", "--n-modes", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # Orders 31, 62, ..., 992 were tried; the message names the last one.
+    assert captured.err == "error: operator eigenvalues did not stabilize by order 992\n"
+
+
+def test_convergence_failure_exits_2(capsys, monkeypatch):
+    def stalled(n, a, b):
+        raise ConvergenceError("Newton iteration for quadrature nodes stalled")
+
+    monkeypatch.setattr(spectral, "gauss_legendre", stalled)
+    assert main(["spectrum", "--kernel", "sinc:c=2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Newton iteration for quadrature nodes stalled\n"
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["spectrum", "--n-modes", "0"], "--n-modes", 0),
+    (["spectrum", "--kernel", "sinc:c=2", "--n-modes", "-2"], "--n-modes", -2),
+    (["truncate", "--n-modes", "0"], "--n-modes", 0),
+    (["stability", "--K", "0"], "--K", 0),
+], ids=["spectrum-0", "spectrum-negative", "truncate-0", "stability-K-0"])
+def test_mode_counts_below_one_exit_2(capsys, argv, option, value):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {option}: must be at least 1, got {value}\n")

@@ -257,6 +257,9 @@ def test_shannon_entropy_estimate_values():
         shannon_entropy_estimate(1.0, 1.0)
     with pytest.raises(ValueError):
         shannon_entropy_estimate(1.0, 0.0)
+    for S in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            shannon_entropy_estimate(S, 1e-3)
 
 
 def test_bandlimited_entropy_tracks_mode_count_estimate(sinc_sys_400):

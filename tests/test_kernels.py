@@ -19,7 +19,8 @@ from trunceig import (
     triangular_eigensystem,
     triangular_kernel,
 )
-from trunceig.errors import ResolutionError
+from trunceig import kernels
+from trunceig.spectral import eigh
 
 
 def test_triangular_kernel_values_and_symmetry():
@@ -123,37 +124,53 @@ def test_parse_kernel_grammar(tmp_path):
 def test_prolate_eigenvalues_reference_value():
     # chi_10 at c=1 from the classical tables, and the small-c limit
     # chi_m -> m(m+1) of Legendre's equation.
-    sp = prolate_eigenvalues(1.0, 11)
-    assert sp.chi[10] == pytest.approx(110.5, abs=0.05)
-    sp_small = prolate_eigenvalues(1e-6, 5)
+    chi = prolate_eigenvalues(1.0, 11)
+    assert chi[10] == pytest.approx(110.5, abs=0.05)
+    chi_small = prolate_eigenvalues(1e-6, 5)
     m = np.arange(5.0)
-    assert sp_small.chi == pytest.approx(m * (m + 1.0), abs=1e-6)
+    assert chi_small == pytest.approx(m * (m + 1.0), abs=1e-6)
 
 
 def test_prolate_eigenvalues_structure():
-    sp = prolate_eigenvalues(2.0, 21)
-    assert np.all(np.diff(sp.chi) > 0)
-    assert np.all(sp.chi > 0)
+    chi = prolate_eigenvalues(2.0, 21)
+    assert np.all(np.diff(chi) > 0)
+    assert np.all(chi > 0)
     # Large-order regime: chi_m = m(m+1) + c^2/2 up to a small correction.
     m = np.arange(21.0)
-    dev = np.abs(sp.chi - (m * (m + 1.0) + 2.0))
+    dev = np.abs(chi - (m * (m + 1.0) + 2.0))
     assert float(np.max(dev[7:])) < 0.05
 
 
-def test_prolate_basis_order_control():
-    with pytest.raises(ValueError):
-        prolate_eigenvalues(1.0, 5, basis_order=10)
-    with pytest.raises(ResolutionError):
-        prolate_eigenvalues(40.0, 30, basis_order=40)
-    sp = prolate_eigenvalues(1.0, 5, basis_order=60)
-    auto = prolate_eigenvalues(1.0, 5)
-    assert sp.chi == pytest.approx(auto.chi, rel=1e-10)
-
-
 def test_prolate_modes_are_orthonormal():
-    sp, vec = prolate_modes(1.0, 6)
-    assert vec.shape == (6, sp.basis_order)
+    chi, vec = prolate_modes(1.0, 6)
+    assert chi.shape == (6,)
+    assert vec.shape == (6, 46)  # basis order 36 and its order + 10 check solve
     assert np.max(np.abs(vec @ vec.T - np.eye(6))) < 1e-10
+
+
+@pytest.mark.parametrize("c, count, orders", [(1.0, 6, 1), (50.0, 5, 2), (200.0, 5, 3)])
+def test_prolate_modes_solve_twice_per_order_tried(monkeypatch, c, count, orders):
+    calls = []
+
+    def counting_eigh(m):
+        calls.append(m.shape[0])
+        return eigh(m)
+
+    monkeypatch.setattr(kernels, "eigh", counting_eigh)
+    chi, rows = prolate_modes(c, count)
+    tried = [(count + 30) * 2**k for k in range(orders)]
+    assert calls == [size for order in tried for size in (order + 10, order)]
+    assert rows.shape == (count, tried[-1] + 10)
+    assert chi.shape == (count,)
+
+
+@pytest.mark.parametrize("c, count", [(1.0, 6), (10.0, 30), (50.0, 5)])
+def test_prolate_modes_rows_are_eigenvectors_for_chi(c, count):
+    chi, rows = prolate_modes(c, count)
+    matrix = kernels._prolate_matrix(c, rows.shape[1])
+    residual = matrix @ rows.T - rows.T * chi[None, :]
+    assert np.max(np.abs(residual)) <= 1e-12 * max(float(np.max(chi)), 1.0)
+    assert np.array_equal(chi, prolate_eigenvalues(c, count))
 
 
 def test_legendre_series_orthonormality():
@@ -192,6 +209,9 @@ def test_shannon_number_values():
         shannon_number(0.0, 1.0)
     with pytest.raises(ValueError):
         shannon_number(1.0, -2.0)
+    for omega, X in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            shannon_number(omega, X)
 
 
 def test_plateau_count_basics():

@@ -142,7 +142,9 @@ def test_parse_constraint_grammar():
     assert parse_constraint("sinc_log:c=10").c == 10.0
     assert parse_constraint("power:p=2").describe() == "power:p=2,scale=1"
     for bad in ("power", "power:1", "power:q=2", "prolate", "spline:c=1", "power:p=x",
-                "identity:p=99", "derivative:c=5", "power:p=1,zz=3", "sinc_log:c=10,scale=3"):
+                "identity:p=99", "derivative:c=5", "power:p=1,zz=3", "sinc_log:c=10,scale=3",
+                "power:p=nan", "power:p=inf", "power:p=1,scale=nan", "power:p=1,scale=inf",
+                "prolate:c=nan", "prolate:c=inf", "sinc_log:c=nan", "sinc_log:c=inf"):
         with pytest.raises(ValueError):
             parse_constraint(bad)
 

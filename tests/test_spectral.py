@@ -7,7 +7,6 @@ from trunceig import (
     QuadratureGrid,
     SincKernel,
     SpectralSystem,
-    SymmetricOperatorMatrix,
     TabulatedKernel,
     eigh,
     gauss_legendre,
@@ -20,6 +19,7 @@ from trunceig import (
     triangular_kernel,
 )
 from trunceig.errors import NumericDomainError
+from trunceig.spectral import MAX_ORDER
 
 
 def test_gauss_legendre_two_point_closed_form():
@@ -58,6 +58,8 @@ def test_gauss_legendre_grid_invariants():
         assert np.all(g.nodes > 0.0) and np.all(g.nodes < 1.0)
     with pytest.raises(ValueError):
         gauss_legendre(1, 0.0, 1.0)
+    with pytest.raises(ValueError, match=f"exceed the limit MAX_ORDER = {MAX_ORDER}"):
+        gauss_legendre(MAX_ORDER + 1, 0.0, 1.0)
 
 
 def test_quadrature_grid_validation():
@@ -84,7 +86,7 @@ def test_nystrom_matrix_constant_kernel():
     rw = np.sqrt(g.weights)
     assert np.max(np.abs(m.entries - np.outer(rw, rw))) < 1e-15
     # Rank one with trace sum(w) = 1.
-    lam, _ = eigh(m)
+    lam, _ = eigh(m.entries)
     assert lam[0] == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(lam[1:])) < 1e-12
 
@@ -123,7 +125,7 @@ def test_nystrom_matrix_calls_kernel_once_on_broadcast_nodes():
 
 
 def test_eigh_two_by_two_closed_form():
-    lam, vec = eigh(SymmetricOperatorMatrix(np.array([[2.0, 1.0], [1.0, 2.0]])))
+    lam, vec = eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert lam == pytest.approx([3.0, 1.0], abs=1e-14)
     r = 1.0 / np.sqrt(2.0)
     assert vec[0] == pytest.approx([r, r], abs=1e-12)
@@ -131,11 +133,11 @@ def test_eigh_two_by_two_closed_form():
 
 
 def test_eigh_identity_and_zero():
-    lam, vec = eigh(SymmetricOperatorMatrix(np.eye(5)))
+    lam, vec = eigh(np.eye(5))
     assert lam == pytest.approx(np.ones(5))
     assert np.max(np.abs(vec @ vec.T - np.eye(5))) < 1e-14
 
-    lam, vec = eigh(SymmetricOperatorMatrix(np.zeros((4, 4))))
+    lam, vec = eigh(np.zeros((4, 4)))
     assert np.all(lam == 0.0)
     assert np.array_equal(vec, np.eye(4))
 
@@ -146,7 +148,7 @@ def test_eigh_random_matrices_reconstruct():
         n = int(rng.integers(2, 24))
         m = rng.standard_normal((n, n))
         m = 0.5 * (m + m.T)
-        lam, vec = eigh(SymmetricOperatorMatrix(m))
+        lam, vec = eigh(m)
         scale = float(np.max(np.abs(lam)))
 
         # Ordering by magnitude, rows orthonormal, sign pinned.
@@ -166,7 +168,7 @@ def test_eigh_agrees_with_numpy():
     rng = np.random.default_rng(29)
     m = rng.standard_normal((40, 40))
     m = 0.5 * (m + m.T)
-    lam, _ = eigh(SymmetricOperatorMatrix(m))
+    lam, _ = eigh(m)
     ref = np.linalg.eigvalsh(m)
     ref = ref[np.argsort(-np.abs(ref), kind="stable")]
     assert lam == pytest.approx(ref, abs=1e-10)
@@ -175,9 +177,23 @@ def test_eigh_agrees_with_numpy():
 def test_eigh_near_diagonal_input_is_no_op_fast():
     d = np.diag(np.array([5.0, 3.0, 2.0, 1.0]))
     d[0, 1] = d[1, 0] = 1e-16
-    lam, vec = eigh(SymmetricOperatorMatrix(d))
+    lam, vec = eigh(d)
     assert lam == pytest.approx([5.0, 3.0, 2.0, 1.0])
     assert np.max(np.abs(vec - np.eye(4))) < 1e-12
+
+
+def test_eigh_checks_its_input_array():
+    with pytest.raises(ValueError, match="square"):
+        eigh(np.ones((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        eigh(np.ones(4))
+    m = np.eye(3)
+    m[2, 1] = np.inf
+    with pytest.raises(NumericDomainError, match=r"non-finite matrix entry at \(2, 1\)"):
+        eigh(m)
+    m[2, 1] = np.nan
+    with pytest.raises(NumericDomainError, match=r"\(2, 1\)"):
+        eigh(m)
 
 
 def test_triangular_system_matches_analytic_eigenpairs(tri_sys_256):
@@ -218,17 +234,17 @@ def test_triangular_row_defect_matches_closed_form_row_integral():
     x = g.nodes
     want = x * (1.0 - x) / 2.0 - triangular_kernel(x[:, None], x[None, :]) @ g.weights
     assert np.max(np.abs(want)) > 1e-6
-    d = row_defect(triangular_kernel, g, nystrom_matrix(triangular_kernel, g))
+    d = row_defect(triangular_kernel, g, nystrom_matrix(triangular_kernel, g).entries)
     assert d == pytest.approx(want, abs=1e-15)
 
 
 def test_smooth_kernel_row_defect_is_round_off(sinc_sys_400):
     kern = SincKernel(10.0)
     g = sinc_sys_400.grid
-    bound = float(np.max(np.abs(row_defect(kern, g, nystrom_matrix(kern, g)))))
+    bound = float(np.max(np.abs(row_defect(kern, g, nystrom_matrix(kern, g).entries))))
     assert bound < 1e-14
     # Weyl: adding diag(d) moves no eigenvalue by more than max |d_i|.
-    plain = eigh(nystrom_matrix(kern, g))[0][: sinc_sys_400.n_modes]
+    plain = eigh(nystrom_matrix(kern, g).entries)[0][: sinc_sys_400.n_modes]
     assert np.max(np.abs(sinc_sys_400.eigenvalues - plain)) <= bound
 
 
@@ -238,14 +254,14 @@ def test_row_defect_leaves_unresolved_rows_uncorrected():
     # plain one, which the 400-node grid resolves.
     kern = SincKernel(80.0)
     g = gauss_legendre(400, -1.0, 1.0)
-    assert not np.any(row_defect(kern, g, nystrom_matrix(kern, g)))
+    assert not np.any(row_defect(kern, g, nystrom_matrix(kern, g).entries))
 
 
 def test_tabulated_kernel_gets_no_row_defect():
     g = gauss_legendre(40, 0.0, 1.0)
     table = TabulatedKernel(g, triangular_kernel(g.nodes[:, None], g.nodes[None, :]))
     system = spectral_system(table, g)
-    plain = eigh(nystrom_matrix(table, g))[0]
+    plain = eigh(nystrom_matrix(table, g).entries)[0]
     assert np.array_equal(system.eigenvalues, plain[: system.n_modes])
 
 
