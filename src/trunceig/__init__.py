@@ -15,7 +15,6 @@ from .infotheory import (
     FinitePointSet,
     FlowComparison,
     InfoReport,
-    capacity_lower_bound,
     covering_number_exact,
     ellipsoid_of,
     entropy_lower_bound,
@@ -38,7 +37,6 @@ from .kernels import (
     triangular_kernel,
 )
 from .regularize import (
-    ConstraintSequence,
     FeasibilityResult,
     ProblemInstance,
     Reconstruction,

@@ -63,15 +63,6 @@ def _float_list(text) -> list[float]:
     return values
 
 
-class _AtLeastOne(argparse.Action):
-    """Store an int option; a value below 1 is a usage error (exit 2)."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        if value < 1:
-            parser.error(f"argument {option_string}: must be at least 1, got {value}")
-        setattr(namespace, self.dest, value)
-
-
 def _pair(text) -> tuple[float, float]:
     values = _float_list(text)
     if len(values) != 2:
@@ -129,7 +120,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_truncate(args) -> int:
     lam = _eigen_sequence(args)
-    beta = regularize.parse_constraint(args.constraint)
+    beta = regularize.parse_constraint(args.constraint, lam.size)
     E = float(args.E)
     rows = []
     for eps in _float_list(args.eps_grid):
@@ -174,7 +165,7 @@ def _build_instance(lam, beta, eps, args, seed):
 
 def cmd_sweep(args) -> int:
     lam = _eigen_sequence(args)
-    beta = regularize.parse_constraint(args.constraint)
+    beta = regularize.parse_constraint(args.constraint, lam.size)
     pfun = stability.parse_pfunction(args.p)
     E = float(args.E)
     k_vec = np.arange(1, lam.size + 1, dtype=float)
@@ -214,7 +205,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_entropy(args) -> int:
     lam = _eigen_sequence(args)
-    beta = regularize.parse_constraint(args.constraint)
+    beta = regularize.parse_constraint(args.constraint, lam.size)
     E = float(args.E)
     rows = []
     for eps in _float_list(args.eps_grid):
@@ -235,10 +226,11 @@ def cmd_entropy(args) -> int:
 
 def cmd_stability(args) -> int:
     lam = _eigen_sequence(args)
-    beta = regularize.parse_constraint(args.constraint)
+    K = lam.size if args.K is None else int(args.K)
+    lam = lam[:K]  # the supremum and the condition read only the first K modes
+    beta = regularize.parse_constraint(args.constraint, lam.size)
     pfun = stability.parse_pfunction(args.p)
     E = float(args.E)
-    K = int(args.K) if args.K is not None else None
     eps_grid = _float_list(args.eps_grid)
     rows = []
     sups = []
@@ -273,7 +265,7 @@ def cmd_cover(args) -> int:
 
 def cmd_simulate(args) -> int:
     lam = _eigen_sequence(args)
-    beta = regularize.parse_constraint(args.constraint)
+    beta = regularize.parse_constraint(args.constraint, lam.size)
     instance = _build_instance(lam, beta, float(args.eps), args, int(args.seed))
     _write(args.output, instance.to_json())
     return 0
@@ -284,7 +276,7 @@ def _add_kernel_options(sub, modes_default=100):
                      help="'triangular', 'sinc:c=10[,a=-1,b=1]', or 'tabulated:FILE'")
     sub.add_argument("--n-nodes", type=int, default=200,
                      help="quadrature nodes for discretized kernels")
-    sub.add_argument("--n-modes", type=int, action=_AtLeastOne, default=modes_default,
+    sub.add_argument("--n-modes", type=int, default=modes_default,
                      help="number of modes to use (triangular: analytic modes)")
 
 
@@ -352,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_problem_options(sub)
     sub.add_argument("--eps-grid", default="1e-2,1e-3,1e-4,1e-5,1e-6,1e-7")
     sub.add_argument("--p", default="power:gamma=0.3333333333333333")
-    sub.add_argument("--K", type=int, action=_AtLeastOne, default=None,
+    sub.add_argument("--K", type=int, default=None,
                      help="modes in the exact supremum")
 
     sub = new_command("cover", cmd_cover, "exact covering/packing numbers of a point file")
@@ -374,6 +366,7 @@ def main(argv=None) -> int:
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
     known, _ = pre.parse_known_args(argv)
+    commands = parser._subparsers._group_actions[0].choices
     if known.config is not None:
         try:
             with open(known.config, "r", encoding="utf-8") as handle:
@@ -387,12 +380,18 @@ def main(argv=None) -> int:
         if not isinstance(defaults, dict):
             print("error: config must be a JSON object", file=sys.stderr)
             return 2
-        for action in parser._subparsers._group_actions:
-            for sub in action.choices.values():
-                sub.set_defaults(**defaults)
+        for sub in commands.values():
+            sub.set_defaults(**defaults)
 
     try:
         args = parser.parse_args(argv)
+        # Checked after parsing, not by an argparse action, so that values
+        # from a config file are checked too.
+        sub = commands[args.command]
+        for action in sub._actions:
+            value = getattr(args, action.dest, None)
+            if action.dest in ("n_modes", "K") and value is not None and value < 1:
+                sub.error(f"argument {action.option_strings[0]}: must be at least 1, got {value}")
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -5,12 +5,12 @@ ellipsoid with semi-axes E lambda_k / beta_k.  Counting the eps-balls needed
 to cover it (entropy) and the eps-separated points it can hold (capacity)
 measures how many distinguishable data sets -- and hence recoverable
 messages -- the problem supports at noise level eps.  Alongside the volume
-lower bounds there are exact combinatorial solvers for small finite point
-sets, which let the chain "covering <= packing" be checked against ground
-truth rather than against itself.  Both are branch-and-bound searches over
-Python-int bitmasks of the points, relabelled so that bit order is the
-search's vertex order: packing is a maximum clique over "farther than eps"
-masks, covering a set cover over closed-ball masks.
+lower bound on the entropy there are exact combinatorial solvers for small
+finite point sets, which let the chain "covering <= packing" be checked
+against ground truth rather than against itself.  Both are branch-and-bound
+searches over Python-int bitmasks of the points, relabelled so that bit
+order is the search's vertex order: packing is a maximum clique over
+"farther than eps" masks, covering a set cover over closed-ball masks.
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError
-from .regularize import (
-    ConstraintSequence,
-    _validate_eigenvalues,
-    _weights,
-    truncation_identity,
-    truncation_weighted,
-)
+from .regularize import _validate_eigenvalues, _weights, truncation_identity, truncation_weighted
 
 __all__ = [
     "Ellipsoid",
@@ -36,7 +30,6 @@ __all__ = [
     "FinitePointSet",
     "ellipsoid_of",
     "entropy_lower_bound",
-    "capacity_lower_bound",
     "information_flow_comparison",
     "shannon_entropy_estimate",
     "packing_number_exact",
@@ -76,9 +69,7 @@ def ellipsoid_of(eigenvalues, beta, E: float) -> Ellipsoid:
         raise ValueError("need a non-empty 1-d array of finite, positive eigenvalues")
     if not 0 < E < math.inf:
         raise ValueError("E must be finite and positive")
-    if beta is None:
-        beta = ConstraintSequence.identity()
-    return Ellipsoid(E * lam / _weights(beta, lam.size))
+    return Ellipsoid(E * lam / (1.0 if beta is None else _weights(beta, lam.size)))
 
 
 @dataclass
@@ -86,15 +77,12 @@ class InfoReport:
     """A bit-count lower bound at noise radius eps.
 
     entropy_bits bounds log2 of the covering number from below by summing
-    log2(semi_axis / eps) over the axes longer than eps; the same count is a
-    valid capacity lower bound, so capacity_bits >= entropy_bits always (with
-    equality here).
+    log2(semi_axis / eps) over the axes longer than eps.
     """
 
     eps: float
     cutoff: int
     entropy_bits: float
-    capacity_bits: float
 
 
 def _axis_bits(semi_axes: np.ndarray, eps: float) -> tuple[int, float]:
@@ -110,12 +98,7 @@ def entropy_lower_bound(ellipsoid: Ellipsoid, eps: float) -> InfoReport:
     if not 0 < eps < math.inf:
         raise ValueError("eps must be finite and positive")
     cutoff, bits = _axis_bits(ellipsoid.semi_axes, eps)
-    return InfoReport(eps, cutoff, bits, bits)
-
-
-def capacity_lower_bound(ellipsoid: Ellipsoid, eps: float) -> InfoReport:
-    """Lower bound on the eps-capacity; inherits the entropy bound."""
-    return entropy_lower_bound(ellipsoid, eps)
+    return InfoReport(eps, cutoff, bits)
 
 
 @dataclass
@@ -150,8 +133,8 @@ def information_flow_comparison(eigenvalues, beta, eps: float, E: float) -> Flow
     b1 = bits(k1)
     b2 = bits(k2)
     return FlowComparison(
-        InfoReport(eps, k1, b1, b1),
-        InfoReport(eps, k2, b2, b2),
+        InfoReport(eps, k1, b1),
+        InfoReport(eps, k2, b2),
         b1 - b2,
     )
 

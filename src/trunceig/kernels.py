@@ -65,8 +65,8 @@ class SincKernel:
     c: float
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError("sinc kernel needs c > 0")
+        if not 0 < self.c < math.inf:
+            raise ValueError("bandwidth c must be finite and positive")
 
     def __call__(self, x, y):
         d = np.subtract(x, y)
@@ -170,10 +170,10 @@ def parse_kernel(text: str) -> KernelSpec:
         c = params["c"]
         a = params.get("a", -1.0)
         b = params.get("b", 1.0)
-        if not c > 0:
-            raise ValueError("sinc kernel needs c > 0")
-        if not a < b:
-            raise ValueError("sinc interval must satisfy a < b")
+        if not 0 < c < math.inf:
+            raise ValueError("bandwidth c must be finite and positive")
+        if not -math.inf < a < b < math.inf:
+            raise ValueError("sinc interval must satisfy finite a < b")
         return KernelSpec("sinc", c=c, a=a, b=b)
     if head == "tabulated":
         if not rest:
@@ -231,6 +231,8 @@ def prolate_modes(c: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if not 0 < c < math.inf:
         raise ValueError("bandwidth c must be finite and positive")
+    if c * c == math.inf:
+        raise ValueError(f"bandwidth c = {c:g} is too large: c^2 overflows")
     if count < 1:
         raise ValueError("count must be at least 1")
 

@@ -3,10 +3,13 @@
 Everything here works in coefficient space: a diagonal operator with positive
 eigenvalues lambda_k (non-increasing), data coefficients gbar_k = lambda_k f_k
 + n_k with noise bound ||n|| <= eps, and an a-priori constraint
-sum_k beta_k^2 f_k^2 <= E^2 described by a ConstraintSequence.  The two
-truncation rules keep the modes whose eigenvalues survive comparison against
-the noise-to-signal ratio eps/E, either plainly (identity constraint) or
-weighted by beta_k, and simple division recovers the retained coefficients.
+sum_k beta_k^2 f_k^2 <= E^2.  The constraint enters only through its weights:
+every function that takes them takes one array beta_1 .. beta_m, one finite,
+positive weight per eigenvalue, and parse_constraint turns a constraint
+string into that array.  The two truncation rules keep the modes whose
+eigenvalues survive comparison against the noise-to-signal ratio eps/E,
+either plainly (beta = 1) or weighted by beta_k, and simple division
+recovers the retained coefficients.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .errors import (
 from .kernels import _parse_params
 
 __all__ = [
-    "ConstraintSequence",
     "parse_constraint",
     "ProblemInstance",
     "Reconstruction",
@@ -49,133 +51,44 @@ __all__ = [
 ]
 
 
-class ConstraintSequence:
-    """The weight sequence beta_k of a diagonal a-priori constraint operator.
+def parse_constraint(text: str, count: int) -> np.ndarray:
+    """Weights beta_1 .. beta_count of a constraint string.
 
-    Use the classmethod constructors; `values(count)` materializes
-    beta_1 .. beta_count and `unbounded` reports whether beta_k^2 grows
-    without bound (which the strong-convergence machinery assumes).
+    'identity' gives beta_k = 1, 'derivative' beta_k = k pi (the
+    first-derivative constraint in the sine basis), 'power:p=1[,scale=s]'
+    beta_k = s k^p, and 'prolate:c=1' beta_k^2 = chi_{k-1}(c), the
+    commuting-operator constraint.  'sinc_log:c=10' is its asymptotic form
+    for the bandlimited case: beta_k^2 = 2 k ln(k / (e c)) for k above
+    ceil(e c), and chi_{k-1} below that, where the logarithm is not positive.
     """
-
-    def __init__(self, kind: str, *, p: float = 0.0, scale: float = 1.0,
-                 c: float = 0.0, seq=None, unbounded: bool | None = None):
-        self.kind = kind
-        self.p = float(p)
-        self.scale = float(scale)
-        self.c = float(c)
-        self.seq = None if seq is None else _weights(seq, np.size(seq))
-        if unbounded is None:
-            unbounded = {
-                "identity": False,
-                "power": self.p > 0,
-                "derivative": True,
-                "prolate": True,
-                "sinc_log": True,
-            }.get(kind, False)
-        self.unbounded = bool(unbounded)
-        self._chi_cache: np.ndarray | None = None
-
-    @classmethod
-    def identity(cls) -> "ConstraintSequence":
-        return cls("identity")
-
-    @classmethod
-    def power(cls, p: float, scale: float = 1.0) -> "ConstraintSequence":
-        if not (-math.inf < p < math.inf and 0 < scale < math.inf):
-            raise ValueError("power constraint needs a finite p and a finite scale > 0")
-        return cls("power", p=p, scale=scale)
-
-    @classmethod
-    def derivative(cls) -> "ConstraintSequence":
-        """beta_k = k pi: first-derivative constraint in the sine basis."""
-        return cls("derivative")
-
-    @classmethod
-    def prolate(cls, c: float) -> "ConstraintSequence":
-        """beta_k^2 = chi_{k-1}(c): the commuting-operator constraint."""
-        if not 0 < c < math.inf:
-            raise ValueError("bandwidth c must be finite and positive")
-        return cls("prolate", c=c)
-
-    @classmethod
-    def sinc_log(cls, c: float) -> "ConstraintSequence":
-        """Asymptotic constraint for the bandlimited case.
-
-        beta_k^2 = 2 k ln(k / (e c)) for k above ceil(e c); below that the
-        logarithm is not positive, so the commuting-operator values chi_{k-1}
-        are used instead.
-        """
-        if not 0 < c < math.inf:
-            raise ValueError("bandwidth c must be finite and positive")
-        return cls("sinc_log", c=c)
-
-    @classmethod
-    def custom(cls, values, unbounded: bool = False) -> "ConstraintSequence":
-        return cls("custom", seq=values, unbounded=unbounded)
-
-    def _chi(self, count: int) -> np.ndarray:
-        if self._chi_cache is None or self._chi_cache.size < count:
-            self._chi_cache = kernels.prolate_eigenvalues(self.c, count)
-        return self._chi_cache[:count]
-
-    def values(self, count: int) -> np.ndarray:
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        k = np.arange(1, count + 1, dtype=float)
-        if self.kind == "identity":
-            return np.ones(count)
-        if self.kind == "power":
-            return self.scale * k**self.p
-        if self.kind == "derivative":
-            return math.pi * k
-        if self.kind == "prolate":
-            return np.sqrt(self._chi(count))
-        if self.kind == "sinc_log":
-            split = math.ceil(math.e * self.c)
-            out = np.empty(count)
-            head = min(split, count)
-            if head:
-                out[:head] = np.sqrt(self._chi(head))
-            if count > split:
-                tail = k[split:]
-                out[split:] = np.sqrt(2.0 * tail * np.log(tail / (math.e * self.c)))
-            return out
-        if self.kind == "custom":
-            if count > self.seq.size:
-                raise ValueError(
-                    f"custom constraint has {self.seq.size} weights, {count} requested"
-                )
-            return self.seq[:count].copy()
-        raise ValueError(f"unknown constraint kind {self.kind!r}")
-
-    def describe(self) -> str:
-        if self.kind == "power":
-            return f"power:p={self.p:g},scale={self.scale:g}"
-        if self.kind in ("prolate", "sinc_log"):
-            return f"{self.kind}:c={self.c:g}"
-        return self.kind
-
-
-def parse_constraint(text: str) -> ConstraintSequence:
-    """Parse a constraint string: 'identity', 'derivative', 'power:p=1[,scale=s]',
-    'prolate:c=1', 'sinc_log:c=10'."""
     head, _, rest = text.partition(":")
     head = head.strip()
     what = f"{head} constraint"
+    k = np.arange(1, count + 1, dtype=float)
     if head == "identity":
         _parse_params(rest, what)
-        return ConstraintSequence.identity()
+        return np.ones(count)
     if head == "derivative":
         _parse_params(rest, what)
-        return ConstraintSequence.derivative()
+        return math.pi * k
     if head == "power":
         params = _parse_params(rest, what, required=("p",), optional=("scale",))
-        return ConstraintSequence.power(params["p"], params.get("scale", 1.0))
-    if head == "prolate":
-        return ConstraintSequence.prolate(_parse_params(rest, what, required=("c",))["c"])
-    if head == "sinc_log":
-        return ConstraintSequence.sinc_log(_parse_params(rest, what, required=("c",))["c"])
-    raise ValueError(f"unknown constraint {head!r}")
+        p, scale = params["p"], params.get("scale", 1.0)
+        if not (-math.inf < p < math.inf and 0 < scale < math.inf):
+            raise ValueError("power constraint needs a finite p and a finite scale > 0")
+        return scale * k**p
+    if head not in ("prolate", "sinc_log"):
+        raise ValueError(f"unknown constraint {head!r}")
+    c = _parse_params(rest, what, required=("c",))["c"]
+    if not 0 < c < math.inf:
+        raise ValueError("bandwidth c must be finite and positive")
+    # Compared as floats first: ceil(e c) overflows for c near the float limit.
+    split = count if head == "prolate" or math.e * c >= count else math.ceil(math.e * c)
+    tail = k[split:]
+    return np.concatenate([
+        np.sqrt(kernels.prolate_eigenvalues(c, split)),
+        np.sqrt(2.0 * tail * np.log(tail / (math.e * c))),
+    ])
 
 
 def _validate_eigenvalues(eigenvalues) -> np.ndarray:
@@ -194,13 +107,10 @@ def _validate_eigenvalues(eigenvalues) -> np.ndarray:
 def _weights(beta, size: int, count: int | None = None) -> np.ndarray:
     """Constraint weights beta_1 .. beta_count for `size` eigenvalues.
 
-    The one rule for what a constraint argument may be: a ConstraintSequence
-    gives beta.values(count); an array must hold exactly one finite, positive
-    weight per eigenvalue, and its first `count` entries are used.  count
-    defaults to size.
+    The one rule for what a constraint argument may be: an array holding
+    exactly one finite, positive weight per eigenvalue, of which the first
+    `count` entries are used.  count defaults to size.
     """
-    if isinstance(beta, ConstraintSequence):
-        return beta.values(size if count is None else count)
     try:
         betas = np.asarray(beta, dtype=float)
     except (TypeError, ValueError):
@@ -213,7 +123,8 @@ def _weights(beta, size: int, count: int | None = None) -> np.ndarray:
 def truncation_identity(eigenvalues, eps: float, E: float) -> int:
     """Largest k with lambda_k >= eps / E (0 if none): the beta = 1 case of
     truncation_weighted."""
-    return truncation_weighted(eigenvalues, ConstraintSequence.identity(), eps, E)
+    lam = _validate_eigenvalues(eigenvalues)
+    return truncation_weighted(lam, np.ones(lam.size), eps, E)
 
 
 def truncation_weighted(eigenvalues, beta, eps: float, E: float) -> int:
@@ -231,13 +142,13 @@ class ProblemInstance:
 
     Carries the exact solution f_true, clean data g_clean = lambda * f_true,
     a noise vector with ||noise|| <= eps, and the constraint budget E with
-    its weight sequence.  low_mode_fraction records how much of ||f||^2 the
-    weighted truncation rule would retain (a skewness diagnostic for the
-    reference-solution assumption behind the strong bounds).
+    its weights betas, one per mode.  low_mode_fraction records how much of
+    ||f||^2 the weighted truncation rule would retain (a skewness diagnostic
+    for the reference-solution assumption behind the strong bounds).
     """
 
     eigenvalues: np.ndarray
-    beta: ConstraintSequence
+    betas: np.ndarray
     f_true: np.ndarray
     g_clean: np.ndarray
     noise: np.ndarray
@@ -251,6 +162,7 @@ class ProblemInstance:
     def __post_init__(self):
         self.eigenvalues = _validate_eigenvalues(self.eigenvalues)
         m = self.eigenvalues.size
+        self.betas = _weights(self.betas, m)
         for name in ("f_true", "g_clean", "noise", "g_noisy"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != (m,):
@@ -275,10 +187,6 @@ class ProblemInstance:
             raise ValueError("constraint budget exceeded: sum beta^2 f^2 > E^2")
 
     @property
-    def betas(self) -> np.ndarray:
-        return _weights(self.beta, self.eigenvalues.size)
-
-    @property
     def n_modes(self) -> int:
         return int(self.eigenvalues.size)
 
@@ -301,11 +209,10 @@ class ProblemInstance:
         lam = np.asarray(raw["eigenvalues"], dtype=float)
         f_true = np.asarray(raw["f_true"], dtype=float)
         g_noisy = np.asarray(raw["g_noisy"], dtype=float)
-        beta_vals = np.asarray(raw["beta"], dtype=float)
         g_clean = lam * f_true
         return cls(
             eigenvalues=lam,
-            beta=ConstraintSequence.custom(beta_vals),
+            betas=raw["beta"],
             f_true=f_true,
             g_clean=g_clean,
             noise=g_noisy - g_clean,
@@ -395,7 +302,7 @@ def range_compatibility_sums(instance: ProblemInstance) -> tuple[float, float]:
 
 def synthesize_problem(
     eigenvalues,
-    beta: ConstraintSequence,
+    beta,
     eps: float,
     E: float,
     *,
@@ -457,7 +364,7 @@ def synthesize_problem(
 
     return ProblemInstance(
         eigenvalues=lam,
-        beta=beta,
+        betas=betas,
         f_true=f,
         g_clean=g_clean,
         noise=noise,
@@ -596,7 +503,9 @@ class StrongErrorBound:
     spectrum[k-1] = lambda_k^2 + (eps/E)^2 beta_k^2 is the symbol of the
     combined normal operator; its minimum over retained modes controls
     ||f - fhat|| <= 2 eps / sqrt(min spectrum), with the weaker but simpler
-    form 2 E / beta_{k0} at the argmin k0.
+    form 2 E / beta_{k0} at the argmin k0.  When k0 is the last listed mode
+    the weights never outgrow the decay, and strong_error_bound warns with a
+    HypothesisWarning.
     """
 
     spectrum: np.ndarray
@@ -610,15 +519,15 @@ def strong_error_bound(eigenvalues, beta, eps: float, E: float) -> StrongErrorBo
     if not (0 < eps < math.inf and 0 < E < math.inf):
         raise ValueError("need finite eps > 0 and E > 0")
     betas = _weights(beta, lam.size)
-    if isinstance(beta, ConstraintSequence) and not beta.unbounded:
-        warnings.warn(
-            "constraint weights are bounded; the error bound does not shrink",
-            HypothesisWarning,
-            stacklevel=2,
-        )
     ratio = eps / E
     spectrum = lam * lam + (ratio * betas) ** 2
     k0 = int(np.argmin(spectrum)) + 1
+    if k0 == lam.size:
+        warnings.warn(
+            "combined spectrum is smallest on the last mode; the error bound does not shrink",
+            HypothesisWarning,
+            stacklevel=2,
+        )
     bound = 2.0 * eps / math.sqrt(float(spectrum[k0 - 1]))
     simplified = 2.0 * E / float(betas[k0 - 1])
     return StrongErrorBound(spectrum, k0, bound, simplified)

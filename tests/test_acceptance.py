@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from trunceig import (
-    ConstraintSequence,
     Ellipsoid,
     FinitePointSet,
     PFunction,
@@ -110,7 +109,7 @@ def test_criterion_04_covering_never_exceeds_packing(acceptance_report):
 
 def test_criterion_05_error_splitting_inequalities(acceptance_report):
     lam = tri_lam(60)
-    beta = ConstraintSequence.derivative()
+    beta = math.pi * np.arange(1, 61, dtype=float)
     bad = 0
     infeasible = 0
     for seed in range(100):
@@ -137,7 +136,7 @@ def test_criterion_05_error_splitting_inequalities(acceptance_report):
 
 def test_criterion_06_strong_convergence_rate(acceptance_report):
     lam = tri_lam(80)
-    beta = ConstraintSequence.derivative()
+    beta = math.pi * np.arange(1, 81, dtype=float)
     errors = []
     rowwise_ok = True
     for i, eps in enumerate(EPS_GRID):
@@ -155,7 +154,7 @@ def test_criterion_06_strong_convergence_rate(acceptance_report):
 
 def test_criterion_07_weak_convergence_bound(acceptance_report):
     lam = tri_lam(100)
-    beta = ConstraintSequence.derivative()
+    beta = math.pi * np.arange(1, 101, dtype=float)
     v = 1.0 / np.arange(1, 101, dtype=float)
     v_norm = float(np.linalg.norm(v))
     bounds = []
@@ -244,7 +243,7 @@ def test_criterion_11_prolate_reference_eigenvalue(acceptance_report):
 
 def test_criterion_12_weighted_rule_transmits_fewer_bits(acceptance_report):
     lam = tri_lam(200)
-    beta = ConstraintSequence.derivative()
+    beta = math.pi * np.arange(1, 201, dtype=float)
     diffs = []
     for eps in EPS_GRID:
         flow = information_flow_comparison(lam, beta, eps, 1.0)

@@ -293,6 +293,7 @@ def test_size_limit_exits_before_dense_build(capsys, argv):
 
 POWER_ERROR = "error: power constraint needs a finite p and a finite scale > 0\n"
 BANDWIDTH_ERROR = "error: bandwidth c must be finite and positive\n"
+OVERFLOW_ERROR = "error: bandwidth c = 1e+308 is too large: c^2 overflows\n"
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -303,8 +304,11 @@ BANDWIDTH_ERROR = "error: bandwidth c must be finite and positive\n"
     (["truncate", "--constraint", "sinc_log:c=inf"], BANDWIDTH_ERROR),
     (["truncate", "--constraint", "sinc_log:c=nan"], BANDWIDTH_ERROR),
     (["truncate", "--constraint", "prolate:c=inf"], BANDWIDTH_ERROR),
+    (["truncate", "--constraint", "sinc_log:c=1e308", "--n-modes", "5"], OVERFLOW_ERROR),
+    (["truncate", "--constraint", "prolate:c=1e308", "--n-modes", "5"], OVERFLOW_ERROR),
 ], ids=["entropy-power-p-nan", "stability-power-p-nan", "truncate-scale-nan",
-        "truncate-scale-inf", "sinc_log-c-inf", "sinc_log-c-nan", "prolate-c-inf"])
+        "truncate-scale-inf", "sinc_log-c-inf", "sinc_log-c-nan", "prolate-c-inf",
+        "sinc_log-c-overflow", "prolate-c-overflow"])
 def test_non_finite_constraint_parameter_exits_2(capsys, argv, err):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -336,9 +340,31 @@ def test_convergence_failure_exits_2(capsys, monkeypatch):
     (["spectrum", "--kernel", "sinc:c=2", "--n-modes", "-2"], "--n-modes", -2),
     (["truncate", "--n-modes", "0"], "--n-modes", 0),
     (["stability", "--K", "0"], "--K", 0),
-], ids=["spectrum-0", "spectrum-negative", "truncate-0", "stability-K-0"])
-def test_mode_counts_below_one_exit_2(capsys, argv, option, value):
+    (["spectrum", "--config", {"n_modes": 0}], "--n-modes", 0),
+    (["truncate", "--config", {"n_modes": -3}], "--n-modes", -3),
+    (["stability", "--config", {"K": 0}], "--K", 0),
+], ids=["spectrum-0", "spectrum-negative", "truncate-0", "stability-K-0",
+        "spectrum-config-0", "truncate-config-negative", "stability-config-K-0"])
+def test_mode_counts_below_one_exit_2(tmp_path, capsys, argv, option, value):
+    if isinstance(argv[-1], dict):  # a config file supplies the count
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(argv[-1]))
+        argv = argv[:-1] + [str(config)]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(f"error: argument {option}: must be at least 1, got {value}\n")
+
+
+@pytest.mark.parametrize("kernel, err", [
+    ("sinc:c=inf", BANDWIDTH_ERROR),
+    ("sinc:c=nan", BANDWIDTH_ERROR),
+    ("sinc:c=10,a=-inf", "error: sinc interval must satisfy finite a < b\n"),
+    ("sinc:c=10,b=inf", "error: sinc interval must satisfy finite a < b\n"),
+], ids=["c-inf", "c-nan", "a-minus-inf", "b-inf"])
+def test_non_finite_sinc_parameter_exits_2(capsys, kernel, err):
+    # c = inf used to leak a numpy RuntimeWarning and blame node pair (0, 0).
+    assert main(["spectrum", "--kernel", kernel]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from trunceig import (
-    ConstraintSequence,
     Ellipsoid,
     FinitePointSet,
-    capacity_lower_bound,
     covering_number_exact,
     ellipsoid_of,
     entropy_lower_bound,
@@ -24,6 +22,7 @@ from trunceig import (
 from trunceig.errors import BudgetExceededError
 
 TRI_LAM_80 = 1.0 / (np.arange(1, 81) * math.pi) ** 2
+DERIVATIVE_80 = math.pi * np.arange(1, 81, dtype=float)  # beta_k = k pi
 
 
 # The list- and frozenset-based solvers that the bitmask search replaced, kept
@@ -139,12 +138,12 @@ def test_ellipsoid_of_closed_forms():
     assert e.semi_axes == pytest.approx(TRI_LAM_80)
 
     # beta_k = k pi shrinks axis k to 1/(k pi)^3.
-    e = ellipsoid_of(TRI_LAM_80, ConstraintSequence.derivative(), 1.0)
+    e = ellipsoid_of(TRI_LAM_80, DERIVATIVE_80, 1.0)
     k = np.arange(1, 81, dtype=float)
     assert e.semi_axes == pytest.approx(1.0 / (k * math.pi) ** 3)
 
     # The budget enters linearly.
-    double = ellipsoid_of(TRI_LAM_80, ConstraintSequence.derivative(), 2.0)
+    double = ellipsoid_of(TRI_LAM_80, DERIVATIVE_80, 2.0)
     assert double.semi_axes == pytest.approx(2.0 * e.semi_axes)
 
     with pytest.raises(ValueError):
@@ -178,7 +177,6 @@ def test_entropy_lower_bound_triangular_value():
     report = entropy_lower_bound(ellipsoid_of(TRI_LAM_80, None, 1.0), 0.01)
     assert report.cutoff == 3
     assert report.entropy_bits == pytest.approx(4.852666791047949, abs=1e-9)
-    assert report.capacity_bits == report.entropy_bits
     # log2 M >= 4.853 means at least 28 distinguishable messages.
     assert 2.0**report.entropy_bits > 28.0
 
@@ -211,25 +209,17 @@ def test_entropy_monotonicity():
         ).entropy_bits
 
 
-def test_capacity_equals_entropy_bound():
-    e = ellipsoid_of(TRI_LAM_80, ConstraintSequence.derivative(), 1.0)
-    for eps in (1e-2, 1e-3, 1e-5):
-        ent = entropy_lower_bound(e, eps)
-        cap = capacity_lower_bound(e, eps)
-        assert cap == ent
-
-
 def test_constrained_ellipsoid_carries_fewer_bits():
     eps = 1e-3
     plain = entropy_lower_bound(ellipsoid_of(TRI_LAM_80, None, 1.0), eps)
     weighted = entropy_lower_bound(
-        ellipsoid_of(TRI_LAM_80, ConstraintSequence.derivative(), 1.0), eps
+        ellipsoid_of(TRI_LAM_80, DERIVATIVE_80, 1.0), eps
     )
     assert weighted.entropy_bits < plain.entropy_bits
 
 
 def test_information_flow_comparison_matches_truncation_rules():
-    beta = ConstraintSequence.derivative()
+    beta = DERIVATIVE_80
     out = information_flow_comparison(TRI_LAM_80, beta, 1e-3, 1.0)
     assert out.report_k1.cutoff == truncation_identity(TRI_LAM_80, 1e-3, 1.0)
     assert out.report_k2.cutoff == truncation_weighted(TRI_LAM_80, beta, 1e-3, 1.0)
@@ -239,7 +229,7 @@ def test_information_flow_comparison_matches_truncation_rules():
     )
 
     # Identity weights keep both rules identical.
-    same = information_flow_comparison(TRI_LAM_80, ConstraintSequence.identity(), 1e-3, 1.0)
+    same = information_flow_comparison(TRI_LAM_80, np.ones(80), 1e-3, 1.0)
     assert same.bit_difference == 0.0
 
     # Noise coarser than the top mode: nothing gets through either rule.

@@ -70,6 +70,9 @@ def test_sinc_kernel_diagonal_and_symmetry():
     assert kern(0.2, -0.4) == pytest.approx(math.sin(10.0 * 0.6) / (math.pi * 0.6))
     with pytest.raises(ValueError):
         SincKernel(0.0)
+    for c in (math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError, match="^bandwidth c must be finite and positive$"):
+            SincKernel(c)
 
 
 def test_tabulated_kernel_lookup():
@@ -116,7 +119,8 @@ def test_parse_kernel_grammar(tmp_path):
     assert spec.kernel()(g.nodes[1], g.nodes[2]) == pytest.approx(g.nodes[1] * g.nodes[2])
 
     for bad in ("gauss", "sinc", "sinc:c=-1", "sinc:c=1,a=2,b=1", "triangular:a=0",
-                "sinc:c=1,zz=3", "tabulated:"):
+                "sinc:c=1,zz=3", "tabulated:", "sinc:c=inf", "sinc:c=nan",
+                "sinc:c=10,a=-inf", "sinc:c=10,b=inf", "sinc:c=10,a=nan"):
         with pytest.raises(ValueError):
             parse_kernel(bad)
 

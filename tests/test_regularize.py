@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from trunceig import (
-    ConstraintSequence,
     PFunction,
     ProblemInstance,
     check_condition,
@@ -18,6 +17,7 @@ from trunceig import (
     information_flow_comparison,
     make_noise,
     parse_constraint,
+    prolate_eigenvalues,
     range_compatibility_sums,
     stability_sup_exact,
     strong_error_bound,
@@ -31,6 +31,7 @@ from trunceig import (
 from trunceig.errors import HypothesisWarning, InfeasibleSpecError
 
 TRI_LAM_80 = 1.0 / (np.arange(1, 81) * math.pi) ** 2
+DERIVATIVE_80 = math.pi * np.arange(1, 81, dtype=float)  # beta_k = k pi
 
 
 def test_truncation_identity_closed_forms():
@@ -47,7 +48,7 @@ def test_truncation_identity_closed_forms():
 
 
 def test_truncation_weighted_closed_form():
-    beta = ConstraintSequence.derivative()
+    beta = DERIVATIVE_80
     # (k pi)^-2 >= eps k pi picks k <= (eps pi^3)^(-1/3).
     assert truncation_weighted(TRI_LAM_80, beta, 1e-3, 1.0) == 3
     assert truncation_weighted(TRI_LAM_80, beta, 1e-6, 1.0) == 31
@@ -56,8 +57,7 @@ def test_truncation_weighted_closed_form():
 
 def test_truncation_is_the_last_index_over_threshold():
     rng = np.random.default_rng(23)
-    beta = ConstraintSequence.power(0.7, 2.0)
-    betas = beta.values(80)
+    betas = parse_constraint("power:p=0.7,scale=2", 80)
     for _ in range(200):
         eps = float(10.0 ** rng.uniform(-7, 0))
         E = float(10.0 ** rng.uniform(-1, 1))
@@ -66,7 +66,7 @@ def test_truncation_is_the_last_index_over_threshold():
             assert TRI_LAM_80[k1 - 1] >= eps / E
         if k1 < 80:
             assert TRI_LAM_80[k1] < eps / E
-        k2 = truncation_weighted(TRI_LAM_80, beta, eps, E)
+        k2 = truncation_weighted(TRI_LAM_80, betas, eps, E)
         if k2 > 0:
             assert TRI_LAM_80[k2 - 1] >= eps / E * betas[k2 - 1]
         if k2 < 80:
@@ -95,36 +95,26 @@ def test_truncation_input_validation():
         truncation_weighted(TRI_LAM_80, -np.ones(80), 1e-2, 1.0)
 
 
-def test_constraint_sequence_presets():
+def test_parse_constraint_presets():
     k = np.arange(1, 13, dtype=float)
-    assert np.array_equal(ConstraintSequence.identity().values(12), np.ones(12))
-    assert ConstraintSequence.derivative().values(12) == pytest.approx(math.pi * k)
-    assert ConstraintSequence.power(0.5, 3.0).values(12) == pytest.approx(3.0 * np.sqrt(k))
-    assert not ConstraintSequence.identity().unbounded
-    assert ConstraintSequence.derivative().unbounded
-    assert ConstraintSequence.power(1.5).unbounded
-    assert not ConstraintSequence.power(-0.5).unbounded
-
-    custom = ConstraintSequence.custom([2.0, 1.0, 5.0])
-    assert np.array_equal(custom.values(2), [2.0, 1.0])
-    with pytest.raises(ValueError):
-        custom.values(4)
-    with pytest.raises(ValueError):
-        ConstraintSequence.custom([1.0, 0.0])
+    assert np.array_equal(parse_constraint("identity", 12), np.ones(12))
+    assert parse_constraint("derivative", 12) == pytest.approx(math.pi * k)
+    assert parse_constraint("power:p=0.5,scale=3", 12) == pytest.approx(3.0 * np.sqrt(k))
+    assert parse_constraint("power:p=1.5", 12) == pytest.approx(k**1.5)  # scale 1
+    assert parse_constraint("power:p=-0.5", 12) == pytest.approx(k**-0.5)
 
 
-def test_constraint_sequence_prolate_and_sinc_log():
-    pro = ConstraintSequence.prolate(1.0)
-    chi10 = pro.values(11)[10] ** 2
+def test_parse_constraint_prolate_and_sinc_log():
+    pro = parse_constraint("prolate:c=1", 11)
+    chi10 = pro[10] ** 2
     assert chi10 == pytest.approx(110.5, abs=0.05)
-    assert pro.unbounded
+    assert np.all(np.diff(pro) > 0)  # chi_{k-1} increases with k
 
     c = 2.0
-    seq = ConstraintSequence.sinc_log(c)
-    vals = seq.values(20)
+    vals = parse_constraint("sinc_log:c=2", 20)
     split = math.ceil(math.e * c)
     # Head agrees with the operator weights, tail with the log form.
-    assert vals[: split] == pytest.approx(ConstraintSequence.prolate(c).values(split))
+    assert vals[: split] == pytest.approx(parse_constraint("prolate:c=2", split))
     k_tail = np.arange(split + 1, 21, dtype=float)
     assert vals[split:] == pytest.approx(
         np.sqrt(2.0 * k_tail * np.log(k_tail / (math.e * c)))
@@ -133,20 +123,22 @@ def test_constraint_sequence_prolate_and_sinc_log():
 
 
 def test_parse_constraint_grammar():
-    assert parse_constraint("identity").kind == "identity"
-    assert parse_constraint("derivative").kind == "derivative"
-    seq = parse_constraint("power:p=2,scale=0.5")
-    assert (seq.p, seq.scale) == (2.0, 0.5)
-    assert parse_constraint("power:p=1").scale == 1.0
-    assert parse_constraint("prolate:c=1.5").c == 1.5
-    assert parse_constraint("sinc_log:c=10").c == 10.0
-    assert parse_constraint("power:p=2").describe() == "power:p=2,scale=1"
+    k = np.arange(1, 6, dtype=float)
+    assert np.array_equal(parse_constraint("identity", 5), np.ones(5))
+    assert np.array_equal(parse_constraint("derivative", 5), math.pi * k)
+    assert np.array_equal(parse_constraint("power:p=2,scale=0.5", 5), 0.5 * k**2)
+    assert np.array_equal(parse_constraint("power:p=1", 5), k)
+    chi = prolate_eigenvalues(1.5, 5)
+    assert np.array_equal(parse_constraint("prolate:c=1.5", 5), np.sqrt(chi))
+    # e c = 27.2 >= 5: every weight comes from the operator.
+    assert np.array_equal(parse_constraint("sinc_log:c=10", 5),
+                          np.sqrt(prolate_eigenvalues(10.0, 5)))
     for bad in ("power", "power:1", "power:q=2", "prolate", "spline:c=1", "power:p=x",
                 "identity:p=99", "derivative:c=5", "power:p=1,zz=3", "sinc_log:c=10,scale=3",
                 "power:p=nan", "power:p=inf", "power:p=1,scale=nan", "power:p=1,scale=inf",
                 "prolate:c=nan", "prolate:c=inf", "sinc_log:c=nan", "sinc_log:c=inf"):
         with pytest.raises(ValueError):
-            parse_constraint(bad)
+            parse_constraint(bad, 5)
 
 
 def test_make_noise_norm_and_modes():
@@ -176,7 +168,7 @@ def test_make_noise_norm_and_modes():
 
 
 def test_synthesize_problem_tight_budget():
-    beta = ConstraintSequence.derivative()
+    beta = DERIVATIVE_80
     for seed in range(10):
         inst = synthesize_problem(TRI_LAM_80, beta, 1e-3, 1.0,
                                   f_decay=(1.0, 2.0), seed=seed)
@@ -189,19 +181,19 @@ def test_synthesize_problem_tight_budget():
 
 
 def test_synthesize_problem_coefficient_options():
-    beta = ConstraintSequence.identity()
     # Explicit unit coefficient on the first mode with a tight unit budget
     # needs no rescaling at all.
-    inst = synthesize_problem(TRI_LAM_80[:5], beta, 1e-4, 1.0, f_coeffs=[1.0], seed=1)
+    inst = synthesize_problem(TRI_LAM_80[:5], np.ones(5), 1e-4, 1.0, f_coeffs=[1.0], seed=1)
     assert np.array_equal(inst.f_true, np.array([1.0, 0.0, 0.0, 0.0, 0.0]))
 
     # Short coefficient lists are padded with zeros.
-    inst = synthesize_problem(TRI_LAM_80[:6], beta, 1e-4, 2.0, f_coeffs=[1.0, 1.0], seed=1)
+    inst = synthesize_problem(TRI_LAM_80[:6], np.ones(6), 1e-4, 2.0, f_coeffs=[1.0, 1.0],
+                              seed=1)
     assert np.all(inst.f_true[2:] == 0.0)
     assert float(np.sum(inst.f_true**2)) == pytest.approx(4.0, rel=1e-12)
 
     # Decay law rescales to the exact budget.
-    beta_d = ConstraintSequence.derivative()
+    beta_d = DERIVATIVE_80[:40]
     inst = synthesize_problem(TRI_LAM_80[:40], beta_d, 1e-3, 3.0, f_decay=(1.0, 2.0), seed=2)
     k = np.arange(1, 41, dtype=float)
     ratio = inst.f_true / k**-2.0
@@ -209,11 +201,11 @@ def test_synthesize_problem_coefficient_options():
     assert float(np.sum(inst.betas**2 * inst.f_true**2)) == pytest.approx(9.0, abs=1e-10)
 
     with pytest.raises(InfeasibleSpecError):
-        synthesize_problem(TRI_LAM_80[:5], beta, 1e-3, 1.0, f_coeffs=[0.0, 0.0], seed=0)
+        synthesize_problem(TRI_LAM_80[:5], np.ones(5), 1e-3, 1.0, f_coeffs=[0.0, 0.0], seed=0)
 
 
 def test_synthesize_problem_zero_eps_is_noise_free():
-    inst = synthesize_problem(TRI_LAM_80[:10], ConstraintSequence.identity(),
+    inst = synthesize_problem(TRI_LAM_80[:10], np.ones(10),
                               0.0, 1.0, f_decay=(1.0, 1.0), seed=4)
     assert np.all(inst.noise == 0.0)
     assert np.array_equal(inst.g_noisy, inst.g_clean)
@@ -223,7 +215,7 @@ def test_synthesis_rejects_non_finite_eps_or_E_by_name():
     # A NaN eps or E used to surface as "f_true must be finite" or "noise must
     # be finite", or as a NaN noise vector from make_noise itself.
     lam = TRI_LAM_80[:10]
-    beta = ConstraintSequence.identity()
+    beta = np.ones(10)
     for eps, E in ((math.nan, 1.0), (math.inf, 1.0), (-1e-3, 1.0), (1e-3, math.nan),
                    (1e-3, math.inf), (1e-3, 0.0)):
         with pytest.raises(ValueError, match=r"^need finite eps >= 0 and E > 0$"):
@@ -235,7 +227,7 @@ def test_synthesis_rejects_non_finite_eps_or_E_by_name():
 
 def test_problem_instance_invariants():
     lam = np.array([0.5, 0.25])
-    beta = ConstraintSequence.identity()
+    beta = np.ones(2)
     f = np.array([0.6, 0.2])
     g = lam * f
     noise = np.array([3e-4, -4e-4])
@@ -252,10 +244,13 @@ def test_problem_instance_invariants():
         ProblemInstance(lam, beta, f, g, noise, g - noise, 1e-3, 1.0, 0)
     with pytest.raises(ValueError, match="one entry per mode"):
         ProblemInstance(lam, beta, f[:1], g, noise, g + noise, 1e-3, 1.0, 0)
+    for bad in ([1.0], [1.0, 1.0, 1.0], [1.0, 0.0], [1.0, math.nan]):
+        with pytest.raises(ValueError, match="one finite, positive constraint weight"):
+            ProblemInstance(lam, bad, f, g, noise, g + noise, 1e-3, 1.0, 0)
 
 
 def test_problem_instance_json_round_trip():
-    inst = synthesize_problem(TRI_LAM_80[:20], ConstraintSequence.derivative(),
+    inst = synthesize_problem(TRI_LAM_80[:20], DERIVATIVE_80[:20],
                               1e-3, 1.0, f_decay=(1.0, 2.0), seed=9,
                               noise_mode="range_compatible")
     text = inst.to_json()
@@ -275,7 +270,7 @@ def test_problem_instance_json_round_trip():
 
 
 def test_truncated_solution_shapes_and_rules():
-    inst = synthesize_problem(TRI_LAM_80, ConstraintSequence.derivative(),
+    inst = synthesize_problem(TRI_LAM_80, DERIVATIVE_80,
                               1e-3, 1.0, f_decay=(1.0, 2.0), seed=3)
     rec1 = truncated_solution(inst, "k1")
     rec2 = truncated_solution(inst, "k2")
@@ -301,7 +296,7 @@ def test_truncated_solution_shapes_and_rules():
 
 def test_truncated_solution_noise_free_single_mode():
     lam = TRI_LAM_80[:5]
-    inst = synthesize_problem(lam, ConstraintSequence.identity(), 0.0, 1.0,
+    inst = synthesize_problem(lam, np.ones(5), 0.0, 1.0,
                               f_coeffs=[1.0], seed=0)
     rec = truncated_solution(inst, "k1")
     assert rec.cutoff == 5  # eps = 0 keeps everything
@@ -312,7 +307,7 @@ def test_truncated_solution_empty_cutoff():
     lam = TRI_LAM_80[:5]
     f = np.zeros(5)
     f[0] = 1e-3
-    inst = ProblemInstance(lam, ConstraintSequence.identity(), f, lam * f,
+    inst = ProblemInstance(lam, np.ones(5), f, lam * f,
                            np.zeros(5), lam * f, 0.9, 1.0, 0)
     rec = truncated_solution(inst, "k1")
     assert rec.cutoff == 0
@@ -321,7 +316,7 @@ def test_truncated_solution_empty_cutoff():
 
 def test_feasibility_single_mode_closed_form():
     lam = np.array([0.5])
-    beta = ConstraintSequence.custom([2.0])
+    beta = np.array([2.0])
     f = np.array([0.3])
     noise = np.array([0.04])
     inst = ProblemInstance(lam, beta, f, lam * f, noise, lam * f + noise, 0.05, 1.0, 0)
@@ -345,7 +340,7 @@ def test_feasibility_matches_boundary_search():
     f = np.array([0.5, 0.4])
     noise = np.array([0.06, -0.03])
     g = lam * f
-    inst = ProblemInstance(lam, ConstraintSequence.custom(betas), f, g, noise,
+    inst = ProblemInstance(lam, betas, f, g, noise,
                            g + noise, 0.1, 3.0, 0)
     res = feasibility_check(inst)
 
@@ -359,7 +354,7 @@ def test_feasibility_matches_boundary_search():
 
 def test_synthesized_problems_are_permissible():
     for seed in range(20):
-        inst = synthesize_problem(TRI_LAM_80[:40], ConstraintSequence.derivative(),
+        inst = synthesize_problem(TRI_LAM_80[:40], DERIVATIVE_80[:40],
                                   1e-3, 1.0, f_decay=(1.0, 2.0), seed=seed)
         res = feasibility_check(inst)
         assert res.permissible
@@ -369,7 +364,7 @@ def test_synthesized_problems_are_permissible():
 def test_error_splitting_reports():
     rng_bad = False
     for seed in range(25):
-        inst = synthesize_problem(TRI_LAM_80, ConstraintSequence.derivative(),
+        inst = synthesize_problem(TRI_LAM_80, DERIVATIVE_80,
                                   1e-3, 1.0, f_decay=(1.0, 2.0), seed=seed)
         rec1 = truncated_solution(inst, "k1")
         rec2 = truncated_solution(inst, "k2")
@@ -384,7 +379,7 @@ def test_error_splitting_reports():
             rng_bad |= img < 0 or con < 0 or comb < 0
     assert not rng_bad
 
-    inst = synthesize_problem(TRI_LAM_80, ConstraintSequence.derivative(),
+    inst = synthesize_problem(TRI_LAM_80, DERIVATIVE_80,
                               1e-3, 1.0, f_decay=(1.0, 2.0), seed=0)
     with pytest.raises(ValueError):
         weighted_rule_residuals(inst, truncated_solution(inst, "k1"))
@@ -418,15 +413,28 @@ def test_strong_error_bound_argmin_location():
 def test_strong_error_bound_warns_for_bounded_weights():
     lam = TRI_LAM_80[:30]
     with pytest.warns(HypothesisWarning):
-        out = strong_error_bound(lam, ConstraintSequence.identity(), 1e-3, 2.0)
+        out = strong_error_bound(lam, np.ones(30), 1e-3, 2.0)
     assert out.simplified_bound == pytest.approx(4.0)  # 2 E / beta_k0 with beta = 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        strong_error_bound(lam, ConstraintSequence.derivative(), 1e-3, 2.0)
+        strong_error_bound(lam, DERIVATIVE_80[:30], 1e-3, 2.0)
+
+
+def test_strong_error_bound_warns_when_argmin_is_the_last_mode():
+    # The warning reads only its inputs: any weight array whose combined
+    # spectrum is smallest on the last listed mode warns.
+    lam = TRI_LAM_80[:30]
+    k = np.arange(1, 31, dtype=float)
+    with pytest.warns(HypothesisWarning):
+        assert strong_error_bound(lam, k**-0.5, 1e-3, 2.0).k0 == 30
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert strong_error_bound(lam, k**0.5, 1e-3, 2.0).k0 == 11
+        assert strong_error_bound(lam, math.pi * k, 1e-3, 2.0).k0 == 5
 
 
 def test_strong_error_bound_dominates_reconstruction_error():
-    beta = ConstraintSequence.derivative()
+    beta = DERIVATIVE_80
     for seed in range(20):
         inst = synthesize_problem(TRI_LAM_80, beta, 1e-3, 1.0,
                                   f_decay=(1.0, 2.0), seed=seed)
@@ -438,7 +446,7 @@ def test_strong_error_bound_dominates_reconstruction_error():
 
 
 def test_weak_pairing_basics():
-    inst = synthesize_problem(TRI_LAM_80, ConstraintSequence.derivative(),
+    inst = synthesize_problem(TRI_LAM_80, DERIVATIVE_80,
                               1e-3, 1.0, f_decay=(1.0, 2.0), seed=5)
     rec = truncated_solution(inst, "k1")
     pairing, bound = weak_pairing(inst, rec, np.zeros(80))
@@ -453,7 +461,7 @@ def test_weak_pairing_noise_free_first_mode():
     f = np.zeros(10)
     f[0] = 0.5
     g = lam * f
-    inst = ProblemInstance(lam, ConstraintSequence.identity(), f, g,
+    inst = ProblemInstance(lam, np.ones(10), f, g,
                            np.zeros(10), g, 1e-4, 1.0, 0)
     rec = truncated_solution(inst, "k1")
     assert rec.cutoff >= 1
@@ -468,7 +476,7 @@ def test_weak_pairing_bound_holds_and_decays():
     # The pairing against any fixed probe is controlled, and the control
     # tightens as the noise level drops.
     v = 1.0 / np.arange(1, 81, dtype=float)
-    beta = ConstraintSequence.derivative()
+    beta = DERIVATIVE_80
     last_bound = math.inf
     for eps in (1e-2, 3e-3, 1e-3, 3e-4, 1e-4):
         inst = synthesize_problem(TRI_LAM_80, beta, eps, 1.0,
@@ -481,7 +489,7 @@ def test_weak_pairing_bound_holds_and_decays():
 
 
 def test_range_compatibility_sums_reports_both():
-    inst = synthesize_problem(TRI_LAM_80[:20], ConstraintSequence.identity(),
+    inst = synthesize_problem(TRI_LAM_80[:20], np.ones(20),
                               1e-4, 1.0, f_coeffs=[0.5, 0.25], seed=2,
                               noise_mode="range_compatible")
     linear, squared = range_compatibility_sums(inst)
