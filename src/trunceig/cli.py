@@ -2,7 +2,8 @@
 
 Commands operate on a kernel (or a saved problem instance) and emit CSV on
 stdout or into --output.  Floats are rendered with 9 significant digits in
-CSV and 17 in JSON, so identical inputs and seeds give byte-identical output.
+CSV and as Python's shortest round-trip repr in JSON, so identical inputs and
+seeds give byte-identical output.
 Commands that draw noise take a single --seed; a sweep derives the seed for
 its i-th row as seed + i.
 
@@ -51,19 +52,16 @@ def _write(path: str | None, text: str):
             handle.write(text)
 
 
-def _float_list(text) -> list[float]:
-    if isinstance(text, (list, tuple)):
-        values = [float(v) for v in text]
-    else:
-        values = [float(chunk) for chunk in str(text).split(",") if chunk.strip()]
-        if not values:
-            raise ValueError("expected a comma-separated list of numbers")
+def _float_list(text: str) -> list[float]:
+    values = [float(chunk) for chunk in text.split(",") if chunk.strip()]
+    if not values:
+        raise ValueError("expected a comma-separated list of numbers")
     if not all(math.isfinite(v) for v in values):
         raise ValueError("expected finite numbers")
     return values
 
 
-def _pair(text) -> tuple[float, float]:
+def _pair(text: str) -> tuple[float, float]:
     values = _float_list(text)
     if len(values) != 2:
         raise ValueError("expected two comma-separated numbers")
@@ -135,19 +133,8 @@ def cmd_solve(args) -> int:
     with open(args.instance, "r", encoding="utf-8") as handle:
         instance = regularize.ProblemInstance.from_json(handle.read())
     rec = regularize.truncated_solution(instance, args.rule)
-    betas = instance.betas
-    rows = []
-    for k in range(1, instance.n_modes + 1):
-        rows.append(
-            (
-                k,
-                instance.eigenvalues[k - 1],
-                betas[k - 1],
-                instance.f_true[k - 1],
-                instance.g_noisy[k - 1],
-                rec.coefficients[k - 1],
-            )
-        )
+    rows = zip(range(1, instance.n_modes + 1), instance.eigenvalues, instance.betas,
+               instance.f_true, instance.g_noisy, rec.coefficients)
     _write(args.output, _csv(rows, "k,lambda_k,beta_k,f_k,gbar_k,fhat_k"))
     return 0
 
@@ -271,12 +258,33 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """A mode count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _config_text(value, default):
+    """A --config value as command-line text, so that the option's type=
+    converts and checks it.  A bool stays a bool where the default is one."""
+    if isinstance(value, str) or (isinstance(value, bool) and isinstance(default, bool)):
+        return value
+    if isinstance(value, list):
+        return ",".join(str(item) for item in value)
+    return json.dumps(value)
+
+
 def _add_kernel_options(sub, modes_default=100):
     sub.add_argument("--kernel", default="triangular",
                      help="'triangular', 'sinc:c=10[,a=-1,b=1]', or 'tabulated:FILE'")
     sub.add_argument("--n-nodes", type=int, default=200,
                      help="quadrature nodes for discretized kernels")
-    sub.add_argument("--n-modes", type=int, default=modes_default,
+    sub.add_argument("--n-modes", type=_count, default=modes_default,
                      help="number of modes to use (triangular: analytic modes)")
 
 
@@ -344,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_problem_options(sub)
     sub.add_argument("--eps-grid", default="1e-2,1e-3,1e-4,1e-5,1e-6,1e-7")
     sub.add_argument("--p", default="power:gamma=0.3333333333333333")
-    sub.add_argument("--K", type=int, default=None,
+    sub.add_argument("--K", type=_count, default=None,
                      help="modes in the exact supremum")
 
     sub = new_command("cover", cmd_cover, "exact covering/packing numbers of a point file")
@@ -381,17 +389,11 @@ def main(argv=None) -> int:
             print("error: config must be a JSON object", file=sys.stderr)
             return 2
         for sub in commands.values():
-            sub.set_defaults(**defaults)
+            sub.set_defaults(**{key: _config_text(value, sub.get_default(key))
+                                for key, value in defaults.items()})
 
     try:
         args = parser.parse_args(argv)
-        # Checked after parsing, not by an argparse action, so that values
-        # from a config file are checked too.
-        sub = commands[args.command]
-        for action in sub._actions:
-            value = getattr(args, action.dest, None)
-            if action.dest in ("n_modes", "K") and value is not None and value < 1:
-                sub.error(f"argument {action.option_strings[0]}: must be at least 1, got {value}")
     except SystemExit as exc:
         return int(exc.code or 0)
 

@@ -174,6 +174,11 @@ def parse_kernel(text: str) -> KernelSpec:
             raise ValueError("bandwidth c must be finite and positive")
         if not -math.inf < a < b < math.inf:
             raise ValueError("sinc interval must satisfy finite a < b")
+        if not math.isfinite(b - a):
+            raise ValueError(f"sinc interval [{a:g}, {b:g}] is too long: b - a overflows")
+        if not math.isfinite(c * (b - a)):
+            raise ValueError(f"bandwidth c = {c:g} is too large for [{a:g}, {b:g}]: "
+                             "c*(b - a) overflows")
         return KernelSpec("sinc", c=c, a=a, b=b)
     if head == "tabulated":
         if not rest:

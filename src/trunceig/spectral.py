@@ -24,12 +24,11 @@ gets no correction.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._json import dumps
 from .errors import ConvergenceError, NumericDomainError
 
 __all__ = [
@@ -120,6 +119,8 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureGrid:
         raise ValueError(f"{n} quadrature nodes exceed the limit MAX_ORDER = {MAX_ORDER}")
     if not float(a) < float(b):
         raise ValueError("interval must satisfy a < b")
+    if not math.isfinite(b - a):
+        raise ValueError(f"interval [{a:g}, {b:g}] must have a finite length b - a")
 
     k = np.arange(1, n + 1, dtype=float)
     x = np.cos(np.pi * (k - 0.25) / (n + 0.5))
@@ -151,7 +152,7 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureGrid:
     w = w[::-1].copy()
 
     half = 0.5 * (b - a)
-    nodes = 0.5 * (a + b) + half * x
+    nodes = (0.5 * a + 0.5 * b) + half * x  # a + b may overflow where b - a does not
     weights = half * w
     return QuadratureGrid(float(a), float(b), nodes, weights)
 
@@ -250,31 +251,6 @@ class SpectralSystem:
     @property
     def n_modes(self) -> int:
         return int(self.eigenvalues.size)
-
-    def to_json(self) -> str:
-        payload = {
-            "a": self.grid.a,
-            "b": self.grid.b,
-            "nodes": self.grid.nodes,
-            "weights": self.grid.weights,
-            "eigenvalues": self.eigenvalues,
-            "eigenfunctions": self.eigfun,
-        }
-        return dumps(payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpectralSystem":
-        raw = json.loads(text)
-        grid = QuadratureGrid(
-            float(raw["a"]),
-            float(raw["b"]),
-            np.asarray(raw["nodes"], dtype=float),
-            np.asarray(raw["weights"], dtype=float),
-        )
-        lam = np.asarray(raw["eigenvalues"], dtype=float)
-        fun = np.asarray(raw["eigenfunctions"], dtype=float)
-        negative = int(np.sum(lam <= 0))
-        return cls(grid, lam, fun, negative_count=negative)
 
 
 def row_defect(kernel, grid: QuadratureGrid, matrix: np.ndarray) -> np.ndarray:

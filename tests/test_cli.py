@@ -356,14 +356,50 @@ def test_mode_counts_below_one_exit_2(tmp_path, capsys, argv, option, value):
     assert captured.err.endswith(f"error: argument {option}: must be at least 1, got {value}\n")
 
 
+@pytest.mark.parametrize("config, err", [
+    ({"n_modes": 2.5}, "error: argument --n-modes: invalid int value: '2.5'\n"),
+    ({"n_modes": None}, "error: argument --n-modes: invalid int value: 'null'\n"),
+    ({"n_modes": False}, "error: argument --n-modes: invalid int value: 'false'\n"),
+    ({"K": [0]}, "error: argument --K: must be at least 1, got 0\n"),
+], ids=["float", "null", "bool", "list"])
+def test_config_values_are_converted_like_flags(tmp_path, capsys, config, err):
+    # A config value that was not a string used to skip the option's type:
+    # 2.5 ran 2 modes, and a list ended in a TypeError traceback.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["stability", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(err)
+
+
+@pytest.mark.parametrize("config, flags", [
+    ({"n_modes": [3]}, ["--n-modes", "3"]),
+    ({"eps_grid": [0.01, 0.001], "n_modes": 30}, ["--eps-grid", "0.01,0.001", "--n-modes", "30"]),
+    ({"f_decay": [1, 3], "tight": False, "E": 2}, ["--f-decay", "1,3", "--no-tight", "--E", "2"]),
+], ids=["list-count", "list-grid", "list-pair-and-bool"])
+def test_config_values_match_their_flags(tmp_path, capsys, config, flags):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(path)]) == 0
+    from_config = capsys.readouterr()
+    assert main(["sweep", *flags]) == 0
+    assert capsys.readouterr() == from_config
+
+
 @pytest.mark.parametrize("kernel, err", [
     ("sinc:c=inf", BANDWIDTH_ERROR),
     ("sinc:c=nan", BANDWIDTH_ERROR),
     ("sinc:c=10,a=-inf", "error: sinc interval must satisfy finite a < b\n"),
     ("sinc:c=10,b=inf", "error: sinc interval must satisfy finite a < b\n"),
-], ids=["c-inf", "c-nan", "a-minus-inf", "b-inf"])
+    ("sinc:c=1e308", "error: bandwidth c = 1e+308 is too large for [-1, 1]: c*(b - a) overflows\n"),
+    ("sinc:c=10,a=-1e308,b=1e308",
+     "error: sinc interval [-1e+308, 1e+308] is too long: b - a overflows\n"),
+], ids=["c-inf", "c-nan", "a-minus-inf", "b-inf", "c-length-overflow", "length-overflow"])
+@pytest.mark.filterwarnings("error")
 def test_non_finite_sinc_parameter_exits_2(capsys, kernel, err):
-    # c = inf used to leak a numpy RuntimeWarning and blame node pair (0, 0).
+    # c = inf used to leak a numpy RuntimeWarning and blame node pair (0, 0);
+    # a finite c or interval whose c*(b - a) or b - a overflows did the same.
     assert main(["spectrum", "--kernel", kernel]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -120,7 +120,8 @@ def test_parse_kernel_grammar(tmp_path):
 
     for bad in ("gauss", "sinc", "sinc:c=-1", "sinc:c=1,a=2,b=1", "triangular:a=0",
                 "sinc:c=1,zz=3", "tabulated:", "sinc:c=inf", "sinc:c=nan",
-                "sinc:c=10,a=-inf", "sinc:c=10,b=inf", "sinc:c=10,a=nan"):
+                "sinc:c=10,a=-inf", "sinc:c=10,b=inf", "sinc:c=10,a=nan", "sinc:c=1e308",
+                "sinc:c=10,a=-1e308,b=1e308", "sinc:c=1e300,a=0,b=1e10"):
         with pytest.raises(ValueError):
             parse_kernel(bad)
 

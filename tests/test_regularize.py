@@ -231,42 +231,99 @@ def test_problem_instance_invariants():
     f = np.array([0.6, 0.2])
     g = lam * f
     noise = np.array([3e-4, -4e-4])
-    inst = ProblemInstance(lam, beta, f, g, noise, g + noise, 1e-3, 1.0, 0)
+    inst = ProblemInstance(lam, beta, f, g + noise, 1e-3, 1.0, 0)
     assert inst.n_modes == 2
+    # The clean data and the noise are derived from the stored fields.
+    assert np.array_equal(inst.g_clean, g)
+    assert np.array_equal(inst.noise, (g + noise) - g)
 
     with pytest.raises(ValueError, match="noise norm"):
-        ProblemInstance(lam, beta, f, g, noise, g + noise, 1e-4, 1.0, 0)
+        ProblemInstance(lam, beta, f, g + noise, 1e-4, 1.0, 0)
     with pytest.raises(ValueError, match="budget"):
-        ProblemInstance(lam, beta, f, g, noise, g + noise, 1e-3, 0.5, 0)
-    with pytest.raises(ValueError, match="g_clean"):
-        ProblemInstance(lam, beta, f, g + 0.1, noise, g + noise, 1e-3, 1.0, 0)
-    with pytest.raises(ValueError, match="g_noisy"):
-        ProblemInstance(lam, beta, f, g, noise, g - noise, 1e-3, 1.0, 0)
+        ProblemInstance(lam, beta, f, g + noise, 1e-3, 0.5, 0)
     with pytest.raises(ValueError, match="one entry per mode"):
-        ProblemInstance(lam, beta, f[:1], g, noise, g + noise, 1e-3, 1.0, 0)
+        ProblemInstance(lam, beta, f[:1], g + noise, 1e-3, 1.0, 0)
+    with pytest.raises(ValueError, match="one entry per mode"):
+        ProblemInstance(lam, beta, f, (g + noise)[:1], 1e-3, 1.0, 0)
     for bad in ([1.0], [1.0, 1.0, 1.0], [1.0, 0.0], [1.0, math.nan]):
         with pytest.raises(ValueError, match="one finite, positive constraint weight"):
-            ProblemInstance(lam, bad, f, g, noise, g + noise, 1e-3, 1.0, 0)
+            ProblemInstance(lam, bad, f, g + noise, 1e-3, 1.0, 0)
 
 
 def test_problem_instance_json_round_trip():
-    inst = synthesize_problem(TRI_LAM_80[:20], DERIVATIVE_80[:20],
-                              1e-3, 1.0, f_decay=(1.0, 2.0), seed=9,
-                              noise_mode="range_compatible")
-    text = inst.to_json()
-    assert sorted(json.loads(text)) == sorted(
-        ["eigenvalues", "beta", "f_true", "g_noisy", "eps", "E", "seed", "noise_mode"]
+    fields = {"eigenvalues": "eigenvalues", "beta": "betas", "f_true": "f_true",
+              "g_noisy": "g_noisy"}
+    for noise_mode in ("flat", "range_compatible"):
+        for constraint in ("identity", "derivative"):
+            for seed in (0, 9, 23, 101):
+                inst = synthesize_problem(TRI_LAM_80[:20], parse_constraint(constraint, 20),
+                                          1e-3, 1.0, f_decay=(1.0, 2.0), seed=seed,
+                                          noise_mode=noise_mode)
+                text = inst.to_json()
+                raw = json.loads(text)
+                assert sorted(raw) == sorted([*fields, "eps", "E", "seed", "noise_mode"])
+                # repr floats read back to the very same doubles.
+                for key, name in fields.items():
+                    assert np.array_equal(raw[key], getattr(inst, name))
+                assert (raw["eps"], raw["E"], raw["seed"], raw["noise_mode"]) == (
+                    inst.eps, inst.E, inst.seed, inst.noise_mode)
+                clone = ProblemInstance.from_json(text)
+                for name in (*fields.values(), "g_clean", "noise"):
+                    assert np.array_equal(getattr(clone, name), getattr(inst, name))
+                assert (clone.eps, clone.E, clone.seed) == (inst.eps, inst.E, inst.seed)
+                assert clone.noise_mode == inst.noise_mode
+                # Serialization is deterministic byte for byte.
+                assert clone.to_json() == text
+
+
+def test_derived_noise_allows_for_the_rounding_of_g_noisy():
+    # At eps = 1e-18 the noise is below the rounding of g_noisy = lambda f +
+    # noise, so g_noisy - lambda f can exceed eps by a rounding error.  Such
+    # an instance used to fail its own round trip through the file.
+    k = np.arange(1, 101, dtype=float)
+    lam, beta = 1.0 / (k * math.pi) ** 2, math.pi * k
+    for seed in range(30):
+        for eps in (1e-14, 1e-16, 1e-18, 1e-20):
+            inst = synthesize_problem(lam, beta, eps, 1.0, f_decay=(1.0, 2.0), seed=seed)
+            clone = ProblemInstance.from_json(inst.to_json())
+            assert np.array_equal(clone.noise, inst.noise)
+    inst = synthesize_problem(lam, beta, 1e-18, 1.0, f_decay=(1.0, 2.0), seed=21)
+    assert float(np.linalg.norm(inst.noise)) > 1e-18
+    # Noise above eps by more than that rounding is still rejected.
+    noisy = inst.g_clean.copy()
+    noisy[0] += 1e-14
+    with pytest.raises(ValueError, match="noise norm"):
+        ProblemInstance(lam, beta, inst.f_true, noisy, 1e-15, 1.0, 0)
+
+
+def test_problem_instance_reads_seventeen_digit_files():
+    # Instance files written with every float as "%.17g" load to the same
+    # arrays as the repr-float files written now.
+    inst = synthesize_problem(TRI_LAM_80[:12], DERIVATIVE_80[:12], 0.1, 2.0,
+                              f_decay=(1.0, 2.0), seed=5)
+
+    def array(values):
+        return "[\n" + ",\n".join(f"    {v:.17g}" for v in values) + "\n  ]"
+
+    old = (
+        "{\n"
+        f'  "eigenvalues": {array(inst.eigenvalues)},\n'
+        f'  "beta": {array(inst.betas)},\n'
+        f'  "f_true": {array(inst.f_true)},\n'
+        f'  "g_noisy": {array(inst.g_noisy)},\n'
+        f'  "eps": {inst.eps:.17g},\n'
+        f'  "E": {inst.E:.17g},\n'
+        f'  "seed": {inst.seed},\n'
+        f'  "noise_mode": "{inst.noise_mode}"\n'
+        "}\n"
     )
-    clone = ProblemInstance.from_json(text)
-    assert np.array_equal(clone.eigenvalues, inst.eigenvalues)
-    assert np.array_equal(clone.f_true, inst.f_true)
-    assert np.array_equal(clone.g_noisy, inst.g_noisy)
-    assert np.array_equal(clone.betas, inst.betas)
-    assert (clone.eps, clone.E, clone.seed) == (inst.eps, inst.E, inst.seed)
-    assert clone.noise_mode == inst.noise_mode
-    assert clone.noise == pytest.approx(inst.noise, abs=1e-15)
-    # Serialization is deterministic byte for byte.
-    assert clone.to_json() == text
+    assert '"eps": 0.10000000000000001,' in old and '"E": 2,' in old
+    assert json.loads(old) == json.loads(inst.to_json())
+    clone = ProblemInstance.from_json(old)
+    for name in ("eigenvalues", "betas", "f_true", "g_noisy", "g_clean", "noise"):
+        assert np.array_equal(getattr(clone, name), getattr(inst, name))
+    assert (clone.eps, clone.E, clone.seed, clone.noise_mode) == (0.1, 2.0, 5, "flat")
+    assert clone.to_json() == inst.to_json()
 
 
 def test_truncated_solution_shapes_and_rules():
@@ -307,8 +364,7 @@ def test_truncated_solution_empty_cutoff():
     lam = TRI_LAM_80[:5]
     f = np.zeros(5)
     f[0] = 1e-3
-    inst = ProblemInstance(lam, np.ones(5), f, lam * f,
-                           np.zeros(5), lam * f, 0.9, 1.0, 0)
+    inst = ProblemInstance(lam, np.ones(5), f, lam * f, 0.9, 1.0, 0)
     rec = truncated_solution(inst, "k1")
     assert rec.cutoff == 0
     assert np.all(rec.coefficients == 0.0)
@@ -319,7 +375,7 @@ def test_feasibility_single_mode_closed_form():
     beta = np.array([2.0])
     f = np.array([0.3])
     noise = np.array([0.04])
-    inst = ProblemInstance(lam, beta, f, lam * f, noise, lam * f + noise, 0.05, 1.0, 0)
+    inst = ProblemInstance(lam, beta, f, lam * f + noise, 0.05, 1.0, 0)
     res = feasibility_check(inst)
     # min |beta f| subject to |lambda f - gbar| <= eps is beta (gbar - eps) / lambda.
     expected = 2.0 * (0.19 - 0.05) / 0.5
@@ -327,8 +383,7 @@ def test_feasibility_single_mode_closed_form():
     assert res.permissible
 
     # Data within eps of zero: the zero solution is admissible.
-    quiet = ProblemInstance(lam, beta, np.array([0.1]), np.array([0.05]),
-                            np.array([-0.04]), np.array([0.01]), 0.05, 1.0, 0)
+    quiet = ProblemInstance(lam, beta, np.array([0.1]), np.array([0.01]), 0.05, 1.0, 0)
     res = feasibility_check(quiet)
     assert res == type(res)(True, 0.0)
 
@@ -340,8 +395,7 @@ def test_feasibility_matches_boundary_search():
     f = np.array([0.5, 0.4])
     noise = np.array([0.06, -0.03])
     g = lam * f
-    inst = ProblemInstance(lam, betas, f, g, noise,
-                           g + noise, 0.1, 3.0, 0)
+    inst = ProblemInstance(lam, betas, f, g + noise, 0.1, 3.0, 0)
     res = feasibility_check(inst)
 
     theta = np.linspace(0.0, 2.0 * math.pi, 400_001)
@@ -461,8 +515,7 @@ def test_weak_pairing_noise_free_first_mode():
     f = np.zeros(10)
     f[0] = 0.5
     g = lam * f
-    inst = ProblemInstance(lam, np.ones(10), f, g,
-                           np.zeros(10), g, 1e-4, 1.0, 0)
+    inst = ProblemInstance(lam, np.ones(10), f, g, 1e-4, 1.0, 0)
     rec = truncated_solution(inst, "k1")
     assert rec.cutoff >= 1
     v = np.zeros(10)
