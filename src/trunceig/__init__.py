@@ -62,9 +62,11 @@ from .spectral import (
     eigh,
     gauss_legendre,
     nystrom_matrix,
+    operator_matrix,
     project,
     reconstruct,
     row_defect,
+    spectral_eigenvalues,
     spectral_system,
 )
 from .stability import (

@@ -68,14 +68,15 @@ def _pair(text: str) -> tuple[float, float]:
     return values[0], values[1]
 
 
-def _system(spec, args) -> spectral.SpectralSystem:
-    """Discrete eigensystem of a parsed kernel: a tabulated kernel on its own
-    grid, any other on --n-nodes Gauss-Legendre nodes."""
+def _system(spec, args) -> np.ndarray:
+    """Kept eigenvalues of a parsed kernel, by non-increasing magnitude: a
+    tabulated kernel on its own grid, any other on --n-nodes Gauss-Legendre
+    nodes.  No command reads an eigenfunction, so none is computed."""
     if spec.kind == "tabulated":
         grid = spec.table.grid
     else:
         grid = spectral.gauss_legendre(int(args.n_nodes), spec.a, spec.b)
-    return spectral.spectral_system(spec.kernel(), grid)
+    return spectral.spectral_eigenvalues(spec.kernel(), grid)
 
 
 def _eigen_sequence(args) -> np.ndarray:
@@ -89,7 +90,7 @@ def _eigen_sequence(args) -> np.ndarray:
     if spec.kind == "triangular":
         k = np.arange(1, int(args.n_modes) + 1, dtype=float)
         return 1.0 / (k * math.pi) ** 2
-    lam = _system(spec, args).eigenvalues
+    lam = _system(spec, args)
     lam = lam[lam > 0]
     if lam.size == 0:
         raise ValueError("kernel has no positive retained eigenvalues")
@@ -100,13 +101,13 @@ def _eigen_sequence(args) -> np.ndarray:
 
 def cmd_spectrum(args) -> int:
     spec = kernels.parse_kernel(args.kernel)
-    system = _system(spec, args)
-    count = system.n_modes
+    eigenvalues = _system(spec, args)
+    count = eigenvalues.size
     if args.n_modes is not None:
         count = min(count, int(args.n_modes))
     rows = []
     for k in range(1, count + 1):
-        lam = float(system.eigenvalues[k - 1])
+        lam = float(eigenvalues[k - 1])
         analytic = spec.analytic_eigenvalue(k)
         if analytic is None:
             rows.append((k, lam, None, None))
@@ -269,10 +270,16 @@ def _count(text: str) -> int:
     return value
 
 
-def _config_text(value, default):
+def _config_text(key, value, default):
     """A --config value as command-line text, so that the option's type=
-    converts and checks it.  A bool stays a bool where the default is one."""
-    if isinstance(value, str) or (isinstance(value, bool) and isinstance(default, bool)):
+    converts and checks it.  Where the default is a bool (--tight), whose
+    action applies no type=, the value must be a JSON boolean and stays one."""
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ValueError(f"config value {key!r} must be true or false, "
+                             f"got {json.dumps(value)}")
+        return value
+    if isinstance(value, str):
         return value
     if isinstance(value, list):
         return ",".join(str(item) for item in value)
@@ -389,8 +396,12 @@ def main(argv=None) -> int:
             print("error: config must be a JSON object", file=sys.stderr)
             return 2
         for sub in commands.values():
-            sub.set_defaults(**{key: _config_text(value, sub.get_default(key))
-                                for key, value in defaults.items()})
+            try:
+                sub.set_defaults(**{key: _config_text(key, value, sub.get_default(key))
+                                    for key, value in defaults.items()})
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
 
     try:
         args = parser.parse_args(argv)

@@ -43,7 +43,9 @@ def triangular_kernel(x, y):
     """
     if not np.all((0.0 <= x) & (x <= 1.0) & (0.0 <= y) & (y <= 1.0)):
         raise ValueError("triangular kernel is defined on [0, 1]^2")
-    return np.where(y <= x, (1.0 - x) * y, x * (1.0 - y))
+    out = 1.0 - np.maximum(x, y)
+    out *= np.minimum(x, y)
+    return out
 
 
 def triangular_eigensystem(k: int):
@@ -69,10 +71,17 @@ class SincKernel:
             raise ValueError("bandwidth c must be finite and positive")
 
     def __call__(self, x, y):
-        d = np.subtract(x, y)
+        # In place on two arrays of the broadcast shape: the Nystrom build's
+        # peak memory is set here.
+        d = np.asarray(np.subtract(x, y), dtype=float)
         diagonal = np.abs(d) <= 1e-12
-        d = np.where(diagonal, 1.0, d)
-        return np.where(diagonal, self.c / math.pi, np.sin(self.c * d) / (math.pi * d))
+        d[diagonal] = 1.0
+        out = np.multiply(self.c, d, out=np.empty_like(d))
+        np.sin(out, out=out)
+        d *= math.pi
+        out /= d
+        out[diagonal] = self.c / math.pi
+        return out
 
 
 class TabulatedKernel:
@@ -176,6 +185,8 @@ def parse_kernel(text: str) -> KernelSpec:
             raise ValueError("sinc interval must satisfy finite a < b")
         if not math.isfinite(b - a):
             raise ValueError(f"sinc interval [{a:g}, {b:g}] is too long: b - a overflows")
+        if not math.isfinite(math.pi * (b - a)):
+            raise ValueError(f"sinc interval [{a:g}, {b:g}] is too long: pi*(b - a) overflows")
         if not math.isfinite(c * (b - a)):
             raise ValueError(f"bandwidth c = {c:g} is too large for [{a:g}, {b:g}]: "
                              "c*(b - a) overflows")
@@ -204,11 +215,15 @@ def parse_kernel(text: str) -> KernelSpec:
 # Legendre basis the first term is diagonal with entries m(m+1) and
 # multiplication by x is the tridiagonal Jacobi matrix with off-diagonal
 # a_m = m / sqrt(4 m^2 - 1), so x^2 contributes the pentadiagonal square of
-# that matrix.  Even and odd degrees decouple, which keeps the spectrum clean.
+# that matrix.  Degree m couples only to m and m +- 2, so the even and the odd
+# degrees form two tridiagonal blocks of about half the order, and the solves
+# below never build the full matrix (Xiao, Rokhlin & Yarvin, Inverse Problems
+# 17, 2001).
 # ---------------------------------------------------------------------------
 
 
-def _prolate_matrix(c: float, order: int) -> np.ndarray:
+def _prolate_coefficients(c: float, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and (m, m + 2) coupling of the operator in a basis of `order`."""
     if order > MAX_ORDER:
         raise ValueError(
             f"prolate basis order {order} exceeds the limit MAX_ORDER = {MAX_ORDER}"
@@ -221,18 +236,38 @@ def _prolate_matrix(c: float, order: int) -> np.ndarray:
     a_next = (m + 1.0) / np.sqrt(4.0 * (m + 1.0) ** 2 - 1.0)
     diag = m * (m + 1.0) + c * c * (a * a + a_next * a_next)
     coupling = c * c * a_next[:-2] * a_next[1:-1]
+    return diag, coupling
+
+
+def _prolate_matrix(c: float, order: int) -> np.ndarray:
+    """The full pentadiagonal matrix, whose two blocks _prolate_blocks gives."""
+    diag, coupling = _prolate_coefficients(c, order)
     return np.diag(diag) + np.diag(coupling, 2) + np.diag(coupling, -2)
 
 
-def prolate_modes(c: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest `count` eigenvalues chi_0 < chi_1 < ... of the commuting
-    operator for bandwidth c, and the normalized-Legendre coefficient rows of
-    their eigenfunctions.
+def _prolate_blocks(c: float, order: int) -> list[np.ndarray]:
+    """The even-degree and the odd-degree block, each tridiagonal, built
+    straight from the coefficient vectors."""
+    diag, coupling = _prolate_coefficients(c, order)
+    blocks = []
+    for parity in (0, 1):
+        block = np.diag(diag[parity::2])
+        off = coupling[parity::2]
+        i = np.arange(off.size)
+        block[i, i + 1] = block[i + 1, i] = off
+        blocks.append(block)
+    return blocks
+
+
+def _prolate_chi(c: float, count: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The convergence loop behind prolate_eigenvalues and prolate_modes.
 
     The basis order starts at count + 30 and doubles until the last requested
-    eigenvalue is stable under adding 10 more basis functions.  chi and the
-    rows both come from that order + 10 solve, whose order is rows.shape[1].
-    Raises ResolutionError after six orders.
+    eigenvalue is stable under adding 10 more basis functions.  Each solve is
+    numpy.linalg.eigvalsh on the two blocks, merged in ascending order.
+    Returns (chi, position, order) of the order + 10 solve: position[k] is
+    chi_k's index among the even block's ascending eigenvalues followed by the
+    odd block's.  Raises ResolutionError after six orders.
     """
     if not 0 < c < math.inf:
         raise ValueError("bandwidth c must be finite and positive")
@@ -242,24 +277,46 @@ def prolate_modes(c: float, count: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("count must be at least 1")
 
     def solve(order: int) -> tuple[np.ndarray, np.ndarray]:
-        lam, vectors = eigh(_prolate_matrix(c, order))
-        idx = np.argsort(lam)[:count]
-        return lam[idx], vectors[idx]
+        values = np.concatenate([np.linalg.eigvalsh(b) for b in _prolate_blocks(c, order)])
+        position = np.argsort(values, kind="stable")[:count]
+        return values[position], position
 
     for order in ((count + 30) * 2**k for k in range(6)):
         # The larger solve first: an order above MAX_ORDER fails before any work.
-        chi_check, rows = solve(order + 10)
+        chi_check, position = solve(order + 10)
         chi, _ = solve(order)
         scale = max(float(np.abs(chi[-1])), 1.0)
         if float(np.max(np.abs(chi - chi_check))) <= 1e-8 * scale:
-            return chi_check, rows
+            return chi_check, position, order + 10
     raise ResolutionError(f"operator eigenvalues did not stabilize by order {order}")
+
+
+def prolate_modes(c: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest `count` eigenvalues chi_0 < chi_1 < ... of the commuting
+    operator for bandwidth c, and the normalized-Legendre coefficient rows of
+    their eigenfunctions.
+
+    chi is prolate_eigenvalues(c, count), unchanged.  The rows come from eigh
+    on the same two blocks of the converged order, which is rows.shape[1]; a
+    row is zero on the degrees of the other parity.
+    """
+    chi, position, order = _prolate_chi(c, count)
+    rows = np.zeros((count, order))
+    n_even = (order + 1) // 2
+    odd = position >= n_even
+    for parity, block in enumerate(_prolate_blocks(c, order)):
+        lam, vectors = eigh(block)
+        mine = np.flatnonzero(odd == bool(parity))
+        rows[mine, parity::2] = vectors[np.argsort(lam)[position[mine] - parity * n_even]]
+    return chi, rows
 
 
 def prolate_eigenvalues(c: float, count: int) -> np.ndarray:
     """Smallest `count` eigenvalues chi_0 < chi_1 < ... of the commuting
-    operator for bandwidth c, as resolved by prolate_modes."""
-    return prolate_modes(c, count)[0]
+    operator for bandwidth c, from eigvalsh on its even and odd blocks at the
+    basis order that _prolate_chi resolves.  Raises ResolutionError if none
+    does."""
+    return _prolate_chi(c, count)[0]
 
 
 def legendre_series(coefficients, x) -> np.ndarray:

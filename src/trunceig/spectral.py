@@ -3,8 +3,20 @@
 A symmetric kernel K(x, y) on [a, b] is sampled on a Gauss-Legendre grid and
 scaled into the symmetric matrix sqrt(w_i) K(x_i, x_j) sqrt(w_j), whose
 eigenpairs approximate the eigenvalues and (weighted) eigenfunction samples of
-the integral operator.  The eigensolve is LAPACK's symmetric driver, called
-through numpy.linalg.eigh.
+the integral operator.  operator_matrix builds that matrix with the row
+defect below on its diagonal, and two routes solve it with LAPACK's symmetric
+driver:
+
+- spectral_eigenvalues calls numpy.linalg.eigvalsh and returns the kept
+  eigenvalues only.  The truncation rules read nothing else, so the CLI
+  takes this route.
+- spectral_system calls numpy.linalg.eigh and keeps the eigenfunction
+  samples too, for project and reconstruct.
+
+Both order the eigenvalues by non-increasing magnitude and drop the same
+modes (DROP_TOL).  eigvalsh and eigh use different LAPACK algorithms, so
+their eigenvalues agree to a few units of round-off in lambda_1, not bit for
+bit.
 
 Kernels are array-valued: K(X, Y) takes broadcastable node arrays and returns
 the samples at every (X, Y) pair; a scalar return is broadcast.
@@ -37,9 +49,11 @@ __all__ = [
     "SpectralSystem",
     "gauss_legendre",
     "nystrom_matrix",
+    "operator_matrix",
     "eigh",
     "row_defect",
     "spectral_system",
+    "spectral_eigenvalues",
     "project",
     "reconstruct",
 ]
@@ -62,9 +76,9 @@ DEFECT_RTOL = 1e-12
 # Nystrom matrix) and the prolate basis order in kernels.  Both are checked
 # before anything of that size is allocated.  At the limit, on a 2-core x86-64
 # VM with 1 BLAS thread, `trunceig spectrum --kernel sinc:c=10 --n-nodes 2048`
-# takes 2.3-2.4 s at 200 MB peak RSS, and `trunceig stability --constraint
-# prolate:c=1 --n-modes 2008` (basis order 2038, checked at 2048) takes
-# 4.8-5.0 s at 229 MB.
+# takes 1.4-1.7 s at 102 MB peak RSS, and `trunceig stability --constraint
+# prolate:c=1 --n-modes 2008` (basis order 2038, checked at 2048, as two
+# blocks of about half that order) takes 0.6 s at 53-54 MB.
 MAX_ORDER = 2048
 
 
@@ -191,8 +205,43 @@ def nystrom_matrix(kernel, grid: QuadratureGrid) -> SymmetricOperatorMatrix:
             f"kernel evaluation is non-finite at node pair ({bad[0]}, {bad[1]})"
         )
     root_w = np.sqrt(grid.weights)
-    scaled = root_w[:, None] * samples * root_w[None, :]
-    return SymmetricOperatorMatrix(0.5 * (scaled + scaled.T))
+    matrix = root_w[:, None] * samples
+    matrix *= root_w
+    # The kernel's array may be its own (a cache): it is only read, and
+    # dropped here so that it is freed before the transposed copy below.
+    del samples
+    matrix += matrix.T
+    matrix *= 0.5
+    return SymmetricOperatorMatrix(matrix)
+
+
+def operator_matrix(kernel, grid: QuadratureGrid) -> np.ndarray:
+    """The matrix both eigensolves run on: W^1/2 K W^1/2 + diag(d).
+
+    That is nystrom_matrix's array with the row defects of row_defect added
+    to its diagonal, which keeps it exactly symmetric.
+    """
+    matrix = nystrom_matrix(kernel, grid).entries
+    matrix[np.diag_indices(grid.size)] += row_defect(kernel, grid, matrix)
+    return matrix
+
+
+def _check_finite(m: np.ndarray) -> None:
+    """Raise NumericDomainError naming the first non-finite entry of m."""
+    if not np.all(np.isfinite(m)):
+        bad = np.argwhere(~np.isfinite(m))[0]
+        raise NumericDomainError(f"non-finite matrix entry at ({bad[0]}, {bad[1]})")
+
+
+def _magnitude_order(lam: np.ndarray) -> np.ndarray:
+    """Indices that order eigenvalues by non-increasing magnitude, stable under ties."""
+    return np.argsort(-np.abs(lam), kind="stable")
+
+
+def _kept(lam: np.ndarray) -> np.ndarray:
+    """Mask of the modes kept from eigenvalues in magnitude order: those above
+    DROP_TOL * |lambda_1|, so none when every eigenvalue is zero."""
+    return np.abs(lam) > DROP_TOL * np.abs(lam[0])
 
 
 def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,11 +257,9 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("eigh needs a square matrix")
-    if not np.all(np.isfinite(m)):
-        bad = np.argwhere(~np.isfinite(m))[0]
-        raise NumericDomainError(f"non-finite matrix entry at ({bad[0]}, {bad[1]})")
+    _check_finite(m)
     lam, v = np.linalg.eigh(m)
-    order = np.argsort(-np.abs(lam), kind="stable")
+    order = _magnitude_order(lam)
     lam = lam[order]
     vectors = v[:, order].T.copy()
     if vectors.size:
@@ -297,16 +344,10 @@ def spectral_system(kernel, grid: QuadratureGrid) -> SpectralSystem:
     at round-off for kernels smooth across it.  Tabulated kernels, which
     cannot be evaluated between their nodes, get no correction.
     """
-    matrix = nystrom_matrix(kernel, grid).entries
-    matrix[np.diag_indices(grid.size)] += row_defect(kernel, grid, matrix)
-    lam, vectors = eigh(matrix)
-    if lam.size == 0 or np.max(np.abs(lam)) == 0.0:
-        return SpectralSystem(grid, np.zeros(0), np.zeros((0, grid.size)),
-                              negative_count=0, discarded=grid.size)
-    keep = np.abs(lam) > DROP_TOL * np.abs(lam[0])
+    lam, vectors = eigh(operator_matrix(kernel, grid))
+    keep = _kept(lam)
     kept_lam = lam[keep]
-    kept_vec = vectors[keep]
-    psi = kept_vec / np.sqrt(grid.weights)[None, :]
+    psi = vectors[keep] / np.sqrt(grid.weights)[None, :]
     return SpectralSystem(
         grid,
         kept_lam,
@@ -314,6 +355,22 @@ def spectral_system(kernel, grid: QuadratureGrid) -> SpectralSystem:
         negative_count=int(np.sum(kept_lam <= 0)),
         discarded=int(np.sum(~keep)),
     )
+
+
+def spectral_eigenvalues(kernel, grid: QuadratureGrid) -> np.ndarray:
+    """The eigenvalues spectral_system keeps, without its eigenfunctions.
+
+    numpy.linalg.eigvalsh on operator_matrix, then spectral_system's
+    magnitude order and DROP_TOL filter.  No eigenvector is formed, so the
+    solve is faster and holds one n x n array less.  The values agree with
+    spectral_system(kernel, grid).eigenvalues to a few units of round-off in
+    lambda_1.
+    """
+    matrix = operator_matrix(kernel, grid)
+    _check_finite(matrix)
+    lam = np.linalg.eigvalsh(matrix)
+    lam = lam[_magnitude_order(lam)]
+    return lam[_kept(lam)]
 
 
 def project(system: SpectralSystem, f_samples) -> np.ndarray:

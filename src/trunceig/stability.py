@@ -282,7 +282,7 @@ class StabilityReport:
     eps: float
     E: float
     bound: float
-    exact_sup: float | None
+    exact_sup: float
     condition_ok: bool
     first_violation: int | None
 

@@ -387,6 +387,20 @@ def test_config_values_match_their_flags(tmp_path, capsys, config, flags):
     assert capsys.readouterr() == from_config
 
 
+@pytest.mark.parametrize("value", ["false", "true", 0, None, [False]],
+                         ids=["string-false", "string-true", "zero", "null", "list"])
+def test_config_tight_must_be_a_json_boolean(tmp_path, capsys, value):
+    # --tight's action applies no type=, so the string "false" used to count
+    # as true and simulate applied the tight rescaling.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"tight": value, "f_coeffs": "0.1"}))
+    assert main(["simulate", "--n-modes", "3", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: config value 'tight' must be true or false, "
+                            f"got {json.dumps(value)}\n")
+
+
 @pytest.mark.parametrize("kernel, err", [
     ("sinc:c=inf", BANDWIDTH_ERROR),
     ("sinc:c=nan", BANDWIDTH_ERROR),
@@ -395,11 +409,15 @@ def test_config_values_match_their_flags(tmp_path, capsys, config, flags):
     ("sinc:c=1e308", "error: bandwidth c = 1e+308 is too large for [-1, 1]: c*(b - a) overflows\n"),
     ("sinc:c=10,a=-1e308,b=1e308",
      "error: sinc interval [-1e+308, 1e+308] is too long: b - a overflows\n"),
-], ids=["c-inf", "c-nan", "a-minus-inf", "b-inf", "c-length-overflow", "length-overflow"])
+    ("sinc:c=1e-300,a=-1e308,b=1e307",
+     "error: sinc interval [-1e+308, 1e+307] is too long: pi*(b - a) overflows\n"),
+], ids=["c-inf", "c-nan", "a-minus-inf", "b-inf", "c-length-overflow", "length-overflow",
+        "pi-length-overflow"])
 @pytest.mark.filterwarnings("error")
 def test_non_finite_sinc_parameter_exits_2(capsys, kernel, err):
     # c = inf used to leak a numpy RuntimeWarning and blame node pair (0, 0);
-    # a finite c or interval whose c*(b - a) or b - a overflows did the same.
+    # a finite c or interval whose c*(b - a) or b - a overflows did the same,
+    # and one whose pi*(b - a) overflows warned and exited 0.
     assert main(["spectrum", "--kernel", kernel]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

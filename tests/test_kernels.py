@@ -155,18 +155,51 @@ def test_prolate_modes_are_orthonormal():
 
 @pytest.mark.parametrize("c, count, orders", [(1.0, 6, 1), (50.0, 5, 2), (200.0, 5, 3)])
 def test_prolate_modes_solve_twice_per_order_tried(monkeypatch, c, count, orders):
-    calls = []
+    # Each order tried is solved at order + 10 and at order, eigenvalues only,
+    # as an even and an odd block of half the order; the rows come from one
+    # eigh per block at the converged order + 10.
+    values_calls, vector_calls = [], []
+
+    def counting_eigvalsh(m):
+        values_calls.append(m.shape[0])
+        return eigvalsh(m)
 
     def counting_eigh(m):
-        calls.append(m.shape[0])
+        vector_calls.append(m.shape[0])
         return eigh(m)
 
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     monkeypatch.setattr(kernels, "eigh", counting_eigh)
     chi, rows = prolate_modes(c, count)
     tried = [(count + 30) * 2**k for k in range(orders)]
-    assert calls == [size for order in tried for size in (order + 10, order)]
+
+    def halves(n):
+        return [(n + 1) // 2, n // 2]
+
+    assert values_calls == [h for order in tried for n in (order + 10, order) for h in halves(n)]
+    assert vector_calls == halves(tried[-1] + 10)
     assert rows.shape == (count, tried[-1] + 10)
     assert chi.shape == (count,)
+
+
+def _dense_prolate(c, order):
+    # The operator's full Galerkin matrix, built independently of kernels:
+    # m(m+1) on the diagonal plus c^2 times the leading block of J^2, where J
+    # is multiplication by x on one more Legendre degree than the basis.
+    m = np.arange(order + 1, dtype=float)
+    a = m[1:] / np.sqrt(4.0 * m[1:] ** 2 - 1.0)
+    jacobi = np.diag(a, 1) + np.diag(a, -1)
+    return np.diag(m[:-1] * (m[:-1] + 1.0)) + c * c * (jacobi @ jacobi)[:order, :order]
+
+
+@pytest.mark.parametrize("count", [1, 5, 40, 500])
+@pytest.mark.parametrize("c", [1.0, 10.0, 100.0])
+def test_prolate_eigenvalues_match_dense_full_matrix(c, count):
+    chi = prolate_eigenvalues(c, count)
+    order = prolate_modes(c, count)[1].shape[1]
+    reference = np.linalg.eigvalsh(_dense_prolate(c, order))[:count]
+    assert np.all(np.abs(chi - reference) <= 1e-13 * reference)
 
 
 @pytest.mark.parametrize("c, count", [(1.0, 6), (10.0, 30), (50.0, 5)])

@@ -1,6 +1,7 @@
 """Quadrature, Nystrom discretization, and the eigensolver."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from trunceig import (
     project,
     reconstruct,
     row_defect,
+    spectral_eigenvalues,
     spectral_system,
     triangular_eigensystem,
     triangular_kernel,
@@ -129,6 +131,17 @@ def test_nystrom_matrix_calls_kernel_once_on_broadcast_nodes():
 
     nystrom_matrix(recording, g)
     assert shapes == [((7, 1), (1, 7))]
+
+
+def test_nystrom_matrix_leaves_the_kernels_array_unchanged():
+    # A kernel may hand back an array it keeps, such as a cached table.
+    g = gauss_legendre(9, 0.0, 1.0)
+    cached = triangular_kernel(g.nodes[:, None], g.nodes[None, :]) + 0.25
+    before = cached.copy()
+    m = nystrom_matrix(lambda x, y: cached, g).entries
+    assert np.array_equal(cached, before)
+    rw = np.sqrt(g.weights)
+    assert np.array_equal(m, 0.5 * (rw[:, None] * cached * rw + (rw[:, None] * cached * rw).T))
 
 
 def test_eigh_two_by_two_closed_form():
@@ -308,3 +321,43 @@ def test_project_reconstruct_round_trip(tri_sys_256):
         reconstruct(sys, coeffs, sys.n_modes + 1)
     with pytest.raises(ValueError):
         project(sys, samples[:-1])
+
+
+def _table_40():
+    g = gauss_legendre(40, 0.0, 1.0)
+    return TabulatedKernel(g, triangular_kernel(g.nodes[:, None], g.nodes[None, :])), g
+
+
+@pytest.mark.parametrize("kernel, grid", [
+    (triangular_kernel, gauss_legendre(256, 0.0, 1.0)),
+    (SincKernel(10.0), gauss_legendre(400, -1.0, 1.0)),
+    (SincKernel(1.0), gauss_legendre(200, -1.0, 1.0)),
+    _table_40(),
+    (lambda x, y: 1.0, gauss_legendre(20, 0.0, 1.0)),
+], ids=["triangular-256", "sinc-10-400", "sinc-1-200", "tabulated-40", "constant-20"])
+def test_spectral_eigenvalues_match_spectral_system(kernel, grid):
+    # eigvalsh and eigh run different LAPACK algorithms on the same matrix:
+    # the values agree to round-off in lambda_1, and the same modes are kept.
+    system = spectral_system(kernel, grid)
+    lam = spectral_eigenvalues(kernel, grid)
+    assert lam.shape == system.eigenvalues.shape
+    assert np.max(np.abs(lam - system.eigenvalues)) <= 4e-15 * abs(system.eigenvalues[0])
+    assert np.all(np.diff(np.abs(lam)) <= 0)
+
+
+@pytest.mark.parametrize("kernel, a", [(SincKernel(10.0), -1.0), (triangular_kernel, 0.0)],
+                         ids=["sinc", "triangular"])
+def test_spectral_eigenvalues_peak_memory(kernel, a):
+    # The Nystrom build holds the kernel's samples and one scaled copy, and
+    # eigvalsh one more copy for LAPACK: about 2 n^2 doubles at the peak,
+    # where the eigh route of spectral_system holds about 4.5 n^2.
+    n = 400
+    grid = gauss_legendre(n, a, 1.0)
+    spectral_eigenvalues(kernel, grid)  # first-call set-up is not counted
+    tracemalloc.start()
+    try:
+        spectral_eigenvalues(kernel, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * n * 8
