@@ -72,24 +72,20 @@ def _system(spec, args) -> np.ndarray:
     """Kept eigenvalues of a parsed kernel, by non-increasing magnitude: a
     tabulated kernel on its own grid, any other on --n-nodes Gauss-Legendre
     nodes.  No command reads an eigenfunction, so none is computed."""
-    if spec.kind == "tabulated":
-        grid = spec.table.grid
-    else:
-        grid = spectral.gauss_legendre(int(args.n_nodes), spec.a, spec.b)
-    return spectral.spectral_eigenvalues(spec.kernel(), grid)
+    grid = spec.grid or spectral.gauss_legendre(int(args.n_nodes), spec.a, spec.b)
+    return spectral.spectral_eigenvalues(spec.kernel, grid)
 
 
 def _eigen_sequence(args) -> np.ndarray:
     """Eigenvalue sequence for rule-based commands.
 
-    The triangular kernel uses its closed-form eigenvalues 1/(k pi)^2 over
+    A kernel with closed-form eigenvalues (the triangular one) uses them over
     --n-modes modes; other kernels are discretized by _system and keep their
     retained positive eigenvalues.
     """
     spec = kernels.parse_kernel(args.kernel)
-    if spec.kind == "triangular":
-        k = np.arange(1, int(args.n_modes) + 1, dtype=float)
-        return 1.0 / (k * math.pi) ** 2
+    if spec.analytic_eigenvalue is not None:
+        return spec.analytic_eigenvalue(np.arange(1, int(args.n_modes) + 1, dtype=float))
     lam = _system(spec, args)
     lam = lam[lam > 0]
     if lam.size == 0:
@@ -105,14 +101,13 @@ def cmd_spectrum(args) -> int:
     count = eigenvalues.size
     if args.n_modes is not None:
         count = min(count, int(args.n_modes))
-    rows = []
-    for k in range(1, count + 1):
-        lam = float(eigenvalues[k - 1])
+    k = np.arange(1, count + 1)
+    lam = eigenvalues[:count]
+    if spec.analytic_eigenvalue is None:
+        rows = zip(k, lam, [None] * count, [None] * count)
+    else:
         analytic = spec.analytic_eigenvalue(k)
-        if analytic is None:
-            rows.append((k, lam, None, None))
-        else:
-            rows.append((k, lam, analytic, abs(lam - analytic) / analytic))
+        rows = zip(k, lam, analytic, np.abs(lam - analytic) / analytic)
     _write(args.output, _csv(rows, "k,lambda,lambda_analytic,rel_err"))
     return 0
 

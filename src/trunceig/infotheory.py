@@ -128,7 +128,11 @@ def information_flow_comparison(eigenvalues, beta, eps: float, E: float) -> Flow
     def bits(cut: int) -> float:
         if cut == 0:
             return 0.0
-        return float(np.sum(np.log2(E * lam[:cut] / eps)))
+        with np.errstate(over="ignore"):
+            total = float(np.sum(np.log2(E * lam[:cut] / eps)))
+        if not math.isfinite(total):
+            raise ValueError(f"bit count over {cut} modes is not finite at eps = {eps:g}, E = {E:g}")
+        return total
 
     b1 = bits(k1)
     b2 = bits(k2)

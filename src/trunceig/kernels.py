@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -115,36 +116,25 @@ class TabulatedKernel:
         return self.samples[self._locate(x), self._locate(y)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelSpec:
-    """Parsed kernel description: which kernel, on which interval."""
+    """Parsed kernel: the callable on [a, b], a tabulated kernel's own grid, and
+    the closed-form eigenvalues k -> lambda_k (vectorized, k >= 1) where known."""
 
-    kind: str
-    c: float | None = None
-    a: float = 0.0
-    b: float = 1.0
-    table: TabulatedKernel | None = None
-
-    def kernel(self):
-        if self.kind == "triangular":
-            return triangular_kernel
-        if self.kind == "sinc":
-            return SincKernel(self.c)
-        return self.table
-
-    def analytic_eigenvalue(self, k: int) -> float | None:
-        """Closed-form eigenvalue where one is known (triangular only)."""
-        if self.kind == "triangular":
-            return triangular_eigensystem(k)[0]
-        return None
+    kernel: Callable
+    a: float
+    b: float
+    grid: QuadratureGrid | None = None
+    analytic_eigenvalue: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def _parse_params(text: str, what: str, required=(), optional=()) -> dict[str, float]:
     """Float parameters from the 'key=value,...' tail of a 'head:...' string.
 
     The one grammar behind kernel, constraint and p-function strings: every
-    key in `required` must appear, and no key outside `required` and
-    `optional` is accepted.  `what` names the head in error messages.
+    key in `required` must appear, no key outside `required` and `optional`
+    is accepted, and no key may appear twice.  `what` names the head in
+    error messages.
     """
     params = {}
     for chunk in text.split(","):
@@ -156,6 +146,8 @@ def _parse_params(text: str, what: str, required=(), optional=()) -> dict[str, f
             raise ValueError(f"malformed {what} parameter {chunk!r}")
         if key not in required and key not in optional:
             raise ValueError(f"unknown {what} parameter {key!r}")
+        if key in params:
+            raise ValueError(f"repeated {what} parameter {key!r}")
         try:
             params[key] = float(value)
         except ValueError as exc:
@@ -173,14 +165,14 @@ def parse_kernel(text: str) -> KernelSpec:
     if head == "triangular":
         if rest:
             raise ValueError("triangular kernel takes no parameters")
-        return KernelSpec("triangular", a=0.0, b=1.0)
+        return KernelSpec(triangular_kernel, 0.0, 1.0,
+                          analytic_eigenvalue=lambda k: 1.0 / (k * math.pi) ** 2)
     if head == "sinc":
         params = _parse_params(rest, "sinc kernel", required=("c",), optional=("a", "b"))
         c = params["c"]
+        kernel = SincKernel(c)  # checks c
         a = params.get("a", -1.0)
         b = params.get("b", 1.0)
-        if not 0 < c < math.inf:
-            raise ValueError("bandwidth c must be finite and positive")
         if not -math.inf < a < b < math.inf:
             raise ValueError("sinc interval must satisfy finite a < b")
         if not math.isfinite(b - a):
@@ -190,7 +182,7 @@ def parse_kernel(text: str) -> KernelSpec:
         if not math.isfinite(c * (b - a)):
             raise ValueError(f"bandwidth c = {c:g} is too large for [{a:g}, {b:g}]: "
                              "c*(b - a) overflows")
-        return KernelSpec("sinc", c=c, a=a, b=b)
+        return KernelSpec(kernel, a, b)
     if head == "tabulated":
         if not rest:
             raise ValueError("tabulated kernel requires a file path")
@@ -202,8 +194,8 @@ def parse_kernel(text: str) -> KernelSpec:
             np.asarray(raw["nodes"], dtype=float),
             np.asarray(raw["weights"], dtype=float),
         )
-        table = TabulatedKernel(grid, np.asarray(raw["samples"], dtype=float))
-        return KernelSpec("tabulated", a=grid.a, b=grid.b, table=table)
+        kernel = TabulatedKernel(grid, np.asarray(raw["samples"], dtype=float))
+        return KernelSpec(kernel, grid.a, grid.b, grid=grid)
     raise ValueError(f"unknown kernel {head!r}")
 
 

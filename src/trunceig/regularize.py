@@ -78,7 +78,12 @@ def parse_constraint(text: str, count: int) -> np.ndarray:
         p, scale = params["p"], params.get("scale", 1.0)
         if not (-math.inf < p < math.inf and 0 < scale < math.inf):
             raise ValueError("power constraint needs a finite p and a finite scale > 0")
-        return scale * k**p
+        with np.errstate(over="ignore"):
+            beta = scale * k**p
+        if not np.all(np.isfinite(beta) & (beta > 0)):
+            raise ValueError(f"power constraint p = {p:g}, scale = {scale:g} gives weights "
+                             f"scale*k^p that are not finite and positive for k <= {count}")
+        return beta
     if head not in ("prolate", "sinc_log"):
         raise ValueError(f"unknown constraint {head!r}")
     c = _parse_params(rest, what, required=("c",))["c"]
@@ -120,6 +125,17 @@ def _weights(beta, size: int, count: int | None = None) -> np.ndarray:
     if betas is None or betas.shape != (size,) or not np.all(np.isfinite(betas) & (betas > 0)):
         raise ValueError("need one finite, positive constraint weight per eigenvalue")
     return betas[:count]
+
+
+def _square(x: float, eps: float, E: float, what: str) -> float:
+    """x**2 if it is a finite, normal double; otherwise a ValueError naming eps and E."""
+    try:
+        square = x**2
+    except OverflowError:
+        square = math.inf
+    if not np.finfo(float).tiny <= square < math.inf:
+        raise ValueError(f"{what} is not a finite, normal double at eps = {eps:g}, E = {E:g}")
+    return square
 
 
 def truncation_identity(eigenvalues, eps: float, E: float) -> int:
@@ -175,12 +191,13 @@ class ProblemInstance:
             setattr(self, name, arr)
         if not (0 <= self.eps < math.inf and 0 < self.E < math.inf):
             raise ValueError("need finite eps >= 0 and E > 0")
+        E_sq = _square(self.E, self.eps, self.E, "E^2")
         # noise = g_noisy - lambda f is known only to the rounding of g_noisy.
         rounding = np.finfo(float).eps * float(np.linalg.norm(self.g_noisy))
         if float(np.linalg.norm(self.noise)) > self.eps * (1.0 + 1e-9) + rounding:
             raise ValueError("noise norm exceeds its stated bound eps")
         budget = float(np.sum(self.betas**2 * self.f_true**2))
-        if budget > self.E**2 * (1.0 + 1e-9):
+        if budget > E_sq * (1.0 + 1e-9):
             raise ValueError("constraint budget exceeded: sum beta^2 f^2 > E^2")
 
     @property
@@ -317,6 +334,7 @@ def synthesize_problem(
     m = lam.size
     if not (0 <= eps < math.inf and 0 < E < math.inf):
         raise ValueError("need finite eps >= 0 and E > 0")
+    E_sq = _square(E, eps, E, "E^2")
     if (f_coeffs is None) == (f_decay is None):
         raise ValueError("give exactly one of f_coeffs or f_decay")
     if f_coeffs is not None:
@@ -340,7 +358,7 @@ def synthesize_problem(
                 "cannot meet the constraint budget with equality: f is zero"
             )
         f = f * (E / math.sqrt(budget))
-    elif budget > E**2:
+    elif budget > E_sq:
         f = f * (E / math.sqrt(budget))
 
     g_noisy = lam * f + make_noise(seed, eps, noise_mode, lam, k_noise)

@@ -261,10 +261,12 @@ def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lam, v = np.linalg.eigh(m)
     order = _magnitude_order(lam)
     lam = lam[order]
-    vectors = v[:, order].T.copy()
+    vectors = v.T[order]  # one new C-ordered array of the sorted rows
+    del v
     if vectors.size:
         mags = np.abs(vectors)
         anchor = np.argmax(mags > 1e-12 * mags.max(axis=1, keepdims=True), axis=1)
+        del mags  # freed before the sign flip copies the rows it selects
         vectors[vectors[np.arange(anchor.size), anchor] < 0] *= -1.0
     return lam, vectors
 
@@ -347,7 +349,8 @@ def spectral_system(kernel, grid: QuadratureGrid) -> SpectralSystem:
     lam, vectors = eigh(operator_matrix(kernel, grid))
     keep = _kept(lam)
     kept_lam = lam[keep]
-    psi = vectors[keep] / np.sqrt(grid.weights)[None, :]
+    psi = vectors[keep]
+    psi /= np.sqrt(grid.weights)
     return SpectralSystem(
         grid,
         kept_lam,

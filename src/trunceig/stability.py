@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .kernels import _parse_params
-from .regularize import _validate_eigenvalues, _weights
+from .regularize import _square, _validate_eigenvalues, _weights
 
 __all__ = [
     "PFunction",
@@ -41,51 +42,75 @@ __all__ = [
 EXPLOG_R_MAX = 2.0 / 3.0
 
 
+@dataclass(frozen=True)
 class PFunction:
-    """A comparison function r -> p(r) used by the stability machinery."""
+    """A comparison function: a vectorized p, called on r != 0 only, and its
+    inverse for one s > 0, which raises ValueError outside the range it inverts."""
 
-    def __init__(self, kind: str, *, gamma: float = 0.0, rs=None, ps=None):
-        self.kind = kind
-        self.gamma = float(gamma)
-        self.rs = None if rs is None else np.asarray(rs, dtype=float)
-        self.ps = None if ps is None else np.asarray(ps, dtype=float)
-        if kind == "power" and not 0 < self.gamma < 1:
-            raise ValueError("power preset needs 0 < gamma < 1")
-        if kind == "custom":
-            if self.rs is None or self.ps is None:
-                raise ValueError("custom preset needs tabulated rs and ps")
-            if self.rs.ndim != 1 or self.rs.shape != self.ps.shape or self.rs.size < 3:
-                raise ValueError("custom tables need matching shapes, length >= 3")
-            if np.any(np.diff(self.rs) <= 0) or np.any(np.diff(self.ps) <= 0):
-                raise ValueError("custom tables must be strictly increasing")
-            if np.any(self.rs <= 0) or np.any(self.ps <= 0):
-                raise ValueError("custom tables must be positive")
-            ratio = self.ps / self.rs
-            if np.any(np.diff(ratio) < -1e-12 * np.max(ratio)):
-                raise ValueError("custom table violates p(r)/r increasing")
-            if self.rs.size >= 3:
-                second = np.diff(np.diff(self.ps) / np.diff(self.rs))
-                if np.any(second < -1e-12 * np.max(np.abs(self.ps))):
-                    raise ValueError("custom table is not convex")
+    p: Callable[[np.ndarray], np.ndarray]
+    inverse: Callable[[float], float]
 
     @classmethod
     def power(cls, gamma: float) -> "PFunction":
         """p(r) = r^(1/gamma); inverse s^gamma (Holder regime)."""
-        return cls("power", gamma=gamma)
+        gamma = float(gamma)
+        if not 0 < gamma < 1:
+            raise ValueError("power preset needs 0 < gamma < 1")
+        return cls(lambda r: r ** (1.0 / gamma), lambda s: s**gamma)
 
     @classmethod
     def explog(cls) -> "PFunction":
-        """p(r) = 4 r exp(-2/r) (logarithmic regime), convex on (0, 2/3]."""
-        return cls("explog")
+        """p(r) = 4 r exp(-2/r) (logarithmic regime), convex on (0, 2/3]; the
+        inverse bisects there to double precision and refuses s above p(2/3)."""
+
+        def p(r):
+            return 4.0 * r * np.exp(-2.0 / r)
+
+        def inverse(s):
+            cap = p(EXPLOG_R_MAX)
+            if s > cap:
+                raise ValueError(f"s={s:g} above the invertible range (p(2/3) = {cap:.6g})")
+            lo, hi = 0.0, EXPLOG_R_MAX
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break
+                if p(mid) < s:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+
+        return cls(p, inverse)
 
     @classmethod
     def custom(cls, rs, ps) -> "PFunction":
-        return cls("custom", rs=rs, ps=ps)
+        rs = np.asarray(rs, dtype=float)
+        ps = np.asarray(ps, dtype=float)
+        if rs.ndim != 1 or rs.shape != ps.shape or rs.size < 3:
+            raise ValueError("custom tables need matching shapes, length >= 3")
+        if np.any(np.diff(rs) <= 0) or np.any(np.diff(ps) <= 0):
+            raise ValueError("custom tables must be strictly increasing")
+        if np.any(rs <= 0) or np.any(ps <= 0):
+            raise ValueError("custom tables must be positive")
+        ratio = ps / rs
+        if np.any(np.diff(ratio) < -1e-12 * np.max(ratio)):
+            raise ValueError("custom table violates p(r)/r increasing")
+        second = np.diff(np.diff(ps) / np.diff(rs))
+        if np.any(second < -1e-12 * np.max(np.abs(ps))):
+            raise ValueError("custom table is not convex")
 
-    def describe(self) -> str:
-        if self.kind == "power":
-            return f"power:gamma={self.gamma:g}"
-        return self.kind
+        def p(r):
+            if not np.all((rs[0] <= r) & (r <= rs[-1])):
+                raise ValueError("r outside the tabulated range")
+            return np.interp(r, rs, ps)
+
+        def inverse(s):
+            if not ps[0] <= s <= ps[-1]:
+                raise ValueError("s outside the tabulated range")
+            return float(np.interp(s, ps, rs))
+
+        return cls(p, inverse)
 
 
 def parse_pfunction(text: str) -> PFunction:
@@ -102,60 +127,21 @@ def parse_pfunction(text: str) -> PFunction:
 
 
 def p_eval(p: PFunction, r):
-    """p(r) for a scalar r (a Python float) or elementwise for an array r."""
+    """p(r), with p(0) = 0, for a scalar r (a Python float) or elementwise for an array r."""
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("p is defined for r >= 0")
-    zero = r == 0
-    if p.kind == "power":
-        out = r ** (1.0 / p.gamma)
-    elif p.kind == "explog":
-        safe = np.where(zero, 1.0, r)
-        out = 4.0 * safe * np.exp(-2.0 / safe)
-    elif p.kind == "custom":
-        if np.any(~zero & ~((p.rs[0] <= r) & (r <= p.rs[-1]))):
-            raise ValueError("r outside the tabulated range")
-        out = np.interp(r, p.rs, p.ps)
-    else:
-        raise ValueError(f"unknown p function {p.kind!r}")
-    out = np.where(zero, 0.0, out)
+    out = np.zeros_like(r)
+    nonzero = r != 0
+    out[nonzero] = p.p(r[nonzero])
     return float(out) if out.ndim == 0 else out
 
 
 def p_inverse(p: PFunction, s: float) -> float:
-    """Solve p(r) = s for r.
-
-    The power preset inverts in closed form.  The exp-log preset bisects on
-    (0, 2/3], exhausting double precision, and refuses s above p(2/3) where
-    convexity is lost.  Custom tables invert by linear interpolation.
-    """
+    """Solve p(r) = s for r; p.inverse does so for s > 0."""
     if s < 0:
         raise ValueError("p takes non-negative values")
-    if s == 0.0:
-        return 0.0
-    if p.kind == "power":
-        return s**p.gamma
-    if p.kind == "explog":
-        cap = p_eval(p, EXPLOG_R_MAX)
-        if s > cap:
-            raise ValueError(
-                f"s={s:g} above the invertible range (p(2/3) = {cap:.6g})"
-            )
-        lo, hi = 0.0, EXPLOG_R_MAX
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if p_eval(p, mid) < s:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-    if p.kind == "custom":
-        if not p.ps[0] <= s <= p.ps[-1]:
-            raise ValueError("s outside the tabulated range")
-        return float(np.interp(s, p.ps, p.rs))
-    raise ValueError(f"unknown p function {p.kind!r}")
+    return 0.0 if s == 0.0 else p.inverse(s)
 
 
 def check_condition(eigenvalues, beta, p: PFunction, K: int) -> tuple[bool, int | None]:
@@ -178,7 +164,7 @@ def stability_bound(eps: float, E: float, p: PFunction) -> float:
     """Jensen-style cap E sqrt(p^{-1}(eps^2 / E^2)) on the worst-case norm."""
     if not (0 < eps < math.inf and 0 < E < math.inf):
         raise ValueError("need finite eps > 0 and E > 0")
-    return E * math.sqrt(p_inverse(p, (eps / E) ** 2))
+    return E * math.sqrt(p_inverse(p, _square(eps / E, eps, E, "(eps/E)^2")))
 
 
 def stability_sup_exact(eigenvalues, beta, eps: float, E: float, K: int | None = None) -> float:

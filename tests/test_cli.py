@@ -233,15 +233,43 @@ def test_solve_rejects_non_finite_instance(tmp_path, capsys, field):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("argv", [
-    ["truncate", "--eps-grid", "nan,1e-3"],
-    ["entropy", "--E", "nan"],
-    ["stability", "--eps-grid", "nan,1e-2,1e-3,1e-4,1e-5"],
-    ["stability", "--E", "inf"],
-], ids=["truncate-nan-eps", "entropy-nan-E", "stability-nan-eps", "stability-inf-E"])
-def test_non_finite_eps_or_E_exits_2(capsys, argv):
+FINITE_ERROR = "error: need finite eps > 0 and E > 0\n"
+
+
+def _range_error(what, eps, E):
+    return f"error: {what} is not a finite, normal double at eps = {eps}, E = {E}\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["truncate", "--eps-grid", "nan,1e-3"], "error: expected finite numbers\n"),
+    (["entropy", "--E", "nan"], FINITE_ERROR),
+    (["stability", "--eps-grid", "nan,1e-2,1e-3,1e-4,1e-5"], "error: expected finite numbers\n"),
+    (["stability", "--E", "inf"], FINITE_ERROR),
+    (["stability", "--constraint", "derivative", "--E", "1e-300", "--n-modes", "10"],
+     _range_error("(eps/E)^2", "0.01", "1e-300")),
+    (["sweep", "--constraint", "derivative", "--E", "1e-300", "--n-modes", "10"],
+     _range_error("E^2", "0.01", "1e-300")),
+    (["simulate", "--constraint", "derivative", "--E", "1e300", "--n-modes", "10"],
+     _range_error("E^2", "0.001", "1e+300")),
+    (["simulate", "--constraint", "derivative", "--E", "1e300", "--n-modes", "10", "--no-tight"],
+     _range_error("E^2", "0.001", "1e+300")),
+    (["stability", "--constraint", "derivative", "--E", "1e308", "--n-modes", "10"],
+     _range_error("(eps/E)^2", "0.01", "1e+308")),
+    (["entropy", "--constraint", "derivative", "--E", "1e308"],
+     "error: bit count over 100 modes is not finite at eps = 0.01, E = 1e+308\n"),
+    (["sweep", "--constraint", "derivative", "--E", "1e308", "--n-modes", "10"],
+     _range_error("E^2", "0.01", "1e+308")),
+], ids=["truncate-nan-eps", "entropy-nan-E", "stability-nan-eps", "stability-inf-E",
+        "stability-E-1e-300", "sweep-E-1e-300", "simulate-E-1e300", "simulate-no-tight-E-1e300",
+        "stability-E-1e308", "entropy-E-1e308", "sweep-E-1e308"])
+@pytest.mark.filterwarnings("error")
+def test_non_finite_eps_or_E_exits_2(capsys, argv, err):
+    # Beyond finiteness, (eps/E)^2 and E^2 must be normal doubles and every
+    # bit count finite: an overflow or underflow there exits 2 with one line.
     assert main(argv) == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
 
 
 @pytest.mark.parametrize("argv", [
@@ -306,9 +334,26 @@ OVERFLOW_ERROR = "error: bandwidth c = 1e+308 is too large: c^2 overflows\n"
     (["truncate", "--constraint", "prolate:c=inf"], BANDWIDTH_ERROR),
     (["truncate", "--constraint", "sinc_log:c=1e308", "--n-modes", "5"], OVERFLOW_ERROR),
     (["truncate", "--constraint", "prolate:c=1e308", "--n-modes", "5"], OVERFLOW_ERROR),
+    (["truncate", "--constraint", "power:p=1e308"],
+     "error: power constraint p = 1e+308, scale = 1 gives weights scale*k^p that are not "
+     "finite and positive for k <= 100\n"),
+    (["truncate", "--constraint", "power:p=1,scale=1e308"],
+     "error: power constraint p = 1, scale = 1e+308 gives weights scale*k^p that are not "
+     "finite and positive for k <= 100\n"),
+    (["spectrum", "--kernel", "sinc:c=10,c=20"],
+     "error: repeated sinc kernel parameter 'c'\n"),
+    (["spectrum", "--kernel", "sinc:c=10,a=-1,a=0"],
+     "error: repeated sinc kernel parameter 'a'\n"),
+    (["truncate", "--constraint", "power:p=1,p=2"],
+     "error: repeated power constraint parameter 'p'\n"),
+    (["stability", "--p", "power:gamma=0.5,gamma=0.2"],
+     "error: repeated power preset parameter 'gamma'\n"),
 ], ids=["entropy-power-p-nan", "stability-power-p-nan", "truncate-scale-nan",
         "truncate-scale-inf", "sinc_log-c-inf", "sinc_log-c-nan", "prolate-c-inf",
-        "sinc_log-c-overflow", "prolate-c-overflow"])
+        "sinc_log-c-overflow", "prolate-c-overflow", "power-weights-overflow",
+        "power-scale-overflow", "sinc-repeated-c", "sinc-repeated-a", "power-repeated-p",
+        "p-repeated-gamma"])
+@pytest.mark.filterwarnings("error")
 def test_non_finite_constraint_parameter_exits_2(capsys, argv, err):
     assert main(argv) == 2
     captured = capsys.readouterr()

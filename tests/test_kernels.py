@@ -93,16 +93,19 @@ def test_tabulated_kernel_lookup():
 
 def test_parse_kernel_grammar(tmp_path):
     spec = parse_kernel("triangular")
-    assert spec.kind == "triangular" and (spec.a, spec.b) == (0.0, 1.0)
-    assert spec.analytic_eigenvalue(2) == pytest.approx(1.0 / (2 * math.pi) ** 2)
+    assert spec.kernel is triangular_kernel and (spec.a, spec.b) == (0.0, 1.0)
+    assert spec.grid is None
+    k = np.arange(1, 6, dtype=float)
+    assert np.array_equal(spec.analytic_eigenvalue(k), 1.0 / (k * math.pi) ** 2)
+    assert spec.analytic_eigenvalue(2) == pytest.approx(triangular_eigensystem(2)[0])
 
     spec = parse_kernel("sinc:c=10")
-    assert spec.kind == "sinc" and (spec.a, spec.b) == (-1.0, 1.0)
-    assert spec.analytic_eigenvalue(1) is None
-    assert spec.kernel()(0.0, 0.0) == pytest.approx(10.0 / math.pi)
+    assert spec.kernel == SincKernel(10.0) and (spec.a, spec.b) == (-1.0, 1.0)
+    assert spec.grid is None and spec.analytic_eigenvalue is None
+    assert spec.kernel(0.0, 0.0) == pytest.approx(10.0 / math.pi)
 
     spec = parse_kernel("sinc:c=2.5,a=0,b=3")
-    assert (spec.c, spec.a, spec.b) == (2.5, 0.0, 3.0)
+    assert (spec.kernel.c, spec.a, spec.b) == (2.5, 0.0, 3.0)
 
     g = gauss_legendre(4, 0.0, 2.0)
     payload = {
@@ -115,9 +118,13 @@ def test_parse_kernel_grammar(tmp_path):
     path = tmp_path / "table.json"
     path.write_text(json.dumps(payload))
     spec = parse_kernel(f"tabulated:{path}")
-    assert spec.kind == "tabulated"
-    assert spec.kernel()(g.nodes[1], g.nodes[2]) == pytest.approx(g.nodes[1] * g.nodes[2])
+    assert isinstance(spec.kernel, TabulatedKernel) and spec.grid is spec.kernel.grid
+    assert np.array_equal(spec.grid.nodes, g.nodes) and (spec.a, spec.b) == (0.0, 2.0)
+    assert spec.analytic_eigenvalue is None
+    assert spec.kernel(g.nodes[1], g.nodes[2]) == pytest.approx(g.nodes[1] * g.nodes[2])
 
+    with pytest.raises(ValueError, match="repeated sinc kernel parameter 'c'"):
+        parse_kernel("sinc:c=10,c=20")
     for bad in ("gauss", "sinc", "sinc:c=-1", "sinc:c=1,a=2,b=1", "triangular:a=0",
                 "sinc:c=1,zz=3", "tabulated:", "sinc:c=inf", "sinc:c=nan",
                 "sinc:c=10,a=-inf", "sinc:c=10,b=inf", "sinc:c=10,a=nan", "sinc:c=1e308",

@@ -139,6 +139,8 @@ def test_parse_constraint_grammar():
                 "prolate:c=nan", "prolate:c=inf", "sinc_log:c=nan", "sinc_log:c=inf"):
         with pytest.raises(ValueError):
             parse_constraint(bad, 5)
+    with pytest.raises(ValueError, match="repeated power constraint parameter 'p'"):
+        parse_constraint("power:p=1,p=2", 5)
 
 
 def test_make_noise_norm_and_modes():

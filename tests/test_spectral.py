@@ -350,7 +350,7 @@ def test_spectral_eigenvalues_match_spectral_system(kernel, grid):
 def test_spectral_eigenvalues_peak_memory(kernel, a):
     # The Nystrom build holds the kernel's samples and one scaled copy, and
     # eigvalsh one more copy for LAPACK: about 2 n^2 doubles at the peak,
-    # where the eigh route of spectral_system holds about 4.5 n^2.
+    # where the eigh route of spectral_system holds about 3.2 n^2.
     n = 400
     grid = gauss_legendre(n, a, 1.0)
     spectral_eigenvalues(kernel, grid)  # first-call set-up is not counted
@@ -361,3 +361,21 @@ def test_spectral_eigenvalues_peak_memory(kernel, a):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * n * n * 8
+
+
+@pytest.mark.parametrize("kernel, a", [(SincKernel(10.0), -1.0), (triangular_kernel, 0.0)],
+                         ids=["sinc", "triangular"])
+def test_spectral_system_peak_memory(kernel, a):
+    # The operator matrix stays alive through eigh, which holds at most two
+    # more n x n arrays of doubles (LAPACK's eigenvectors and their sorted
+    # rows, or the sorted rows and their magnitudes): about 3.2 n^2 at n = 400.
+    n = 400
+    grid = gauss_legendre(n, a, 1.0)
+    spectral_system(kernel, grid)  # first-call set-up is not counted
+    tracemalloc.start()
+    try:
+        spectral_system(kernel, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * n * n * 8

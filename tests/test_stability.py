@@ -198,10 +198,16 @@ def test_custom_pfunction_validation():
 
 
 def test_parse_pfunction_grammar():
-    assert parse_pfunction("explog").kind == "explog"
+    r = np.array([0.1, 0.5, 2.0 / 3.0])
+    q = parse_pfunction("explog")
+    assert np.array_equal(q.p(r), 4.0 * r * np.exp(-2.0 / r))
+    assert q.inverse(1e-6) == pytest.approx(0.15030038825137326, rel=1e-12)
+    with pytest.raises(ValueError, match="invertible range"):
+        q.inverse(1.0)  # above p(2/3): the range check is the inverse's own
     p = parse_pfunction("power:gamma=0.25")
-    assert p.kind == "power" and p.gamma == 0.25
-    assert p.describe() == "power:gamma=0.25"
+    assert np.array_equal(p.p(r), r**4.0) and p.inverse(0.0625) == 0.5
+    with pytest.raises(ValueError, match="repeated power preset parameter 'gamma'"):
+        parse_pfunction("power:gamma=0.5,gamma=0.2")
     for bad in ("power", "power:gamma=2", "explog:c=1", "linear", "power:gamma=x",
                 "power:gamma=0.5,zz=2"):
         with pytest.raises(ValueError):
@@ -252,12 +258,12 @@ def test_check_condition_matches_the_scalar_loop(p):
     assert (True, None) in verdicts and (False, 7) in verdicts
 
 
-@pytest.mark.parametrize("p", [
-    PFunction.power(0.25),
-    PFunction.explog(),
-    PFunction.custom(np.linspace(0.1, 1.0, 10), np.linspace(0.1, 1.0, 10) ** 2),
+@pytest.mark.parametrize("p, tabulated", [
+    (PFunction.power(0.25), False),
+    (PFunction.explog(), False),
+    (PFunction.custom(np.linspace(0.1, 1.0, 10), np.linspace(0.1, 1.0, 10) ** 2), True),
 ], ids=["power", "explog", "custom"])
-def test_p_eval_on_arrays_matches_scalar_calls(p):
+def test_p_eval_on_arrays_matches_scalar_calls(p, tabulated):
     r = np.array([0.0, 0.1, 0.25, 0.5, 1.0])
     values = p_eval(p, r)
     assert isinstance(values, np.ndarray) and values.shape == r.shape
@@ -267,7 +273,7 @@ def test_p_eval_on_arrays_matches_scalar_calls(p):
     assert values[0] == 0.0 and scalars[0] == 0.0
     with pytest.raises(ValueError):
         p_eval(p, np.array([0.5, -1e-3]))
-    if p.kind == "custom":
+    if tabulated:
         with pytest.raises(ValueError, match="tabulated range"):
             p_eval(p, np.array([0.5, 2.0]))
         assert p_eval(p, 0.0) == 0.0  # below the table, but p(0) = 0 exactly
@@ -288,6 +294,9 @@ def test_stability_bound_values_and_scaling():
     )
     with pytest.raises(ValueError):
         stability_bound(0.0, 1.0, p)
+    for eps, E in ((1e-2, 1e-300), (1e-2, 1e308), (1e-7, 1e150)):  # (eps/E)^2 not normal
+        with pytest.raises(ValueError, match=r"\(eps/E\)\^2 is not a finite, normal double"):
+            stability_bound(eps, E, p)
 
 
 def test_sup_exact_single_mode_and_dominating_cases():
