@@ -4,7 +4,6 @@ equations, with covering/packing information bounds and stability diagnostics.""
 from .errors import (
     BudgetExceededError,
     ConvergenceError,
-    DegenerateModeError,
     HypothesisWarning,
     InfeasibleSpecError,
     NumericDomainError,

@@ -72,39 +72,36 @@ def _system(spec, args) -> np.ndarray:
     """Kept eigenvalues of a parsed kernel, by non-increasing magnitude: a
     tabulated kernel on its own grid, any other on --n-nodes Gauss-Legendre
     nodes.  No command reads an eigenfunction, so none is computed."""
-    grid = spec.grid or spectral.gauss_legendre(int(args.n_nodes), spec.a, spec.b)
+    grid = spec.grid or spectral.gauss_legendre(args.n_nodes, spec.a, spec.b)
     return spectral.spectral_eigenvalues(spec.kernel, grid)
 
 
-def _eigen_sequence(args) -> np.ndarray:
-    """Eigenvalue sequence for rule-based commands.
+def _rule_inputs(args, count=None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and constraint weights for the rule commands.
 
     A kernel with closed-form eigenvalues (the triangular one) uses them over
     --n-modes modes; other kernels are discretized by _system and keep their
-    retained positive eigenvalues.
+    first --n-modes positive retained eigenvalues.  Both are cut to the first
+    `count` modes (all of them by default) before the weights are parsed.
     """
     spec = kernels.parse_kernel(args.kernel)
     if spec.analytic_eigenvalue is not None:
-        return spec.analytic_eigenvalue(np.arange(1, int(args.n_modes) + 1, dtype=float))
-    lam = _system(spec, args)
-    lam = lam[lam > 0]
-    if lam.size == 0:
-        raise ValueError("kernel has no positive retained eigenvalues")
-    if args.n_modes is not None:
-        lam = lam[: int(args.n_modes)]
-    return lam
+        lam = spec.analytic_eigenvalue(np.arange(1, args.n_modes + 1, dtype=float))
+    else:
+        lam = _system(spec, args)
+        lam = lam[lam > 0][: args.n_modes]
+        if lam.size == 0:
+            raise ValueError("kernel has no positive retained eigenvalues")
+    lam = lam[:count]
+    return lam, regularize.parse_constraint(args.constraint, lam.size)
 
 
 def cmd_spectrum(args) -> int:
     spec = kernels.parse_kernel(args.kernel)
-    eigenvalues = _system(spec, args)
-    count = eigenvalues.size
-    if args.n_modes is not None:
-        count = min(count, int(args.n_modes))
-    k = np.arange(1, count + 1)
-    lam = eigenvalues[:count]
+    lam = _system(spec, args)[: args.n_modes]
+    k = np.arange(1, lam.size + 1)
     if spec.analytic_eigenvalue is None:
-        rows = zip(k, lam, [None] * count, [None] * count)
+        rows = zip(k, lam, [None] * lam.size, [None] * lam.size)
     else:
         analytic = spec.analytic_eigenvalue(k)
         rows = zip(k, lam, analytic, np.abs(lam - analytic) / analytic)
@@ -113,13 +110,11 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_truncate(args) -> int:
-    lam = _eigen_sequence(args)
-    beta = regularize.parse_constraint(args.constraint, lam.size)
-    E = float(args.E)
+    lam, beta = _rule_inputs(args)
     rows = []
     for eps in _float_list(args.eps_grid):
-        k1 = regularize.truncation_identity(lam, eps, E)
-        k2 = regularize.truncation_weighted(lam, beta, eps, E)
+        k1 = regularize.truncation_identity(lam, eps, args.E)
+        k2 = regularize.truncation_weighted(lam, beta, eps, args.E)
         rows.append((eps, k1, k2))
     _write(args.output, _csv(rows, "eps,k1,k2"))
     return 0
@@ -141,29 +136,26 @@ def _build_instance(lam, beta, eps, args, seed):
     else:
         law = {"f_decay": _pair(args.f_decay)}
     return regularize.synthesize_problem(
-        lam, beta, eps, float(args.E),
+        lam, beta, eps, args.E,
         noise_mode=args.noise_mode, seed=seed, tight=args.tight, **law,
     )
 
 
 def cmd_sweep(args) -> int:
-    lam = _eigen_sequence(args)
-    beta = regularize.parse_constraint(args.constraint, lam.size)
+    lam, beta = _rule_inputs(args)
     pfun = stability.parse_pfunction(args.p)
-    E = float(args.E)
-    k_vec = np.arange(1, lam.size + 1, dtype=float)
-    v = 1.0 / k_vec
+    v = 1.0 / np.arange(1, lam.size + 1, dtype=float)
     rows = []
     for i, eps in enumerate(_float_list(args.eps_grid)):
-        instance = _build_instance(lam, beta, eps, args, int(args.seed) + i)
+        instance = _build_instance(lam, beta, eps, args, args.seed + i)
         rec1 = regularize.truncated_solution(instance, "k1")
         rec2 = regularize.truncated_solution(instance, "k2")
         err_f2 = float(np.linalg.norm(instance.f_true - rec2.coefficients))
         _, weak_bound = regularize.weak_pairing(instance, rec1, v)
-        bound_m = math.sqrt(2.0) * stability.stability_bound(eps, E, pfun)
+        bound_m = math.sqrt(2.0) * stability.stability_bound(eps, args.E, pfun)
         report6 = regularize.weighted_rule_residuals(instance, rec2)
         report7 = regularize.identity_rule_residuals(instance, rec1)
-        flow = infotheory.information_flow_comparison(lam, beta, eps, E)
+        flow = infotheory.information_flow_comparison(lam, beta, eps, args.E)
         rows.append(
             (
                 eps,
@@ -187,12 +179,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    lam = _eigen_sequence(args)
-    beta = regularize.parse_constraint(args.constraint, lam.size)
-    E = float(args.E)
+    lam, beta = _rule_inputs(args)
     rows = []
     for eps in _float_list(args.eps_grid):
-        flow = infotheory.information_flow_comparison(lam, beta, eps, E)
+        flow = infotheory.information_flow_comparison(lam, beta, eps, args.E)
         rows.append(
             (
                 eps,
@@ -208,17 +198,13 @@ def cmd_entropy(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    lam = _eigen_sequence(args)
-    K = lam.size if args.K is None else int(args.K)
-    lam = lam[:K]  # the supremum and the condition read only the first K modes
-    beta = regularize.parse_constraint(args.constraint, lam.size)
+    lam, beta = _rule_inputs(args, args.K)  # the supremum and the condition read only K modes
     pfun = stability.parse_pfunction(args.p)
-    E = float(args.E)
     eps_grid = _float_list(args.eps_grid)
     rows = []
     sups = []
     for eps in eps_grid:
-        report = stability.stability_report(lam, beta, pfun, eps, E, K)
+        report = stability.stability_report(lam, beta, pfun, eps, args.E, args.K)
         rows.append((eps, report.bound, report.exact_sup, report.condition_ok))
         sups.append(report.exact_sup)
     text = _csv(rows, "eps,bound,exact_sup,condition_ok")
@@ -238,18 +224,16 @@ def cmd_cover(args) -> int:
     points = np.atleast_2d(np.loadtxt(args.points, delimiter=",", dtype=float, ndmin=2))
     infotheory._check_budget(points.shape[0])  # before the quadratic distance matrix
     point_set = infotheory.FinitePointSet(points)
-    eps = float(args.eps)
-    n_cover, _ = infotheory.covering_number_exact(point_set, eps)
-    m_pack, _ = infotheory.packing_number_exact(point_set, eps)
+    n_cover, _ = infotheory.covering_number_exact(point_set, args.eps)
+    m_pack, _ = infotheory.packing_number_exact(point_set, args.eps)
     holds = n_cover <= m_pack
     _write(args.output, f"N={n_cover}, M={m_pack}, holds={'true' if holds else 'false'}\n")
     return 0
 
 
 def cmd_simulate(args) -> int:
-    lam = _eigen_sequence(args)
-    beta = regularize.parse_constraint(args.constraint, lam.size)
-    instance = _build_instance(lam, beta, float(args.eps), args, int(args.seed))
+    lam, beta = _rule_inputs(args)
+    instance = _build_instance(lam, beta, args.eps, args, args.seed)
     _write(args.output, instance.to_json())
     return 0
 
@@ -309,7 +293,8 @@ def _add_synthesis_options(sub):
                      help="rescale f so the constraint budget holds with equality")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="trunceig",
         description="Truncated-expansion regularization diagnostics",
@@ -367,16 +352,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_synthesis_options(sub)
     sub.add_argument("--eps", type=float, default=1e-3, help="noise bound")
 
-    return parser
+    return parser, commands.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
 
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
     known, _ = pre.parse_known_args(argv)
-    commands = parser._subparsers._group_actions[0].choices
     if known.config is not None:
         try:
             with open(known.config, "r", encoding="utf-8") as handle:

@@ -17,10 +17,6 @@ class InfeasibleSpecError(ValueError):
     """A synthesis request cannot be made to satisfy its constraints."""
 
 
-class DegenerateModeError(ValueError):
-    """A mode with zero eigenvalue cannot be inverted."""
-
-
 class NumericDomainError(ValueError):
     """An evaluation produced a non-finite value or left its numeric domain."""
 

@@ -25,12 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import (
-    ConvergenceError,
-    DegenerateModeError,
-    HypothesisWarning,
-    InfeasibleSpecError,
-)
+from .errors import ConvergenceError, HypothesisWarning, InfeasibleSpecError
 from .kernels import _parse_params
 
 __all__ = [
@@ -138,11 +133,17 @@ def _square(x: float, eps: float, E: float, what: str) -> float:
     return square
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a non-empty array, scaled by its largest magnitude so
+    that the sum of squares neither overflows nor underflows."""
+    scale = float(np.max(np.abs(x)))
+    return scale * float(np.linalg.norm(x / scale)) if 0 < scale < math.inf else scale
+
+
 def truncation_identity(eigenvalues, eps: float, E: float) -> int:
     """Largest k with lambda_k >= eps / E (0 if none): the beta = 1 case of
     truncation_weighted."""
-    lam = _validate_eigenvalues(eigenvalues)
-    return truncation_weighted(lam, np.ones(lam.size), eps, E)
+    return truncation_weighted(eigenvalues, np.ones(np.size(eigenvalues)), eps, E)
 
 
 def truncation_weighted(eigenvalues, beta, eps: float, E: float) -> int:
@@ -193,8 +194,8 @@ class ProblemInstance:
             raise ValueError("need finite eps >= 0 and E > 0")
         E_sq = _square(self.E, self.eps, self.E, "E^2")
         # noise = g_noisy - lambda f is known only to the rounding of g_noisy.
-        rounding = np.finfo(float).eps * float(np.linalg.norm(self.g_noisy))
-        if float(np.linalg.norm(self.noise)) > self.eps * (1.0 + 1e-9) + rounding:
+        rounding = np.finfo(float).eps * _norm(self.g_noisy)
+        if not _norm(self.noise) <= self.eps * (1.0 + 1e-9) + rounding:
             raise ValueError("noise norm exceeds its stated bound eps")
         budget = float(np.sum(self.betas**2 * self.f_true**2))
         if budget > E_sq * (1.0 + 1e-9):
@@ -257,8 +258,6 @@ def truncated_solution(instance: ProblemInstance, rule: str) -> Reconstruction:
         cutoff = truncation_weighted(lam, instance.betas, instance.eps, instance.E)
     else:
         raise ValueError("rule must be 'k1' or 'k2'")
-    if np.any(lam[:cutoff] == 0.0):
-        raise DegenerateModeError("zero eigenvalue inside the retained range")
     coeff = np.zeros(lam.size)
     proj = np.zeros(lam.size)
     coeff[:cutoff] = instance.g_noisy[:cutoff] / lam[:cutoff]

@@ -183,7 +183,10 @@ def stability_sup_exact(eigenvalues, beta, eps: float, E: float, K: int | None =
     candidate is a point of P, so none undercuts the true minimum, and the
     minimizer is among them: the result is exact, found with one sort and
     one monotone-chain pass (Andrew 1979) in O(K log K) time and O(K)
-    memory.
+    memory.  The supremum scales, sup(eps, E) = s sup(eps / s, E / s), and
+    it is computed at the power of two s with E / s in [1, 2): that scaling
+    is exact, so only (eps / E)^2, checked as in stability_bound, has to be a
+    finite, normal double, not eps^2 and E^2 themselves.
     """
     lam = _validate_eigenvalues(eigenvalues)
     if not (0 < eps < math.inf and 0 < E < math.inf):
@@ -192,6 +195,9 @@ def stability_sup_exact(eigenvalues, beta, eps: float, E: float, K: int | None =
         K = lam.size
     if not 1 <= K <= lam.size:
         raise ValueError("K must lie in [1, number of modes]")
+    _square(eps / E, eps, E, "(eps/E)^2")
+    s = math.ldexp(1.0, math.frexp(E)[1] - 1)
+    eps, E = eps / s, E / s
     a = lam[:K] ** 2 / (eps * eps)
     b = _weights(beta, lam.size, K) ** 2 / (E * E)
 
@@ -213,7 +219,7 @@ def stability_sup_exact(eigenvalues, beta, eps: float, E: float, K: int | None =
     if np.any(crosses):
         num = hx[:-1] * hy[1:] - hx[1:] * hy[:-1]
         best = min(best, float(np.min(num[crosses] / (d[:-1] - d[1:])[crosses])))
-    return math.sqrt(1.0 / best)
+    return s * math.sqrt(1.0 / best)
 
 
 @dataclass

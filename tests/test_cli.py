@@ -7,9 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trunceig import spectral
+from trunceig import parse_constraint, parse_kernel, spectral
 from trunceig.cli import main
 from trunceig.errors import ConvergenceError
+from trunceig.regularize import truncation_identity, truncation_weighted
 from trunceig.spectral import MAX_ORDER
 
 
@@ -55,6 +56,53 @@ def test_truncate_closed_form_counts(tmp_path):
     header, rows = run_rows(out)
     assert header == "eps,k1,k2"
     assert [(r[1], r[2]) for r in rows] == [("3", "1"), ("10", "3"), ("31", "6")]
+
+
+def _table(path, sign=1.0, n=60, a=-0.5, b=1.0):
+    """A tabulated kernel: sign times the triangular kernel moved to [a, b]."""
+    grid = spectral.gauss_legendre(n, a, b)
+    lo, hi = np.minimum.outer(grid.nodes, grid.nodes), np.maximum.outer(grid.nodes, grid.nodes)
+    path.write_text(json.dumps({"a": a, "b": b, "nodes": grid.nodes.tolist(),
+                                "weights": grid.weights.tolist(),
+                                "samples": (sign * (lo - a) * (b - hi) / (b - a)).tolist()}))
+    return f"tabulated:{path}"
+
+
+@pytest.mark.parametrize("tabulated", [False, True], ids=["sinc", "tabulated"])
+def test_truncate_on_discretized_kernels(tmp_path, capsys, tabulated):
+    # Kernels without closed-form eigenvalues keep the first --n-modes
+    # positive eigenvalues of their discretization.
+    if tabulated:
+        kernel, constraint = _table(tmp_path / "table.json"), "derivative"
+    else:
+        kernel, constraint = "sinc:c=10", "sinc_log:c=10"
+    assert main(["truncate", "--kernel", kernel, "--n-nodes", "200", "--n-modes", "30",
+                 "--constraint", constraint]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    spec = parse_kernel(kernel)
+    lam = spectral.spectral_eigenvalues(spec.kernel,
+                                        spec.grid or spectral.gauss_legendre(200, spec.a, spec.b))
+    lam = lam[lam > 0][:30]
+    assert lam.size == (30 if tabulated else 16)  # sinc keeps 16 positive eigenvalues here
+    beta = parse_constraint(constraint, lam.size)
+    rows = [(eps, truncation_identity(lam, eps, 1.0), truncation_weighted(lam, beta, eps, 1.0))
+            for eps in (1e-2, 1e-3, 1e-4)]
+    assert lines == ["eps,k1,k2"] + [f"{eps:g},{k1},{k2}" for eps, k1, k2 in rows]
+    assert len({k for row in rows for k in row[1:]}) > 2  # the cutoffs move with eps
+
+
+def test_tabulated_kernel_rule_errors(tmp_path, capsys):
+    kernel = _table(tmp_path / "table.json")
+    assert main(["stability", "--kernel", kernel, "--K", "61"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: K must lie in [1, number of modes]\n"
+
+    kernel = _table(tmp_path / "negative.json", sign=-1.0)
+    assert main(["truncate", "--kernel", kernel]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: kernel has no positive retained eigenvalues\n"
 
 
 def test_sweep_pinned_header_and_inequalities(tmp_path):
@@ -270,6 +318,29 @@ def test_non_finite_eps_or_E_exits_2(capsys, argv, err):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == err
+
+
+@pytest.mark.filterwarnings("error")
+def test_stability_at_tiny_eps_and_E(capsys):
+    # eps^2 and E^2 underflow here, though eps/E does not: exact_sup used to
+    # print 0 below a positive bound, with four RuntimeWarnings.
+    assert main(["stability", "--constraint", "derivative", "--E", "1e-160", "--eps-grid",
+                 "1e-161,1e-162,1e-163,1e-164,1e-165", "--n-modes", "10"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines()[1:-1]]
+    assert len(rows) == 5
+    for _, bound, exact_sup, _ in rows:
+        assert 0 < float(exact_sup) <= float(bound) * (1 + 1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_at_huge_eps(capsys):
+    # ||noise||^2 overflows here; the noise check used to warn and pass vacuously.
+    assert main(["simulate", "--eps", "1e200", "--n-modes", "5"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["eps"] == 1e200
 
 
 @pytest.mark.parametrize("argv", [

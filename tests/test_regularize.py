@@ -206,6 +206,20 @@ def test_synthesize_problem_coefficient_options():
         synthesize_problem(TRI_LAM_80[:5], np.ones(5), 1e-3, 1.0, f_coeffs=[0.0, 0.0], seed=0)
 
 
+def test_synthesize_problem_untight_rescales_only_over_budget():
+    lam, beta = TRI_LAM_80[:20], DERIVATIVE_80[:20]
+    # f_k = 1 / k^2 has sum beta^2 f^2 = pi^2 sum 1 / k^2, about 15.6 > E^2 = 1.
+    inst = synthesize_problem(lam, beta, 1e-3, 1.0, f_decay=(1.0, 2.0), seed=0, tight=False)
+    k = np.arange(1, 21, dtype=float)
+    ratio = inst.f_true / k**-2.0
+    assert np.ptp(ratio) < 1e-12 * ratio[0] and ratio[0] < 1.0
+    assert float(np.linalg.norm(inst.betas * inst.f_true)) == pytest.approx(1.0, rel=1e-12)
+    # Under budget, f is kept as given.
+    inst = synthesize_problem(lam, beta, 1e-3, 10.0, f_decay=(1.0, 2.0), seed=0, tight=False)
+    assert np.array_equal(inst.f_true, k**-2.0)
+    assert float(np.linalg.norm(inst.betas * inst.f_true)) < 10.0
+
+
 def test_synthesize_problem_zero_eps_is_noise_free():
     inst = synthesize_problem(TRI_LAM_80[:10], np.ones(10),
                               0.0, 1.0, f_decay=(1.0, 1.0), seed=4)
@@ -250,6 +264,18 @@ def test_problem_instance_invariants():
     for bad in ([1.0], [1.0, 1.0, 1.0], [1.0, 0.0], [1.0, math.nan]):
         with pytest.raises(ValueError, match="one finite, positive constraint weight"):
             ProblemInstance(lam, bad, f, g + noise, 1e-3, 1.0, 0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_problem_instance_noise_check_does_not_overflow():
+    # ||noise||^2 = 9e400 overflows; the check used to compare inf > inf and
+    # accept noise three times its stated bound.
+    with pytest.raises(ValueError, match="^noise norm exceeds its stated bound eps$"):
+        ProblemInstance([1.0, 0.5], [1, 1], [0, 0], [3e200, 0], 1e200, 1.0, 0)
+    inst = ProblemInstance([1.0, 0.5], [1, 1], [0, 0], [6e199, 8e199], 1e200, 1.0, 0)
+    assert inst.eps == 1e200
+    with pytest.raises(ValueError, match="noise norm"):
+        ProblemInstance([1.0, 0.5], [1, 1], [0, 0], [6e199, 8.1e199], 1e200, 1.0, 0)
 
 
 def test_problem_instance_json_round_trip():

@@ -315,6 +315,16 @@ def test_sup_exact_triangular_stays_under_the_cap():
     assert sup <= stability_bound(1e-3, 1.0, PFunction.power(1.0 / 3.0))
 
 
+@pytest.mark.parametrize("E", [1e-160, 1e-3, 10.0, 1e160])
+@pytest.mark.filterwarnings("error")
+def test_sup_exact_scales_with_E(E):
+    # eps^2 and E^2 over- or underflow at E = 1e+-160; the supremum must not.
+    for ratio in (1e-1, 1e-3, 1e-6):
+        sup = stability_sup_exact(TRI_LAM, DERIV_BETA, ratio * E, E)
+        assert sup == pytest.approx(E * stability_sup_exact(TRI_LAM, DERIV_BETA, ratio, 1.0),
+                                    rel=1e-15)
+
+
 def test_sup_exact_never_beaten_by_sampling():
     rng = np.random.default_rng(41)
     for trial in range(8):
