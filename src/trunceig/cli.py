@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -201,12 +202,14 @@ def cmd_stability(args) -> int:
     lam, beta = _rule_inputs(args, args.K)  # the supremum and the condition read only K modes
     pfun = stability.parse_pfunction(args.p)
     eps_grid = _float_list(args.eps_grid)
+    ok, _ = stability.check_condition(lam, beta, pfun, args.K or lam.size)  # free of eps
     rows = []
     sups = []
     for eps in eps_grid:
-        report = stability.stability_report(lam, beta, pfun, eps, args.E, args.K)
-        rows.append((eps, report.bound, report.exact_sup, report.condition_ok))
-        sups.append(report.exact_sup)
+        bound = stability.stability_bound(eps, args.E, pfun)
+        sup = stability.stability_sup_exact(lam, beta, eps, args.E)
+        rows.append((eps, bound, sup, ok))
+        sups.append(sup)
     text = _csv(rows, "eps,bound,exact_sup,condition_ok")
     try:
         fit = stability.classify_continuity(np.asarray(eps_grid), np.asarray(sups))
@@ -221,7 +224,9 @@ def cmd_stability(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    points = np.atleast_2d(np.loadtxt(args.points, delimiter=",", dtype=float, ndmin=2))
+    with warnings.catch_warnings():  # an empty file is rejected by FinitePointSet
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        points = np.loadtxt(args.points, delimiter=",", dtype=float, ndmin=2)
     infotheory._check_budget(points.shape[0])  # before the quadratic distance matrix
     point_set = infotheory.FinitePointSet(points)
     n_cover, _ = infotheory.covering_number_exact(point_set, args.eps)

@@ -1,5 +1,8 @@
 """Exception and warning types shared across the package."""
 
+__all__ = ["ConvergenceError", "ResolutionError", "BudgetExceededError",
+           "InfeasibleSpecError", "NumericDomainError", "HypothesisWarning"]
+
 
 class ConvergenceError(RuntimeError):
     """An iterative procedure failed to reach its tolerance within its budget."""

@@ -39,6 +39,7 @@ __all__ = [
     "truncation_weighted",
     "truncated_solution",
     "make_noise",
+    "range_compatibility_sums",
     "synthesize_problem",
     "feasibility_check",
     "weighted_rule_residuals",
@@ -197,7 +198,8 @@ class ProblemInstance:
         rounding = np.finfo(float).eps * _norm(self.g_noisy)
         if not _norm(self.noise) <= self.eps * (1.0 + 1e-9) + rounding:
             raise ValueError("noise norm exceeds its stated bound eps")
-        budget = float(np.sum(self.betas**2 * self.f_true**2))
+        with np.errstate(over="ignore"):  # an overflowed budget is inf and fails below
+            budget = float(np.sum(self.betas**2 * self.f_true**2))
         if budget > E_sq * (1.0 + 1e-9):
             raise ValueError("constraint budget exceeded: sum beta^2 f^2 > E^2")
 
@@ -207,7 +209,8 @@ class ProblemInstance:
 
     @property
     def g_clean(self) -> np.ndarray:
-        return self.eigenvalues * self.f_true
+        with np.errstate(over="ignore"):  # an infinite entry fails the noise check
+            return self.eigenvalues * self.f_true
 
     @property
     def noise(self) -> np.ndarray:
@@ -350,12 +353,14 @@ def synthesize_problem(
         raise InfeasibleSpecError("solution coefficients are not finite")
 
     betas = _weights(beta, m)
-    budget = float(np.sum(betas**2 * f**2))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan once a term overflows
+        budget = float(np.sum(betas**2 * f**2))
+    if not budget < math.inf:
+        raise InfeasibleSpecError("sum beta^2 f^2 overflows, so f cannot be rescaled to the budget")
     if tight:
         if budget == 0.0:
-            raise InfeasibleSpecError(
-                "cannot meet the constraint budget with equality: f is zero"
-            )
+            why = "sum beta^2 f^2 underflows to zero" if np.any(f) else "f is zero"
+            raise InfeasibleSpecError(f"cannot meet the constraint budget with equality: {why}")
         f = f * (E / math.sqrt(budget))
     elif budget > E_sq:
         f = f * (E / math.sqrt(budget))

@@ -32,8 +32,6 @@ __all__ = [
     "stability_sup_exact",
     "classify_continuity",
     "ContinuityFit",
-    "StabilityReport",
-    "stability_report",
     "parse_pfunction",
 ]
 
@@ -265,26 +263,3 @@ def classify_continuity(eps_grid, sup_values) -> ContinuityFit:
     if resid_h <= resid_l:
         return ContinuityFit("holder", slope_h, resid_h, resid_l)
     return ContinuityFit("logarithmic", slope_l, resid_l, resid_h)
-
-
-@dataclass
-class StabilityReport:
-    """One sweep row: analytic bound vs exact supremum at (eps, E)."""
-
-    eps: float
-    E: float
-    bound: float
-    exact_sup: float
-    condition_ok: bool
-    first_violation: int | None
-
-
-def stability_report(eigenvalues, beta, p: PFunction, eps: float, E: float,
-                     K: int | None = None) -> StabilityReport:
-    lam = _validate_eigenvalues(eigenvalues)
-    if K is None:
-        K = lam.size
-    ok, first = check_condition(lam, beta, p, K)
-    bound = stability_bound(eps, E, p)
-    exact = stability_sup_exact(lam, beta, eps, E, K)
-    return StabilityReport(eps, E, bound, exact, ok, first)

@@ -1,10 +1,20 @@
-"""Shared discretizations plus the acceptance scoreboard reporter."""
+"""Shared discretizations, the acceptance scoreboard reporter, and warnings
+as errors for every test here: a test that expects a warning asserts it."""
+
+from pathlib import Path
 
 import pytest
 
 from trunceig import SincKernel, gauss_legendre, spectral_system, triangular_kernel
 
 _acceptance_lines: list[str] = []
+
+
+def pytest_collection_modifyitems(items):
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"))
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trunceig import parse_constraint, parse_kernel, spectral
+from trunceig import check_condition, parse_constraint, parse_kernel, parse_pfunction, spectral
 from trunceig.cli import main
 from trunceig.errors import ConvergenceError
 from trunceig.regularize import truncation_identity, truncation_weighted
@@ -158,6 +158,43 @@ def test_stability_command_with_classification(tmp_path):
     assert 0.30 <= exponent <= 0.37
 
 
+@pytest.mark.parametrize("options, ok", [
+    (["--constraint", "derivative"], True),
+    (["--constraint", "derivative", "--K", "30"], True),
+    (["--constraint", "power:p=0.1", "--p", "explog"], False),
+], ids=["derivative", "derivative-K-30", "power-explog"])
+def test_stability_condition_column_matches_check_condition(capsys, options, ok):
+    # The condition does not depend on eps: every row carries one verdict.
+    assert main(["stability", "--n-modes", "60", *options]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:-1]]
+    argv = dict(zip(options[::2], options[1::2]))
+    K = int(argv.get("--K", 60))
+    lam = 1.0 / (np.arange(1, K + 1) * math.pi) ** 2
+    beta = parse_constraint(argv["--constraint"], K)
+    pfun = parse_pfunction(argv.get("--p", "power:gamma=0.3333333333333333"))
+    assert check_condition(lam, beta, pfun, K)[0] is ok
+    assert len(rows) == 6
+    assert all(row[3] == ("true" if ok else "false") for row in rows)
+
+
+def test_stability_classification_unavailable_on_a_short_grid(capsys):
+    assert main(["stability", "--eps-grid", "1e-2,1e-3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert lines[-1] == "# classification: unavailable (need at least five grid points)"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["truncate", "--eps-grid", ","], "error: expected a comma-separated list of numbers\n"),
+    (["sweep", "--f-decay", "1"], "error: expected two comma-separated numbers\n"),
+], ids=["empty-eps-grid", "one-number-f-decay"])
+def test_number_list_errors_exit_2(capsys, argv, err):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
 def test_cover_command_square(tmp_path):
     pts = tmp_path / "pts.csv"
     pts.write_text("0,0\n1,0\n0,1\n1,1\n0.5,0.5\n")
@@ -169,6 +206,17 @@ def test_cover_command_square(tmp_path):
     rc = main(["cover", "--points", str(pts), "--eps", "0.6", "--output", str(out)])
     assert rc == 0
     assert out.read_text() == "N=5, M=5, holds=true\n"
+
+
+@pytest.mark.parametrize("content", ["", "\n\n"], ids=["empty", "blank-lines"])
+def test_cover_on_an_empty_points_file_exits_2(tmp_path, capsys, content):
+    # numpy's loadtxt used to print a UserWarning before the error line.
+    pts = tmp_path / "pts.csv"
+    pts.write_text(content)
+    assert main(["cover", "--points", str(pts), "--eps", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: points must form a non-empty 2-d array\n"
 
 
 def test_simulate_is_deterministic(tmp_path):
@@ -341,6 +389,48 @@ def test_simulate_at_huge_eps(capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert json.loads(captured.out)["eps"] == 1e200
+
+
+OVERFLOW_ERROR = ("error: infeasible request: "
+                  "sum beta^2 f^2 overflows, so f cannot be rescaled to the budget\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["--f-coeffs", "1e200"], OVERFLOW_ERROR),
+    (["--f-coeffs", "1e200", "--no-tight"], OVERFLOW_ERROR),
+    (["--f-decay", "1e200,2"], OVERFLOW_ERROR),
+    (["--f-coeffs", "1e-200"], "error: infeasible request: cannot meet the constraint budget "
+                               "with equality: sum beta^2 f^2 underflows to zero\n"),
+], ids=["coeffs-overflow", "coeffs-overflow-no-tight", "decay-overflow", "coeffs-underflow"])
+def test_simulate_names_a_budget_sum_out_of_range(capsys, argv, err):
+    # An overflowed sum used to rescale f by E/inf and write an all-zero
+    # solution with exit 0; an underflowed one was blamed on a zero f.
+    assert main(["simulate", "--n-modes", "3", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
+def test_simulate_without_tight_keeps_a_tiny_solution(capsys):
+    assert main(["simulate", "--n-modes", "3", "--f-coeffs", "1e-200", "--no-tight"]) == 0
+    assert json.loads(capsys.readouterr().out)["f_true"] == [1e-200, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("fields, err", [
+    ({"eigenvalues": [1.0, 0.5], "f_true": [1e200, 0.0], "g_noisy": [1e200, 0.0]},
+     "error: constraint budget exceeded: sum beta^2 f^2 > E^2\n"),
+    ({"eigenvalues": [1e200], "f_true": [1e200], "g_noisy": [0.0]},
+     "error: noise norm exceeds its stated bound eps\n"),
+], ids=["budget-overflow", "g-clean-overflow"])
+def test_solve_rejects_an_overflowing_instance_without_a_warning(tmp_path, capsys, fields, err):
+    inst = tmp_path / "inst.json"
+    m = len(fields["eigenvalues"])
+    inst.write_text(json.dumps({"beta": [1.0] * m, "eps": 0.0, "E": 1.0, "seed": 0,
+                                "noise_mode": "flat", **fields}))
+    assert main(["solve", "--instance", str(inst)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,7 +14,6 @@ from trunceig import (
     p_inverse,
     parse_pfunction,
     stability_bound,
-    stability_report,
     stability_sup_exact,
 )
 from trunceig.regularize import _validate_eigenvalues, _weights
@@ -383,15 +382,3 @@ def test_classify_continuity_validation():
     with pytest.raises(ValueError):
         classify_continuity(2.0 * np.ones(8), np.ones(8))
 
-
-def test_stability_report_combines_the_pieces():
-    p = PFunction.power(1.0 / 3.0)
-    rep = stability_report(TRI_LAM, DERIV_BETA, p, 1e-3, 1.0)
-    assert rep.eps == 1e-3 and rep.E == 1.0
-    assert rep.bound == pytest.approx(stability_bound(1e-3, 1.0, p))
-    assert rep.exact_sup == pytest.approx(stability_sup_exact(TRI_LAM, DERIV_BETA, 1e-3, 1.0))
-    assert rep.condition_ok and rep.first_violation is None
-    assert rep.exact_sup <= rep.bound
-
-    rep = stability_report(TRI_LAM, 0.5 * DERIV_BETA, p, 1e-3, 1.0)
-    assert not rep.condition_ok and rep.first_violation == 1
