@@ -13,6 +13,17 @@ recovers the retained coefficients.
 
 A ProblemInstance holds only the fields of its JSON file (eigenvalues, betas,
 f_true, g_noisy, eps, E, seed, noise_mode); g_clean and noise are derived.
+
+One overflow contract decides whether an input lies in the admissible class.
+A square of user-scale data (E^2, (eps/E)^2, and in the stability layer
+beta_k^2 and lambda_k^2) is formed by _square, which first checks that every
+|x| lies in [sqrt(tiny), sqrt(max)] and otherwise raises a ValueError naming
+the quantity and the first bad mode k (or eps and E).  A sum of squares is
+read through its root, from _norm, which forms ||w x|| in exact powers of
+two: bit for bit the plain sqrt(sum(w^2 x^2)) inside the double range, and
+inf, not nan, beyond it.  The budget ||beta f|| <= E, the noise check, the
+rescaling in synthesize_problem and the residual norms all go through it, so
+they compare true values and print no warning.
 """
 
 from __future__ import annotations
@@ -47,6 +58,8 @@ __all__ = [
     "strong_error_bound",
     "weak_pairing",
 ]
+
+_SQRT_TINY, _SQRT_MAX = math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max)
 
 
 def parse_constraint(text: str, count: int) -> np.ndarray:
@@ -123,22 +136,24 @@ def _weights(beta, size: int, count: int | None = None) -> np.ndarray:
     return betas[:count]
 
 
-def _square(x: float, eps: float, E: float, what: str) -> float:
-    """x**2 if it is a finite, normal double; otherwise a ValueError naming eps and E."""
-    try:
-        square = x**2
-    except OverflowError:
-        square = math.inf
-    if not np.finfo(float).tiny <= square < math.inf:
-        raise ValueError(f"{what} is not a finite, normal double at eps = {eps:g}, E = {E:g}")
-    return square
+def _square(x, what: str, where: str = ""):
+    """x**2 of a float or an array once every |x| lies in [_SQRT_TINY, _SQRT_MAX], where
+    x**2 is a finite, normal double; else a ValueError naming what and where (default: k)."""
+    bad = np.flatnonzero(~((_SQRT_TINY <= np.abs(x)) & (np.abs(x) <= _SQRT_MAX)))
+    if bad.size:
+        raise ValueError(f"{what} is not a finite, normal double at {where or f'k = {bad[0] + 1}'}")
+    return x**2
 
 
-def _norm(x: np.ndarray) -> float:
-    """Euclidean norm of a non-empty array, scaled by its largest magnitude so
-    that the sum of squares neither overflows nor underflows."""
-    scale = float(np.max(np.abs(x)))
-    return scale * float(np.linalg.norm(x / scale)) if 0 < scale < math.inf else scale
+def _norm(x, w=1.0) -> float:
+    """||w x|| (w a float or one weight per entry), summed from mantissas at the largest
+    power of two: bit for bit sqrt(sum(w^2 x^2)) in range, and inf with no warning above."""
+    (mx, ex), (mw, ew) = np.frexp(x), np.frexp(w)
+    terms, exp = (mw * mw) * (mx * mx), 2 * (ex + ew)
+    # top is even, so the root scales by 2^(top/2); no nonzero term has 2(e_x + e_w) < -4400.
+    top = int(np.max(exp, where=terms != 0, initial=-4400))
+    root = math.sqrt(float(np.sum(np.ldexp(terms, exp - top))))
+    return math.ldexp(root, top // 2) if math.frexp(root)[1] + top // 2 <= 1024 else math.inf
 
 
 def truncation_identity(eigenvalues, eps: float, E: float) -> int:
@@ -152,7 +167,11 @@ def truncation_weighted(eigenvalues, beta, eps: float, E: float) -> int:
     lam = _validate_eigenvalues(eigenvalues)
     if not (0 <= eps < math.inf and 0 < E < math.inf):
         raise ValueError("need finite eps >= 0 and E > 0")
-    hits = np.nonzero(lam >= (eps / E) * _weights(beta, lam.size))[0]
+    ratio = eps / E
+    # No mode passes with (eps/E) beta_k > 2 lambda_1: capping beta_k there, floored at
+    # the least positive double, keeps the product finite and changes no verdict.
+    cap = max(2.0 * (float(lam[0]) / ratio), math.ulp(0.0)) if ratio > 0 else math.inf
+    hits = np.nonzero(lam >= ratio * np.minimum(_weights(beta, lam.size), cap))[0]
     return int(hits[-1] + 1) if hits.size else 0
 
 
@@ -164,10 +183,10 @@ class ProblemInstance:
     weights betas (one per mode), the exact solution f_true, the noisy data
     g_noisy, the noise bound eps, the constraint budget E, the seed and the
     noise mode.  g_clean = lambda * f_true and noise = g_noisy - g_clean are
-    derived, and ||noise|| <= eps is checked.  low_mode_fraction records how
-    much of ||f||^2 the weighted truncation rule would retain (a skewness
-    diagnostic for the reference-solution assumption behind the strong
-    bounds); only synthesize_problem sets it.
+    derived, and ||noise|| <= eps and ||beta f|| <= E are checked by _norm.
+    low_mode_fraction records how much of ||f||^2 the weighted truncation rule
+    would retain (a skewness diagnostic for the reference-solution assumption
+    behind the strong bounds); only synthesize_problem sets it.
     """
 
     eigenvalues: np.ndarray
@@ -193,14 +212,12 @@ class ProblemInstance:
             setattr(self, name, arr)
         if not (0 <= self.eps < math.inf and 0 < self.E < math.inf):
             raise ValueError("need finite eps >= 0 and E > 0")
-        E_sq = _square(self.E, self.eps, self.E, "E^2")
+        _square(self.E, "E^2", f"eps = {self.eps:g}, E = {self.E:g}")
         # noise = g_noisy - lambda f is known only to the rounding of g_noisy.
         rounding = np.finfo(float).eps * _norm(self.g_noisy)
         if not _norm(self.noise) <= self.eps * (1.0 + 1e-9) + rounding:
             raise ValueError("noise norm exceeds its stated bound eps")
-        with np.errstate(over="ignore"):  # an overflowed budget is inf and fails below
-            budget = float(np.sum(self.betas**2 * self.f_true**2))
-        if budget > E_sq * (1.0 + 1e-9):
+        if not _norm(self.f_true, self.betas) <= self.E * (1.0 + 5e-10):
             raise ValueError("constraint budget exceeded: sum beta^2 f^2 > E^2")
 
     @property
@@ -232,9 +249,18 @@ class ProblemInstance:
     @classmethod
     def from_json(cls, text: str) -> "ProblemInstance":
         raw = json.loads(text)
-        return cls(raw["eigenvalues"], raw["beta"], raw["f_true"], raw["g_noisy"],
-                   float(raw["eps"]), float(raw["E"]), int(raw["seed"]),
-                   str(raw["noise_mode"]))
+        if not isinstance(raw, dict):
+            raise ValueError("instance must be a JSON object")
+        missing = [key for key in ("eigenvalues", "beta", "f_true", "g_noisy", "eps", "E", "seed",
+                                   "noise_mode") if key not in raw]
+        if missing:
+            raise ValueError(f"instance lacks {', '.join(missing)}")
+        try:
+            return cls(raw["eigenvalues"], raw["beta"], raw["f_true"], raw["g_noisy"],
+                       float(raw["eps"]), float(raw["E"]), int(raw["seed"]),
+                       str(raw["noise_mode"]))
+        except TypeError as exc:
+            raise ValueError(f"instance field of the wrong type: {exc}") from None
 
 
 @dataclass
@@ -336,7 +362,7 @@ def synthesize_problem(
     m = lam.size
     if not (0 <= eps < math.inf and 0 < E < math.inf):
         raise ValueError("need finite eps >= 0 and E > 0")
-    E_sq = _square(E, eps, E, "E^2")
+    _square(E, "E^2", f"eps = {eps:g}, E = {E:g}")
     if (f_coeffs is None) == (f_decay is None):
         raise ValueError("give exactly one of f_coeffs or f_decay")
     if f_coeffs is not None:
@@ -353,24 +379,26 @@ def synthesize_problem(
         raise InfeasibleSpecError("solution coefficients are not finite")
 
     betas = _weights(beta, m)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan once a term overflows
-        budget = float(np.sum(betas**2 * f**2))
-    if not budget < math.inf:
+    budget = _norm(f, betas)  # sum beta^2 f^2 = budget^2
+    if budget > _SQRT_MAX:
         raise InfeasibleSpecError("sum beta^2 f^2 overflows, so f cannot be rescaled to the budget")
-    if tight:
-        if budget == 0.0:
-            why = "sum beta^2 f^2 underflows to zero" if np.any(f) else "f is zero"
-            raise InfeasibleSpecError(f"cannot meet the constraint budget with equality: {why}")
-        f = f * (E / math.sqrt(budget))
-    elif budget > E_sq:
-        f = f * (E / math.sqrt(budget))
+    if tight and budget * budget == 0.0:
+        why = "sum beta^2 f^2 underflows to zero" if np.any(f) else "f is zero"
+        raise InfeasibleSpecError(f"cannot meet the constraint budget with equality: {why}")
+    if tight or budget > E:
+        # E / ||beta f|| overflows only where ||beta f|| < E / max, so f is far below the range.
+        f, budget = (f, budget) if E / budget < math.inf else (f * 2.0**64, budget * 2.0**64)
+        if float(np.max(np.abs(f))) * (E / budget) == math.inf:
+            raise InfeasibleSpecError("cannot meet the constraint budget with equality: "
+                                      "the rescaled f overflows")
+        f = f * (E / budget)
 
     g_noisy = lam * f + make_noise(seed, eps, noise_mode, lam, k_noise)
 
-    f_sq = float(np.sum(f**2))
-    if f_sq > 0 and eps > 0:
+    norm = _norm(f)
+    if norm > 0 and eps > 0:
         cut = truncation_weighted(lam, betas, eps, E)
-        low_fraction = float(np.sum(f[:cut] ** 2) / f_sq)
+        low_fraction = (_norm(f[:cut]) / norm) ** 2
     else:
         low_fraction = 1.0
 
@@ -474,8 +502,8 @@ class ResidualReport:
 def _residual_report(instance: ProblemInstance, rec: Reconstruction, betas: np.ndarray) -> ResidualReport:
     lam = instance.eigenvalues
     diff = instance.f_true - rec.coefficients
-    image = float(np.sqrt(np.sum((lam * diff) ** 2)))
-    constr = float(np.sqrt(np.sum((betas * diff) ** 2)))
+    image = _norm(diff, lam)
+    constr = _norm(diff, betas)
     ratio = instance.eps / instance.E
     combined = image * image + ratio * ratio * constr * constr
 

@@ -146,13 +146,14 @@ def check_condition(eigenvalues, beta, p: PFunction, K: int) -> tuple[bool, int 
     """Does lambda_k^2 >= beta_k^2 p(beta_k^-2) hold for k = 1..K?
 
     Returns (ok, first violating k or None).  A relative slack of 1e-9
-    absorbs round-off in the equality case.
+    absorbs round-off in the equality case; beta_k^2 and lambda_k^2 must pass _square.
     """
     lam = _validate_eigenvalues(eigenvalues)
     if not 1 <= K <= lam.size:
         raise ValueError("K must lie in [1, number of modes]")
-    bet2 = _weights(beta, lam.size, K) ** 2
-    bad = np.nonzero(lam[:K] ** 2 < bet2 * p_eval(p, 1.0 / bet2) * (1.0 - 1e-9))[0]
+    bet2 = _square(_weights(beta, lam.size, K), "beta_k^2")
+    lam2 = _square(lam[:K], "lambda_k^2")
+    bad = np.nonzero(lam2 < bet2 * p_eval(p, 1.0 / bet2) * (1.0 - 1e-9))[0]
     if bad.size:
         return False, int(bad[0]) + 1
     return True, None
@@ -162,7 +163,7 @@ def stability_bound(eps: float, E: float, p: PFunction) -> float:
     """Jensen-style cap E sqrt(p^{-1}(eps^2 / E^2)) on the worst-case norm."""
     if not (0 < eps < math.inf and 0 < E < math.inf):
         raise ValueError("need finite eps > 0 and E > 0")
-    return E * math.sqrt(p_inverse(p, _square(eps / E, eps, E, "(eps/E)^2")))
+    return E * math.sqrt(p_inverse(p, _square(eps / E, "(eps/E)^2", f"eps = {eps:g}, E = {E:g}")))
 
 
 def stability_sup_exact(eigenvalues, beta, eps: float, E: float, K: int | None = None) -> float:
@@ -183,8 +184,8 @@ def stability_sup_exact(eigenvalues, beta, eps: float, E: float, K: int | None =
     one monotone-chain pass (Andrew 1979) in O(K log K) time and O(K)
     memory.  The supremum scales, sup(eps, E) = s sup(eps / s, E / s), and
     it is computed at the power of two s with E / s in [1, 2): that scaling
-    is exact, so only (eps / E)^2, checked as in stability_bound, has to be a
-    finite, normal double, not eps^2 and E^2 themselves.
+    is exact, so only (eps / E)^2, lambda_k^2 and beta_k^2 have to be finite,
+    normal doubles (checked as in stability_bound), not eps^2 and E^2 themselves.
     """
     lam = _validate_eigenvalues(eigenvalues)
     if not (0 < eps < math.inf and 0 < E < math.inf):
@@ -193,11 +194,11 @@ def stability_sup_exact(eigenvalues, beta, eps: float, E: float, K: int | None =
         K = lam.size
     if not 1 <= K <= lam.size:
         raise ValueError("K must lie in [1, number of modes]")
-    _square(eps / E, eps, E, "(eps/E)^2")
+    _square(eps / E, "(eps/E)^2", f"eps = {eps:g}, E = {E:g}")
     s = math.ldexp(1.0, math.frexp(E)[1] - 1)
     eps, E = eps / s, E / s
-    a = lam[:K] ** 2 / (eps * eps)
-    b = _weights(beta, lam.size, K) ** 2 / (E * E)
+    a = _square(lam[:K], "lambda_k^2") / (eps * eps)
+    b = _square(_weights(beta, lam.size, K), "beta_k^2") / (E * E)
 
     order = np.lexsort((b, a))
     hull: list[tuple[float, float]] = []

@@ -433,6 +433,105 @@ def test_solve_rejects_an_overflowing_instance_without_a_warning(tmp_path, capsy
     assert captured.err == err
 
 
+def test_solve_decides_the_budget_on_the_products(tmp_path, capsys):
+    # beta^2 overflows where f^2 underflows, and ||beta f|| = 1 > E.
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"eigenvalues": [1.0], "beta": [1e200], "f_true": [1e-200],
+                                "g_noisy": [1e-200], "eps": 0.1, "E": 0.5, "seed": 0,
+                                "noise_mode": "white"}))
+    assert main(["solve", "--instance", str(inst)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: constraint budget exceeded: sum beta^2 f^2 > E^2\n"
+
+
+@pytest.mark.parametrize("text, err", [
+    ('{"eigenvalues": [1.0]}', "error: instance lacks beta, f_true, g_noisy, eps, E, seed, "
+                               "noise_mode\n"),
+    ("[1, 2]", "error: instance must be a JSON object\n"),
+    ('{"eigenvalues": [1.0], "beta": [1.0], "f_true": [0.0], "g_noisy": [0.0], "eps": [0.1], '
+     '"E": 1.0, "seed": 0, "noise_mode": "flat"}', None),
+], ids=["missing-keys", "not-an-object", "list-eps"])
+def test_solve_on_a_malformed_instance_exits_2(tmp_path, capsys, text, err):
+    inst = tmp_path / "inst.json"
+    inst.write_text(text)
+    assert main(["solve", "--instance", str(inst)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if err is None:
+        assert captured.err.startswith("error: instance field of the wrong type: ")
+    else:
+        assert captured.err == err
+
+
+@pytest.mark.parametrize("p, k", [("100", 35), ("-200", 6)])
+def test_stability_names_the_first_weight_whose_square_leaves_the_range(capsys, p, k):
+    # beta_k = k^p: beta_k^2 overflows from k = 35 at p = 100 and is subnormal
+    # from k = 6 at p = -200.
+    assert main(["stability", "--constraint", f"power:p={p}", "--n-modes", "40"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: beta_k^2 is not a finite, normal double at k = {k}\n"
+
+
+def test_simulate_keeps_a_weight_whose_square_overflows_where_f_is_zero(capsys):
+    # beta_40^2 overflows, but f_40 = 0 and sum beta^2 f^2 = 1.
+    assert main(["simulate", "--constraint", "power:p=100", "--n-modes", "40",
+                 "--f-coeffs", "1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["f_true"] == [1.0] + [0.0] * 39
+
+
+def test_simulate_rescales_a_budget_whose_square_is_subnormal(capsys):
+    # ||beta f||^2 = 1e-310 is subnormal but not zero, so --tight rescales f to E = 1.
+    assert main(["simulate", "--n-modes", "1", "--f-coeffs", "1e-155"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["f_true"] == [pytest.approx(1.0, rel=1e-15)]
+
+
+def test_simulate_rescales_where_E_over_the_budget_overflows(capsys):
+    # ||beta f|| = 1e-160, so E / ||beta f|| = 1e314 overflows, yet f E / ||beta f|| = 1e124.
+    assert main(["simulate", "--n-modes", "1", "--constraint", "power:p=1,scale=1e30",
+                 "--E", "1e154", "--f-coeffs", "1e-190"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["f_true"] == [pytest.approx(1e124, rel=1e-15)]
+
+
+@pytest.mark.parametrize("rule", ["k1", "k2"])
+def test_solve_keeps_no_mode_where_the_truncation_cap_underflows(tmp_path, capsys, rule):
+    # lambda_1 / (eps / E) = 1e-325 rounds to zero, and no mode passes either rule.
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"eigenvalues": [1e-20, 1e-21], "beta": [1.0, 1.0],
+                                "f_true": [0.0, 0.0], "g_noisy": [1.0, 1.0], "eps": 1e304,
+                                "E": 0.1, "seed": 0, "noise_mode": "flat"}))
+    assert main(["solve", "--instance", str(inst), "--rule", rule]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert [row.split(",")[-1] for row in captured.out.splitlines()[1:]] == ["0", "0"]
+
+
+def test_simulate_names_a_rescaled_solution_that_overflows(capsys):
+    # ||beta f|| is in range, but f_2 E / ||beta f|| = E / beta_2 is not.
+    assert main(["simulate", "--constraint", "power:p=-520", "--n-modes", "2", "--E", "1e154",
+                 "--f-coeffs", "0,1e4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: infeasible request: cannot meet the constraint budget "
+                            "with equality: the rescaled f overflows\n")
+
+
+def test_truncate_with_an_overflowing_threshold(capsys):
+    # (eps/E) beta_k overflows here, and no mode is kept.
+    assert main(["truncate", "--constraint", "power:p=100", "--n-modes", "40", "--E", "1e-10",
+                 "--eps-grid", "1e190"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == "eps,k1,k2\n1e+190,0,0\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--E", "nan"],
     ["simulate", "--eps", "nan"],

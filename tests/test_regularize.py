@@ -29,6 +29,7 @@ from trunceig import (
     weighted_rule_residuals,
 )
 from trunceig.errors import HypothesisWarning, InfeasibleSpecError
+from trunceig.regularize import _norm, _square
 
 TRI_LAM_80 = 1.0 / (np.arange(1, 81) * math.pi) ** 2
 DERIVATIVE_80 = math.pi * np.arange(1, 81, dtype=float)  # beta_k = k pi
@@ -78,6 +79,14 @@ def test_truncation_keeps_boundary_ties():
     lam = np.array([1.0, 0.5, 0.25])
     assert truncation_identity(lam, 0.25, 1.0) == 3
     assert truncation_weighted(lam, np.array([1.0, 1.0, 1.0]), 0.25, 1.0) == 3
+
+
+def test_truncation_where_the_cap_on_the_weights_is_subnormal_or_zero():
+    # lambda_1 / (eps / E) = 1e-325 rounds to zero, yet (eps / E) beta_k = 1e305 > lambda_k.
+    assert truncation_weighted([1e-20, 1e-21], [1.0, 1.0], 1e304, 0.1) == 0
+    assert truncation_identity([1e-20, 1e-21], 1e304, 0.1) == 0
+    # Here the cap 2 lambda_1 / (eps / E) = 2e-323 is subnormal and above beta_k = 5e-324.
+    assert truncation_weighted([1e-20, 1e-21], [5e-324, 5e-324], 1e302, 0.1) == 1
 
 
 def test_truncation_input_validation():
@@ -302,6 +311,39 @@ def test_problem_instance_json_round_trip():
                 assert clone.noise_mode == inst.noise_mode
                 # Serialization is deterministic byte for byte.
                 assert clone.to_json() == text
+
+
+def test_square_checks_the_range_before_squaring():
+    low, high = math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max)
+    assert _square(low, "x^2", "eps = 1, E = 2") == np.finfo(float).tiny
+    assert _square(-high, "x^2", "eps = 1, E = 2") == high**2
+    message = r"^x\^2 is not a finite, normal double at eps = 1, E = 2$"
+    for bad in (math.nextafter(low, 0.0), math.nextafter(high, math.inf), 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=message):
+            _square(bad, "x^2", "eps = 1, E = 2")
+    weights = np.array([1.0, 2.0, 1e200, 1e-200])
+    assert np.array_equal(_square(weights[:2], "beta_k^2"), [1.0, 4.0])
+    with pytest.raises(ValueError, match=r"^beta_k\^2 is not a finite, normal double at k = 3$"):
+        _square(weights, "beta_k^2")
+    with pytest.raises(ValueError, match=r"at k = 4$"):
+        _square(weights[[0, 1, 1, 3]], "beta_k^2")
+
+
+def test_norm_scales_by_powers_of_two():
+    rng = np.random.default_rng(1978)
+    for _ in range(50):
+        x = rng.standard_normal(60) * 10.0 ** rng.uniform(-70, 70, 60)
+        w = 10.0 ** rng.uniform(-70, 70, 60)
+        assert _norm(x, w) == math.sqrt(float(np.sum(w**2 * x**2)))  # bit for bit in range
+        assert _norm(x, float(w[0])) == math.sqrt(float(np.sum(np.full(60, w[0]) ** 2 * x**2)))
+        assert _norm(x) == math.sqrt(float(np.sum(x**2)))
+    # beta^2 overflows and f^2 underflows here.
+    assert _norm(np.array([1e-200]), np.array([1e200])) == pytest.approx(1.0, rel=1e-15)
+    assert _norm(np.array([3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
+    assert _norm(np.array([3e-300, 4e-300]), 1e-20) == pytest.approx(5e-320, rel=1e-3)
+    assert _norm(np.array([1e300, 1e300]), 1e10) == math.inf
+    assert _norm(np.zeros(3), 1e300) == 0.0
+    assert _norm(np.zeros(0)) == 0.0
 
 
 def test_derived_noise_allows_for_the_rounding_of_g_noisy():
