@@ -1,9 +1,9 @@
 """Command-line driver.
 
-Commands operate on a kernel (or a saved problem instance) and emit CSV on
-stdout or into --output.  Floats are rendered with 9 significant digits in
-CSV and as Python's shortest round-trip repr in JSON, so identical inputs and
-seeds give byte-identical output.
+Commands operate on a kernel (or a saved problem instance) and return CSV,
+which main alone writes to stdout or into --output.  Floats are rendered
+with 9 significant digits in CSV and as Python's shortest round-trip repr in
+JSON, so identical inputs and seeds give byte-identical output.
 Commands that draw noise take a single --seed; a sweep derives the seed for
 its i-th row as seed + i.
 
@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -43,14 +44,6 @@ def _csv(rows, header: str) -> str:
     for row in rows:
         lines.append(",".join(_fmt(cell) for cell in row))
     return "\n".join(lines) + "\n"
-
-
-def _write(path: str | None, text: str):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
 
 
 def _float_list(text: str) -> list[float]:
@@ -97,7 +90,7 @@ def _rule_inputs(args, count=None) -> tuple[np.ndarray, np.ndarray]:
     return lam, regularize.parse_constraint(args.constraint, lam.size)
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args) -> str:
     spec = kernels.parse_kernel(args.kernel)
     lam = _system(spec, args)[: args.n_modes]
     k = np.arange(1, lam.size + 1)
@@ -106,29 +99,26 @@ def cmd_spectrum(args) -> int:
     else:
         analytic = spec.analytic_eigenvalue(k)
         rows = zip(k, lam, analytic, np.abs(lam - analytic) / analytic)
-    _write(args.output, _csv(rows, "k,lambda,lambda_analytic,rel_err"))
-    return 0
+    return _csv(rows, "k,lambda,lambda_analytic,rel_err")
 
 
-def cmd_truncate(args) -> int:
+def cmd_truncate(args) -> str:
     lam, beta = _rule_inputs(args)
     rows = []
     for eps in _float_list(args.eps_grid):
         k1 = regularize.truncation_identity(lam, eps, args.E)
         k2 = regularize.truncation_weighted(lam, beta, eps, args.E)
         rows.append((eps, k1, k2))
-    _write(args.output, _csv(rows, "eps,k1,k2"))
-    return 0
+    return _csv(rows, "eps,k1,k2")
 
 
-def cmd_solve(args) -> int:
+def cmd_solve(args) -> str:
     with open(args.instance, "r", encoding="utf-8") as handle:
         instance = regularize.ProblemInstance.from_json(handle.read())
     rec = regularize.truncated_solution(instance, args.rule)
     rows = zip(range(1, instance.n_modes + 1), instance.eigenvalues, instance.betas,
                instance.f_true, instance.g_noisy, rec.coefficients)
-    _write(args.output, _csv(rows, "k,lambda_k,beta_k,f_k,gbar_k,fhat_k"))
-    return 0
+    return _csv(rows, "k,lambda_k,beta_k,f_k,gbar_k,fhat_k")
 
 
 def _build_instance(lam, beta, eps, args, seed):
@@ -142,7 +132,7 @@ def _build_instance(lam, beta, eps, args, seed):
     )
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> str:
     lam, beta = _rule_inputs(args)
     pfun = stability.parse_pfunction(args.p)
     v = 1.0 / np.arange(1, lam.size + 1, dtype=float)
@@ -175,11 +165,10 @@ def cmd_sweep(args) -> int:
         "eps,k1,k2,err_f1_weak_bound,err_f2,bound_sqrt2_M,"
         "lemma6_ok,lemma7_ok,H_bits_k1,H_bits_k2"
     )
-    _write(args.output, _csv(rows, header))
-    return 0
+    return _csv(rows, header)
 
 
-def cmd_entropy(args) -> int:
+def cmd_entropy(args) -> str:
     lam, beta = _rule_inputs(args)
     rows = []
     for eps in _float_list(args.eps_grid):
@@ -194,11 +183,10 @@ def cmd_entropy(args) -> int:
                 flow.bit_difference,
             )
         )
-    _write(args.output, _csv(rows, "eps,k1,bits_k1,k2,bits_k2,bit_diff"))
-    return 0
+    return _csv(rows, "eps,k1,bits_k1,k2,bits_k2,bit_diff")
 
 
-def cmd_stability(args) -> int:
+def cmd_stability(args) -> str:
     lam, beta = _rule_inputs(args, args.K)  # the supremum and the condition read only K modes
     pfun = stability.parse_pfunction(args.p)
     eps_grid = _float_list(args.eps_grid)
@@ -219,11 +207,10 @@ def cmd_stability(args) -> int:
         )
     except ValueError as exc:
         text += f"# classification: unavailable ({exc})\n"
-    _write(args.output, text)
-    return 0
+    return text
 
 
-def cmd_cover(args) -> int:
+def cmd_cover(args) -> str:
     with warnings.catch_warnings():  # an empty file is rejected by FinitePointSet
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         points = np.loadtxt(args.points, delimiter=",", dtype=float, ndmin=2)
@@ -232,15 +219,13 @@ def cmd_cover(args) -> int:
     n_cover, _ = infotheory.covering_number_exact(point_set, args.eps)
     m_pack, _ = infotheory.packing_number_exact(point_set, args.eps)
     holds = n_cover <= m_pack
-    _write(args.output, f"N={n_cover}, M={m_pack}, holds={'true' if holds else 'false'}\n")
-    return 0
+    return f"N={n_cover}, M={m_pack}, holds={'true' if holds else 'false'}\n"
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> str:
     lam, beta = _rule_inputs(args)
     instance = _build_instance(lam, beta, args.eps, args, args.seed)
-    _write(args.output, instance.to_json())
-    return 0
+    return instance.to_json()
 
 
 def _count(text: str) -> int:
@@ -393,7 +378,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        return args.func(args)
+        text = args.func(args)
+        with (nullcontext(sys.stdout) if args.output is None
+              else open(args.output, "w", encoding="utf-8")) as handle:
+            handle.write(text)
+        return 0
     except InfeasibleSpecError as exc:
         print(f"error: infeasible request: {exc}", file=sys.stderr)
         return 3

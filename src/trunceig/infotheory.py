@@ -85,20 +85,22 @@ class InfoReport:
     entropy_bits: float
 
 
-def _axis_bits(semi_axes: np.ndarray, eps: float) -> tuple[int, float]:
-    above = semi_axes[semi_axes >= eps]
-    cutoff = int(above.size)
-    if cutoff == 0:
-        return 0, 0.0
-    return cutoff, float(np.sum(np.log2(above / eps)))
+def _axis_bits(axes: np.ndarray, eps: float, where: str, scale: float = 1.0) -> float:
+    """sum log2(scale a / eps) over the semi-axes a (0 for none); a ValueError
+    naming `where` if that sum is not a finite double."""
+    with np.errstate(over="ignore"):
+        total = float(np.sum(np.log2(scale * axes / eps)))
+    if not math.isfinite(total):
+        raise ValueError(f"bit count over {axes.size} modes is not finite at {where}")
+    return total
 
 
 def entropy_lower_bound(ellipsoid: Ellipsoid, eps: float) -> InfoReport:
     """Volume lower bound on the eps-entropy of an ellipsoid."""
     if not 0 < eps < math.inf:
         raise ValueError("eps must be finite and positive")
-    cutoff, bits = _axis_bits(ellipsoid.semi_axes, eps)
-    return InfoReport(eps, cutoff, bits)
+    above = ellipsoid.semi_axes[ellipsoid.semi_axes >= eps]
+    return InfoReport(eps, int(above.size), _axis_bits(above, eps, f"eps = {eps:g}"))
 
 
 @dataclass
@@ -125,17 +127,7 @@ def information_flow_comparison(eigenvalues, beta, eps: float, E: float) -> Flow
     k1 = truncation_identity(lam, eps, E)
     k2 = truncation_weighted(lam, beta, eps, E)
 
-    def bits(cut: int) -> float:
-        if cut == 0:
-            return 0.0
-        with np.errstate(over="ignore"):
-            total = float(np.sum(np.log2(E * lam[:cut] / eps)))
-        if not math.isfinite(total):
-            raise ValueError(f"bit count over {cut} modes is not finite at eps = {eps:g}, E = {E:g}")
-        return total
-
-    b1 = bits(k1)
-    b2 = bits(k2)
+    b1, b2 = (_axis_bits(lam[:cut], eps, f"eps = {eps:g}, E = {E:g}", E) for cut in (k1, k2))
     return FlowComparison(
         InfoReport(eps, k1, b1),
         InfoReport(eps, k2, b2),

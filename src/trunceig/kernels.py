@@ -128,16 +128,22 @@ class KernelSpec:
     analytic_eigenvalue: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-def _parse_params(text: str, what: str, required=(), optional=()) -> dict[str, float]:
-    """Float parameters from the 'key=value,...' tail of a 'head:...' string.
+def _preset(text: str, what: str, heads: dict) -> tuple[str, dict[str, float]]:
+    """Head and float parameters of a 'head:key=value,...' string.
 
-    The one grammar behind kernel, constraint and p-function strings: every
-    key in `required` must appear, no key outside `required` and `optional`
-    is accepted, and no key may appear twice.  `what` names the head in
-    error messages.
+    The one grammar behind kernel, constraint and p-function strings: `heads`
+    maps each head to its (required, optional) keys.  Every required key must
+    appear, no other key is accepted, no key may appear twice, and empty
+    chunks are skipped.  `what` names the family in error messages.
     """
+    head, _, rest = text.partition(":")
+    head = head.strip()
+    if head not in heads:
+        raise ValueError(f"unknown {what} {head!r}")
+    required, optional = heads[head]
+    what = f"{head} {what}"
     params = {}
-    for chunk in text.split(","):
+    for chunk in rest.split(","):
         if not chunk:
             continue
         key, sep, value = chunk.partition("=")
@@ -155,38 +161,16 @@ def _parse_params(text: str, what: str, required=(), optional=()) -> dict[str, f
     for key in required:
         if key not in params:
             raise ValueError(f"{what} requires {key}=...")
-    return params
+    return head, params
 
 
 def parse_kernel(text: str) -> KernelSpec:
     """Parse a kernel string: 'triangular', 'sinc:c=10[,a=-1,b=1]', 'tabulated:FILE'."""
-    head, _, rest = text.partition(":")
-    head = head.strip()
-    if head == "triangular":
-        if rest:
-            raise ValueError("triangular kernel takes no parameters")
-        return KernelSpec(triangular_kernel, 0.0, 1.0,
-                          analytic_eigenvalue=lambda k: 1.0 / (k * math.pi) ** 2)
-    if head == "sinc":
-        params = _parse_params(rest, "sinc kernel", required=("c",), optional=("a", "b"))
-        c = params["c"]
-        kernel = SincKernel(c)  # checks c
-        a = params.get("a", -1.0)
-        b = params.get("b", 1.0)
-        if not -math.inf < a < b < math.inf:
-            raise ValueError("sinc interval must satisfy finite a < b")
-        if not math.isfinite(b - a):
-            raise ValueError(f"sinc interval [{a:g}, {b:g}] is too long: b - a overflows")
-        if not math.isfinite(math.pi * (b - a)):
-            raise ValueError(f"sinc interval [{a:g}, {b:g}] is too long: pi*(b - a) overflows")
-        if not math.isfinite(c * (b - a)):
-            raise ValueError(f"bandwidth c = {c:g} is too large for [{a:g}, {b:g}]: "
-                             "c*(b - a) overflows")
-        return KernelSpec(kernel, a, b)
-    if head == "tabulated":
-        if not rest:
+    head, _, path = text.partition(":")
+    if head.strip() == "tabulated":  # the one head whose tail is a file path
+        if not path:
             raise ValueError("tabulated kernel requires a file path")
-        with open(rest, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
         grid = QuadratureGrid(
             float(raw["a"]),
@@ -196,7 +180,24 @@ def parse_kernel(text: str) -> KernelSpec:
         )
         kernel = TabulatedKernel(grid, np.asarray(raw["samples"], dtype=float))
         return KernelSpec(kernel, grid.a, grid.b, grid=grid)
-    raise ValueError(f"unknown kernel {head!r}")
+    head, params = _preset(text, "kernel", {"triangular": ((), ()), "sinc": (("c",), ("a", "b"))})
+    if head == "triangular":
+        return KernelSpec(triangular_kernel, 0.0, 1.0,
+                          analytic_eigenvalue=lambda k: 1.0 / (k * math.pi) ** 2)
+    c = params["c"]
+    kernel = SincKernel(c)  # checks c
+    a = params.get("a", -1.0)
+    b = params.get("b", 1.0)
+    if not -math.inf < a < b < math.inf:
+        raise ValueError("sinc interval must satisfy finite a < b")
+    if not math.isfinite(b - a):
+        raise ValueError(f"sinc interval [{a:g}, {b:g}] is too long: b - a overflows")
+    if not math.isfinite(math.pi * (b - a)):
+        raise ValueError(f"sinc interval [{a:g}, {b:g}] is too long: pi*(b - a) overflows")
+    if not math.isfinite(c * (b - a)):
+        raise ValueError(f"bandwidth c = {c:g} is too large for [{a:g}, {b:g}]: "
+                         "c*(b - a) overflows")
+    return KernelSpec(kernel, a, b)
 
 
 # ---------------------------------------------------------------------------

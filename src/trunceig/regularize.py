@@ -37,7 +37,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConvergenceError, HypothesisWarning, InfeasibleSpecError
-from .kernels import _parse_params
+from .kernels import _preset
 
 __all__ = [
     "parse_constraint",
@@ -72,18 +72,15 @@ def parse_constraint(text: str, count: int) -> np.ndarray:
     for the bandlimited case: beta_k^2 = 2 k ln(k / (e c)) for k above
     ceil(e c), and chi_{k-1} below that, where the logarithm is not positive.
     """
-    head, _, rest = text.partition(":")
-    head = head.strip()
-    what = f"{head} constraint"
+    head, params = _preset(text, "constraint", {
+        "identity": ((), ()), "derivative": ((), ()), "power": (("p",), ("scale",)),
+        "prolate": (("c",), ()), "sinc_log": (("c",), ())})
     k = np.arange(1, count + 1, dtype=float)
     if head == "identity":
-        _parse_params(rest, what)
         return np.ones(count)
     if head == "derivative":
-        _parse_params(rest, what)
         return math.pi * k
     if head == "power":
-        params = _parse_params(rest, what, required=("p",), optional=("scale",))
         p, scale = params["p"], params.get("scale", 1.0)
         if not (-math.inf < p < math.inf and 0 < scale < math.inf):
             raise ValueError("power constraint needs a finite p and a finite scale > 0")
@@ -93,9 +90,7 @@ def parse_constraint(text: str, count: int) -> np.ndarray:
             raise ValueError(f"power constraint p = {p:g}, scale = {scale:g} gives weights "
                              f"scale*k^p that are not finite and positive for k <= {count}")
         return beta
-    if head not in ("prolate", "sinc_log"):
-        raise ValueError(f"unknown constraint {head!r}")
-    c = _parse_params(rest, what, required=("c",))["c"]
+    c = params["c"]
     if not 0 < c < math.inf:
         raise ValueError("bandwidth c must be finite and positive")
     # Compared as floats first: ceil(e c) overflows for c near the float limit.
@@ -154,6 +149,17 @@ def _norm(x, w=1.0) -> float:
     top = int(np.max(exp, where=terms != 0, initial=-4400))
     root = math.sqrt(float(np.sum(np.ldexp(terms, exp - top))))
     return math.ldexp(root, top // 2) if math.frexp(root)[1] + top // 2 <= 1024 else math.inf
+
+
+def _bisect(below, lo: float, hi: float) -> float:
+    """Bisect [lo, hi], where below(lo) holds and below(hi) does not, until its
+    midpoint no longer splits it (at most 200 halvings); return that midpoint."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def truncation_identity(eigenvalues, eps: float, E: float) -> int:
@@ -393,6 +399,12 @@ def synthesize_problem(
                                       "the rescaled f overflows")
         f = f * (E / budget)
 
+    # lambda_k f_k = (m_k f_k) 2^e_k, m_k in [1/2, 1): finite while its exponent is <= 1024.
+    mant, exp2 = np.frexp(lam)
+    bad = np.flatnonzero(np.frexp(mant * f)[1] + exp2 > 1024)
+    if bad.size:
+        raise InfeasibleSpecError(f"lambda_k f_k overflows at k = {bad[0] + 1}, "
+                                  "so the data cannot be formed")
     g_noisy = lam * f + make_noise(seed, eps, noise_mode, lam, k_noise)
 
     norm = _norm(f)
@@ -449,7 +461,6 @@ def feasibility_check(instance: ProblemInstance) -> FeasibilityResult:
         misfit = g * (mu * bet2) / (lam2 + mu * bet2)
         return float(np.sum(misfit * misfit))
 
-    lo = 0.0
     hi = 1.0
     for _ in range(400):
         if residual_sq(hi) >= target:
@@ -457,16 +468,7 @@ def feasibility_check(instance: ProblemInstance) -> FeasibilityResult:
         hi *= 2.0
     else:
         raise ConvergenceError("could not bracket the feasibility multiplier")
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if residual_sq(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    mu = 0.5 * (lo + hi)
+    mu = _bisect(lambda mu: residual_sq(mu) < target, 0.0, hi)
     f = lam * g / (lam2 + mu * bet2)
     min_norm = float(np.sqrt(np.sum(bet2 * f * f)))
     permissible = min_norm <= instance.E * (1.0 + 1e-9)

@@ -199,11 +199,7 @@ def nystrom_matrix(kernel, grid: QuadratureGrid) -> SymmetricOperatorMatrix:
     n = grid.size
     nodes = grid.nodes
     samples = np.broadcast_to(kernel(nodes[:, None], nodes[None, :]), (n, n))
-    if not np.all(np.isfinite(samples)):
-        bad = np.argwhere(~np.isfinite(samples))[0]
-        raise NumericDomainError(
-            f"kernel evaluation is non-finite at node pair ({bad[0]}, {bad[1]})"
-        )
+    _check_finite(samples, "kernel evaluation is non-finite at node pair")
     root_w = np.sqrt(grid.weights)
     matrix = root_w[:, None] * samples
     matrix *= root_w
@@ -226,11 +222,11 @@ def operator_matrix(kernel, grid: QuadratureGrid) -> np.ndarray:
     return matrix
 
 
-def _check_finite(m: np.ndarray) -> None:
-    """Raise NumericDomainError naming the first non-finite entry of m."""
+def _check_finite(m: np.ndarray, what: str = "non-finite matrix entry at") -> None:
+    """Raise NumericDomainError naming the first non-finite entry of m after `what`."""
     if not np.all(np.isfinite(m)):
         bad = np.argwhere(~np.isfinite(m))[0]
-        raise NumericDomainError(f"non-finite matrix entry at ({bad[0]}, {bad[1]})")
+        raise NumericDomainError(f"{what} ({bad[0]}, {bad[1]})")
 
 
 def _magnitude_order(lam: np.ndarray) -> np.ndarray:

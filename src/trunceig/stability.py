@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import _parse_params
-from .regularize import _square, _validate_eigenvalues, _weights
+from .kernels import _preset
+from .regularize import _bisect, _square, _validate_eigenvalues, _weights
 
 __all__ = [
     "PFunction",
@@ -68,16 +68,7 @@ class PFunction:
             cap = p(EXPLOG_R_MAX)
             if s > cap:
                 raise ValueError(f"s={s:g} above the invertible range (p(2/3) = {cap:.6g})")
-            lo, hi = 0.0, EXPLOG_R_MAX
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:
-                    break
-                if p(mid) < s:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
+            return _bisect(lambda r: p(r) < s, 0.0, EXPLOG_R_MAX)
 
         return cls(p, inverse)
 
@@ -113,15 +104,8 @@ class PFunction:
 
 def parse_pfunction(text: str) -> PFunction:
     """Parse 'power:gamma=0.333' or 'explog'."""
-    head, _, rest = text.partition(":")
-    head = head.strip()
-    if head == "explog":
-        if rest:
-            raise ValueError("explog takes no parameters")
-        return PFunction.explog()
-    if head == "power":
-        return PFunction.power(_parse_params(rest, "power preset", required=("gamma",))["gamma"])
-    raise ValueError(f"unknown p function {head!r}")
+    head, params = _preset(text, "preset", {"explog": ((), ()), "power": (("gamma",), ())})
+    return PFunction.explog() if head == "explog" else PFunction.power(params["gamma"])
 
 
 def p_eval(p: PFunction, r):
@@ -182,10 +166,11 @@ def stability_sup_exact(eigenvalues, beta, eps: float, E: float, K: int | None =
     candidate is a point of P, so none undercuts the true minimum, and the
     minimizer is among them: the result is exact, found with one sort and
     one monotone-chain pass (Andrew 1979) in O(K log K) time and O(K)
-    memory.  The supremum scales, sup(eps, E) = s sup(eps / s, E / s), and
-    it is computed at the power of two s with E / s in [1, 2): that scaling
-    is exact, so only (eps / E)^2, lambda_k^2 and beta_k^2 have to be finite,
-    normal doubles (checked as in stability_bound), not eps^2 and E^2 themselves.
+    memory.  The supremum scales, sup(eps, E) = E sup(eps / E, 1), and the
+    points (lambda_k^2 / (eps/E)^2, beta_k^2) are formed from mantissas and
+    exponents divided by a power of two near the minimum, so only (eps / E)^2,
+    lambda_k^2 and beta_k^2 have to be finite, normal doubles (checked as in
+    stability_bound), not eps^2, E^2 or the points themselves.
     """
     lam = _validate_eigenvalues(eigenvalues)
     if not (0 < eps < math.inf and 0 < E < math.inf):
@@ -194,11 +179,17 @@ def stability_sup_exact(eigenvalues, beta, eps: float, E: float, K: int | None =
         K = lam.size
     if not 1 <= K <= lam.size:
         raise ValueError("K must lie in [1, number of modes]")
-    _square(eps / E, "(eps/E)^2", f"eps = {eps:g}, E = {E:g}")
-    s = math.ldexp(1.0, math.frexp(E)[1] - 1)
-    eps, E = eps / s, E / s
-    a = _square(lam[:K], "lambda_k^2") / (eps * eps)
-    b = _square(_weights(beta, lam.size, K), "beta_k^2") / (E * E)
+    mr, er = math.frexp(_square(eps / E, "(eps/E)^2", f"eps = {eps:g}, E = {E:g}"))
+    ma, ea = np.frexp(_square(lam[:K], "lambda_k^2"))
+    mb, eb = np.frexp(_square(_weights(beta, lam.size, K), "beta_k^2"))
+    ea = ea - er
+    # Every point has max(x, y) above 2^(max(e_a, e_b) - 1), so the minimum lies in
+    # (2^(top - 2), 2^(top + 1)).  A point with a coordinate above 2^(top + 500) moves
+    # it by under 2^-498 relative and is dropped; the rest, divided by 2^top, are finite.
+    top = int(np.min(np.maximum(ea, eb)))
+    keep = np.maximum(ea, eb) <= top + 500
+    a = np.ldexp(ma[keep] / mr, ea[keep] - top)
+    b = np.ldexp(mb[keep], eb[keep] - top)
 
     order = np.lexsort((b, a))
     hull: list[tuple[float, float]] = []
@@ -218,7 +209,11 @@ def stability_sup_exact(eigenvalues, beta, eps: float, E: float, K: int | None =
     if np.any(crosses):
         num = hx[:-1] * hy[1:] - hx[1:] * hy[:-1]
         best = min(best, float(np.min(num[crosses] / (d[:-1] - d[1:])[crosses])))
-    return s * math.sqrt(1.0 / best)
+    # sup = E / sqrt(best 2^top), from the mantissa of E: inf with no warning above range.
+    half, odd = divmod(top, 2)
+    mE, eE = math.frexp(E)
+    root = mE / math.sqrt(math.ldexp(best, odd))
+    return math.ldexp(root, eE - half) if math.frexp(root)[1] + eE - half <= 1024 else math.inf
 
 
 @dataclass

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from trunceig import check_condition, parse_constraint, parse_kernel, parse_pfunction, spectral
-from trunceig.cli import main
+from trunceig.cli import _build_parser, main
 from trunceig.errors import ConvergenceError
 from trunceig.regularize import truncation_identity, truncation_weighted
 from trunceig.spectral import MAX_ORDER
@@ -383,6 +383,50 @@ def test_stability_at_tiny_eps_and_E(capsys):
 
 
 @pytest.mark.filterwarnings("error")
+def test_stability_where_lambda_over_eps_squared_overflows(tmp_path, capsys):
+    # lambda_1 ~ 2.28 and (eps/E)^2 near the least normal double: lambda_1^2 / eps^2
+    # overflowed, and exact_sup printed 0 at eps = 1.6e-154 with a RuntimeWarning.
+    kernel = _table(tmp_path / "table.json", sign=10.0)
+    assert main(["stability", "--kernel", kernel, "--constraint", "derivative", "--n-modes", "1",
+                 "--E", "1", "--eps-grid", "1e-150,1e-151,1e-152,1e-153,1.6e-154"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines()[1:-1]]
+    sups = [float(row[2]) for row in rows]
+    # One mode whose noise side decides: sup = eps / lambda_1 on the whole grid.
+    assert sups[-1] == pytest.approx(sups[0] * 1.6e-4, rel=1e-8)
+
+
+@pytest.mark.filterwarnings("error")
+def test_stability_at_tiny_lambda_and_eps(tmp_path, capsys):
+    # A kernel scaled by 1e-90 at eps / E = 1e-90 has the suprema of the unscaled kernel
+    # at eps / E = 1; they used to end in a ZeroDivisionError traceback.
+    sups = []
+    for sign, grid in ((1e-90, "1e-90,1e-91,1e-92,1e-93,1e-94"), (1.0, "1,0.1,0.01,1e-3,1e-4")):
+        kernel = _table(tmp_path / "table.json", sign=sign)
+        assert main(["stability", "--kernel", kernel, "--constraint", "derivative",
+                     "--n-modes", "5", "--eps-grid", grid]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        sups.append([line.split(",")[2] for line in captured.out.splitlines()[1:-1]])
+    assert sups[0] == sups[1] == ["0.318309886", "0.318309886", "0.159956283", "0.0749375579",
+                                  "0.0108638113"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_where_lambda_f_overflows_exits_3(tmp_path, capsys):
+    # The rescaled f_1 is about 1e308 and lambda_1 ~ 2.28: lambda * f used to overflow
+    # with a RuntimeWarning and exit 2 with "g_noisy must be finite".
+    kernel = _table(tmp_path / "table.json", sign=10.0)
+    assert main(["simulate", "--kernel", kernel, "--constraint", "power:p=0,scale=1e-158",
+                 "--E", "1e150", "--f-coeffs", "1e10", "--n-modes", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: infeasible request: lambda_k f_k overflows at k = 1, "
+                            "so the data cannot be formed\n")
+
+
+@pytest.mark.filterwarnings("error")
 def test_simulate_at_huge_eps(capsys):
     # ||noise||^2 overflows here; the noise check used to warn and pass vacuously.
     assert main(["simulate", "--eps", "1e200", "--n-modes", "5"]) == 0
@@ -727,3 +771,78 @@ def test_non_finite_sinc_parameter_exits_2(capsys, kernel, err):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == err
+
+
+# One grammar reads all three preset families: each family's malformed strings
+# fail the same way, with the family's word in the message.
+PRESET_FAMILIES = {
+    "kernel": ["spectrum", "--kernel"],
+    "constraint": ["truncate", "--constraint"],
+    "p": ["stability", "--p"],
+}
+
+
+@pytest.mark.parametrize("family, text, err", [
+    ("kernel", "bogus", "unknown kernel 'bogus'"),
+    ("kernel", "sinc:c", "malformed sinc kernel parameter 'c'"),
+    ("kernel", "sinc:c=1,d=2", "unknown sinc kernel parameter 'd'"),
+    ("kernel", "sinc:c=1,c=2", "repeated sinc kernel parameter 'c'"),
+    ("kernel", "sinc:a=0", "sinc kernel requires c=..."),
+    ("kernel", "triangular:x=1", "unknown triangular kernel parameter 'x'"),
+    ("constraint", "bogus", "unknown constraint 'bogus'"),
+    ("constraint", "power:p", "malformed power constraint parameter 'p'"),
+    ("constraint", "power:p=1,q=2", "unknown power constraint parameter 'q'"),
+    ("constraint", "power:p=1,p=2", "repeated power constraint parameter 'p'"),
+    ("constraint", "power:scale=2", "power constraint requires p=..."),
+    ("constraint", "derivative:x=1", "unknown derivative constraint parameter 'x'"),
+    ("p", "bogus", "unknown preset 'bogus'"),
+    ("p", "power:gamma", "malformed power preset parameter 'gamma'"),
+    ("p", "power:gamma=0.5,g=1", "unknown power preset parameter 'g'"),
+    ("p", "power:gamma=0.5,gamma=0.2", "repeated power preset parameter 'gamma'"),
+    ("p", "power:", "power preset requires gamma=..."),
+    ("p", "explog:x", "malformed explog preset parameter 'x'"),
+], ids=[f"{family}-{case}" for family in PRESET_FAMILIES for case in (
+    "unknown-head", "malformed-chunk", "unknown-key", "repeated-key", "missing-key",
+    "no-parameter-head")])
+def test_malformed_preset_strings_exit_2(capsys, family, text, err):
+    assert main([*PRESET_FAMILIES[family], text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err}\n"
+
+
+def test_preset_grammar_skips_empty_chunks():
+    # 'sinc:c=1,' and 'derivative:,' always parsed; 'triangular:,' and 'explog:,' now do too.
+    assert parse_kernel("sinc:c=1,").a == parse_kernel("sinc:c=1").a
+    assert parse_kernel("triangular:,").kernel is parse_kernel("triangular").kernel
+    assert np.array_equal(parse_constraint("derivative:,", 3), parse_constraint("derivative", 3))
+    assert parse_pfunction("explog:,").p(0.5) == parse_pfunction("explog").p(0.5)
+
+
+OUTPUT_COMMANDS = {
+    "spectrum": ["spectrum", "--n-nodes", "40", "--n-modes", "4"],
+    "truncate": ["truncate", "--n-modes", "20"],
+    "solve": ["solve", "--instance", "{tmp}/instance.json"],
+    "sweep": ["sweep", "--n-modes", "20", "--eps-grid", "1e-2,1e-3"],
+    "entropy": ["entropy", "--n-modes", "20"],
+    "stability": ["stability", "--n-modes", "20", "--p", "explog"],
+    "cover": ["cover", "--points", "{tmp}/points.csv", "--eps", "0.75"],
+    "simulate": ["simulate", "--n-modes", "5", "--seed", "3"],
+}
+
+
+def test_output_table_covers_every_subcommand():
+    assert set(OUTPUT_COMMANDS) == set(_build_parser()[1])
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_output_file_holds_the_stdout_bytes(tmp_path, capsys, command):
+    (tmp_path / "points.csv").write_text("0,0\n1,0\n0,1\n1,1\n")
+    assert main(["simulate", "--n-modes", "5", "--output", str(tmp_path / "instance.json")]) == 0
+    argv = [arg.format(tmp=tmp_path) for arg in OUTPUT_COMMANDS[command]]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert printed and out.read_bytes() == printed.encode()

@@ -195,6 +195,15 @@ def test_entropy_lower_bound_edge_cases():
         entropy_lower_bound(e, 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_entropy_lower_bound_whose_bit_count_overflows():
+    # 1e300 / 1e-10 overflows: the bound used to warn and report inf bits, where the
+    # rule comparison, which counts through the same helper, raised.
+    with pytest.raises(ValueError) as info:
+        entropy_lower_bound(Ellipsoid([1e300, 1.0]), 1e-10)
+    assert str(info.value) == "bit count over 2 modes is not finite at eps = 1e-10"
+
+
 def test_entropy_monotonicity():
     e = ellipsoid_of(TRI_LAM_80, None, 1.0)
     grid = np.geomspace(0.5, 1e-6, 25)

@@ -324,6 +324,30 @@ def test_sup_exact_scales_with_E(E):
                                     rel=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+def test_sup_exact_where_lambda_over_eps_squared_overflows():
+    # lambda^2 / eps^2 = 1e500: the supremum used to come out 0 with a RuntimeWarning.
+    assert stability_sup_exact([1e100], [1.0], 1e-150, 1.0) == pytest.approx(1e-250, rel=1e-15)
+    assert stability_sup_exact([1e100, 1.0], [1.0, 2.0], 1e-150, 1.0) == pytest.approx(
+        1e-150, rel=1e-15)
+    # eps > E, with lambda^2 / eps^2 = 1e-500: the constraint decides, sup = E / beta_1.
+    assert stability_sup_exact([1e-100], [4.0], 1e150, 1.0) == pytest.approx(0.25, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sup_exact_at_tiny_lambda_and_eps():
+    # lambda ~ 1e-90 and eps / E = 1e-90 give the supremum of lambda * 1e90 at eps = E.
+    # Points scaled by eps^2 sat near 1e-180, where the hull's products underflowed to 0:
+    # a division by zero with two modes, a popped hull vertex with more.
+    assert stability_sup_exact([1e-90, 1e-92], [0.5, 100.0], 1e-90, 1.0) == pytest.approx(
+        1.0000374955471356, rel=1e-15)
+    lam = np.array([1.0, 0.9, 0.5, 0.3, 0.1])
+    betas = np.array([1.0, 1.5, 3.0, 7.0, 20.0])
+    for ratio in (1.0, 0.1, 1e-3):
+        assert stability_sup_exact(lam * 1e-90, betas, ratio * 1e-90, 1.0) == pytest.approx(
+            stability_sup_exact(lam, betas, ratio, 1.0), rel=1e-14)
+
+
 def test_sup_exact_never_beaten_by_sampling():
     rng = np.random.default_rng(41)
     for trial in range(8):
