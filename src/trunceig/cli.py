@@ -10,6 +10,8 @@ its i-th row as seed + i.
 Exit codes: 0 success, 2 argument or parse error (including a size above
 spectral.MAX_ORDER, or a discretization that did not resolve or converge),
 3 infeasible synthesis request, 4 I/O failure.
+
+Each command imports the modules it runs, so a process loads only those.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from . import infotheory, kernels, regularize, spectral, stability
 from .errors import ConvergenceError, InfeasibleSpecError, ResolutionError
 
 __all__ = ["main"]
@@ -66,6 +67,8 @@ def _system(spec, args) -> np.ndarray:
     """Kept eigenvalues of a parsed kernel, by non-increasing magnitude: a
     tabulated kernel on its own grid, any other on --n-nodes Gauss-Legendre
     nodes.  No command reads an eigenfunction, so none is computed."""
+    from . import spectral
+
     grid = spec.grid or spectral.gauss_legendre(args.n_nodes, spec.a, spec.b)
     return spectral.spectral_eigenvalues(spec.kernel, grid)
 
@@ -78,6 +81,8 @@ def _rule_inputs(args, count=None) -> tuple[np.ndarray, np.ndarray]:
     first --n-modes positive retained eigenvalues.  Both are cut to the first
     `count` modes (all of them by default) before the weights are parsed.
     """
+    from . import kernels, regularize
+
     spec = kernels.parse_kernel(args.kernel)
     if spec.analytic_eigenvalue is not None:
         lam = spec.analytic_eigenvalue(np.arange(1, args.n_modes + 1, dtype=float))
@@ -91,6 +96,8 @@ def _rule_inputs(args, count=None) -> tuple[np.ndarray, np.ndarray]:
 
 
 def cmd_spectrum(args) -> str:
+    from . import kernels
+
     spec = kernels.parse_kernel(args.kernel)
     lam = _system(spec, args)[: args.n_modes]
     k = np.arange(1, lam.size + 1)
@@ -103,6 +110,8 @@ def cmd_spectrum(args) -> str:
 
 
 def cmd_truncate(args) -> str:
+    from . import regularize
+
     lam, beta = _rule_inputs(args)
     rows = []
     for eps in _float_list(args.eps_grid):
@@ -113,6 +122,8 @@ def cmd_truncate(args) -> str:
 
 
 def cmd_solve(args) -> str:
+    from . import regularize
+
     with open(args.instance, "r", encoding="utf-8") as handle:
         instance = regularize.ProblemInstance.from_json(handle.read())
     rec = regularize.truncated_solution(instance, args.rule)
@@ -122,6 +133,8 @@ def cmd_solve(args) -> str:
 
 
 def _build_instance(lam, beta, eps, args, seed):
+    from . import regularize
+
     if args.f_coeffs is not None:
         law = {"f_coeffs": _float_list(args.f_coeffs)}
     else:
@@ -133,6 +146,8 @@ def _build_instance(lam, beta, eps, args, seed):
 
 
 def cmd_sweep(args) -> str:
+    from . import infotheory, regularize, stability
+
     lam, beta = _rule_inputs(args)
     pfun = stability.parse_pfunction(args.p)
     v = 1.0 / np.arange(1, lam.size + 1, dtype=float)
@@ -169,6 +184,8 @@ def cmd_sweep(args) -> str:
 
 
 def cmd_entropy(args) -> str:
+    from . import infotheory
+
     lam, beta = _rule_inputs(args)
     rows = []
     for eps in _float_list(args.eps_grid):
@@ -187,6 +204,8 @@ def cmd_entropy(args) -> str:
 
 
 def cmd_stability(args) -> str:
+    from . import stability
+
     lam, beta = _rule_inputs(args, args.K)  # the supremum and the condition read only K modes
     pfun = stability.parse_pfunction(args.p)
     eps_grid = _float_list(args.eps_grid)
@@ -211,6 +230,8 @@ def cmd_stability(args) -> str:
 
 
 def cmd_cover(args) -> str:
+    from . import infotheory
+
     with warnings.catch_warnings():  # an empty file is rejected by FinitePointSet
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         points = np.loadtxt(args.points, delimiter=",", dtype=float, ndmin=2)
@@ -363,6 +384,11 @@ def main(argv=None) -> int:
             return 2
         if not isinstance(defaults, dict):
             print("error: config must be a JSON object", file=sys.stderr)
+            return 2
+        options = {action.dest for sub in commands.values() for action in sub._actions}
+        unknown = [key for key in defaults if key not in options]
+        if unknown:
+            print(f"error: unknown config key {unknown[0]!r}", file=sys.stderr)
             return 2
         for sub in commands.values():
             try:

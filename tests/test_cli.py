@@ -750,6 +750,21 @@ def test_config_tight_must_be_a_json_boolean(tmp_path, capsys, value):
                             f"got {json.dumps(value)}\n")
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"func": "x"}, "func"),
+    ({"n_mode": 5}, "n_mode"),
+], ids=["internal-default", "typo"])
+def test_config_keys_that_name_no_option_exit_2(tmp_path, capsys, config, key):
+    # "func" used to replace the command's handler (a TypeError traceback,
+    # exit 1), and a misspelt option was ignored with exit 0.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["spectrum", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown config key {key!r}\n"
+
+
 @pytest.mark.parametrize("kernel, err", [
     ("sinc:c=inf", BANDWIDTH_ERROR),
     ("sinc:c=nan", BANDWIDTH_ERROR),
