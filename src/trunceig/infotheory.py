@@ -80,7 +80,6 @@ class InfoReport:
     log2(semi_axis / eps) over the axes longer than eps.
     """
 
-    eps: float
     cutoff: int
     entropy_bits: float
 
@@ -100,7 +99,7 @@ def entropy_lower_bound(ellipsoid: Ellipsoid, eps: float) -> InfoReport:
     if not 0 < eps < math.inf:
         raise ValueError("eps must be finite and positive")
     above = ellipsoid.semi_axes[ellipsoid.semi_axes >= eps]
-    return InfoReport(eps, int(above.size), _axis_bits(above, eps, f"eps = {eps:g}"))
+    return InfoReport(int(above.size), _axis_bits(above, eps, f"eps = {eps:g}"))
 
 
 @dataclass
@@ -129,8 +128,8 @@ def information_flow_comparison(eigenvalues, beta, eps: float, E: float) -> Flow
 
     b1, b2 = (_axis_bits(lam[:cut], eps, f"eps = {eps:g}, E = {E:g}", E) for cut in (k1, k2))
     return FlowComparison(
-        InfoReport(eps, k1, b1),
-        InfoReport(eps, k2, b2),
+        InfoReport(k1, b1),
+        InfoReport(k2, b2),
         b1 - b2,
     )
 

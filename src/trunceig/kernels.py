@@ -22,7 +22,6 @@ from .spectral import MAX_ORDER, QuadratureGrid, eigh
 
 __all__ = [
     "triangular_kernel",
-    "triangular_eigensystem",
     "SincKernel",
     "TabulatedKernel",
     "KernelSpec",
@@ -47,18 +46,6 @@ def triangular_kernel(x, y):
     out = 1.0 - np.maximum(x, y)
     out *= np.minimum(x, y)
     return out
-
-
-def triangular_eigensystem(k: int):
-    """Analytic eigenpair of the triangular kernel: (1/(k pi)^2, sqrt(2) sin(k pi x))."""
-    if k < 1:
-        raise ValueError("mode index k starts at 1")
-    lam = 1.0 / (k * math.pi) ** 2
-
-    def psi(x):
-        return math.sqrt(2.0) * np.sin(k * math.pi * np.asarray(x, dtype=float))
-
-    return lam, psi
 
 
 @dataclass(frozen=True)
@@ -230,12 +217,6 @@ def _prolate_coefficients(c: float, order: int) -> tuple[np.ndarray, np.ndarray]
     diag = m * (m + 1.0) + c * c * (a * a + a_next * a_next)
     coupling = c * c * a_next[:-2] * a_next[1:-1]
     return diag, coupling
-
-
-def _prolate_matrix(c: float, order: int) -> np.ndarray:
-    """The full pentadiagonal matrix, whose two blocks _prolate_blocks gives."""
-    diag, coupling = _prolate_coefficients(c, order)
-    return np.diag(diag) + np.diag(coupling, 2) + np.diag(coupling, -2)
 
 
 def _prolate_blocks(c: float, order: int) -> list[np.ndarray]:

@@ -190,9 +190,6 @@ class ProblemInstance:
     g_noisy, the noise bound eps, the constraint budget E, the seed and the
     noise mode.  g_clean = lambda * f_true and noise = g_noisy - g_clean are
     derived, and ||noise|| <= eps and ||beta f|| <= E are checked by _norm.
-    low_mode_fraction records how much of ||f||^2 the weighted truncation rule
-    would retain (a skewness diagnostic for the reference-solution assumption
-    behind the strong bounds); only synthesize_problem sets it.
     """
 
     eigenvalues: np.ndarray
@@ -203,7 +200,6 @@ class ProblemInstance:
     E: float
     seed: int
     noise_mode: str = "flat"
-    low_mode_fraction: float | None = None
 
     def __post_init__(self):
         self.eigenvalues = _validate_eigenvalues(self.eigenvalues)
@@ -277,7 +273,6 @@ class Reconstruction:
     rule: str
     cutoff: int
     coefficients: np.ndarray
-    data_projection: np.ndarray
 
 
 def truncated_solution(instance: ProblemInstance, rule: str) -> Reconstruction:
@@ -294,41 +289,35 @@ def truncated_solution(instance: ProblemInstance, rule: str) -> Reconstruction:
     else:
         raise ValueError("rule must be 'k1' or 'k2'")
     coeff = np.zeros(lam.size)
-    proj = np.zeros(lam.size)
     coeff[:cutoff] = instance.g_noisy[:cutoff] / lam[:cutoff]
-    proj[:cutoff] = instance.g_noisy[:cutoff]
-    return Reconstruction(rule, cutoff, coeff, proj)
+    return Reconstruction(rule, cutoff, coeff)
 
 
-def make_noise(seed: int, eps: float, mode: str, eigenvalues, k_noise: int | None = None) -> np.ndarray:
+def make_noise(seed: int, eps: float, mode: str, eigenvalues) -> np.ndarray:
     """Seeded noise vector with ||n|| uniformly drawn in [eps/2, eps].
 
-    "flat" spreads i.i.d. normal draws over the first k_noise modes (all of
-    them by default); "range_compatible" shapes the draws by lambda_k, so the
-    noise lives where the operator range does.
+    "flat" spreads i.i.d. normal draws over every mode; "range_compatible"
+    shapes the draws by lambda_k, so the noise lives where the operator range
+    does.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    m = lam.size
     if not 0 <= eps < math.inf:
         raise ValueError("need finite eps >= 0")
-    if k_noise is None:
-        k_noise = m
-    if not 1 <= k_noise <= m:
-        raise ValueError("k_noise must lie in [1, number of modes]")
     rng = np.random.default_rng(seed)
-    draws = rng.standard_normal(k_noise)
+    draws = rng.standard_normal(lam.size)
     scale_fraction = rng.uniform(0.5, 1.0)
-    n = np.zeros(m)
     if mode == "flat":
-        n[:k_noise] = draws
+        n = draws
     elif mode == "range_compatible":
-        n[:k_noise] = lam[:k_noise] * draws
+        n = lam * draws
     else:
         raise ValueError("noise mode must be 'flat' or 'range_compatible'")
     norm = float(np.linalg.norm(n))
     if eps == 0.0 or norm == 0.0:
-        return np.zeros(m)
-    return n * (scale_fraction * eps / norm)
+        return np.zeros(lam.size)
+    scale = scale_fraction * eps / norm
+    # scale overflows only for eps near the largest double; n / norm has entries <= 1.
+    return n * scale if scale < math.inf else (n / norm) * (scale_fraction * eps)
 
 
 def range_compatibility_sums(instance: ProblemInstance) -> tuple[float, float]:
@@ -353,7 +342,6 @@ def synthesize_problem(
     f_decay: tuple[float, float] | None = None,
     noise_mode: str = "flat",
     seed: int = 0,
-    k_noise: int | None = None,
     tight: bool = True,
 ) -> ProblemInstance:
     """Build a ProblemInstance whose invariants hold by construction.
@@ -405,25 +393,23 @@ def synthesize_problem(
     if bad.size:
         raise InfeasibleSpecError(f"lambda_k f_k overflows at k = {bad[0] + 1}, "
                                   "so the data cannot be formed")
-    g_noisy = lam * f + make_noise(seed, eps, noise_mode, lam, k_noise)
-
-    norm = _norm(f)
-    if norm > 0 and eps > 0:
-        cut = truncation_weighted(lam, betas, eps, E)
-        low_fraction = (_norm(f[:cut]) / norm) ** 2
-    else:
-        low_fraction = 1.0
+    g_clean, noise = lam * f, make_noise(seed, eps, noise_mode, lam)
+    # Halving is exact, so the halves sum to half of lambda f + n as rounded: 2^1023 or
+    # more exactly where lambda f + n overflows.
+    bad = np.flatnonzero(np.abs(0.5 * g_clean + 0.5 * noise) >= 2.0**1023)
+    if bad.size:
+        raise InfeasibleSpecError(f"lambda_k f_k + n_k overflows at k = {bad[0] + 1}, "
+                                  "so the data cannot be formed")
 
     return ProblemInstance(
         eigenvalues=lam,
         betas=betas,
         f_true=f,
-        g_noisy=g_noisy,
+        g_noisy=g_clean + noise,
         eps=float(eps),
         E=float(E),
         seed=int(seed),
         noise_mode=noise_mode,
-        low_mode_fraction=low_fraction,
     )
 
 
@@ -487,18 +473,7 @@ class ResidualReport:
     image_residual: float
     constraint_residual: float
     combined: float
-    image_bound: float
-    constraint_bound: float
-    combined_bound: float
     ok: bool
-
-    @property
-    def margins(self) -> tuple[float, float, float]:
-        return (
-            self.image_bound - self.image_residual,
-            self.constraint_bound - self.constraint_residual,
-            self.combined_bound - self.combined,
-        )
 
 
 def _residual_report(instance: ProblemInstance, rec: Reconstruction, betas: np.ndarray) -> ResidualReport:
@@ -518,8 +493,7 @@ def _residual_report(instance: ProblemInstance, rec: Reconstruction, betas: np.n
         and constr <= constr_bound + slack * max(1.0, constr_bound)
         and combined <= combined_bound + slack * max(1.0, combined_bound)
     )
-    return ResidualReport(image, constr, combined, image_bound, constr_bound,
-                          combined_bound, ok)
+    return ResidualReport(image, constr, combined, ok)
 
 
 def weighted_rule_residuals(instance: ProblemInstance, rec: Reconstruction) -> ResidualReport:

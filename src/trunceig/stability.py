@@ -26,7 +26,6 @@ from .regularize import _bisect, _square, _validate_eigenvalues, _weights
 __all__ = [
     "PFunction",
     "p_eval",
-    "p_inverse",
     "check_condition",
     "stability_bound",
     "stability_sup_exact",
@@ -72,35 +71,6 @@ class PFunction:
 
         return cls(p, inverse)
 
-    @classmethod
-    def custom(cls, rs, ps) -> "PFunction":
-        rs = np.asarray(rs, dtype=float)
-        ps = np.asarray(ps, dtype=float)
-        if rs.ndim != 1 or rs.shape != ps.shape or rs.size < 3:
-            raise ValueError("custom tables need matching shapes, length >= 3")
-        if np.any(np.diff(rs) <= 0) or np.any(np.diff(ps) <= 0):
-            raise ValueError("custom tables must be strictly increasing")
-        if np.any(rs <= 0) or np.any(ps <= 0):
-            raise ValueError("custom tables must be positive")
-        ratio = ps / rs
-        if np.any(np.diff(ratio) < -1e-12 * np.max(ratio)):
-            raise ValueError("custom table violates p(r)/r increasing")
-        second = np.diff(np.diff(ps) / np.diff(rs))
-        if np.any(second < -1e-12 * np.max(np.abs(ps))):
-            raise ValueError("custom table is not convex")
-
-        def p(r):
-            if not np.all((rs[0] <= r) & (r <= rs[-1])):
-                raise ValueError("r outside the tabulated range")
-            return np.interp(r, rs, ps)
-
-        def inverse(s):
-            if not ps[0] <= s <= ps[-1]:
-                raise ValueError("s outside the tabulated range")
-            return float(np.interp(s, ps, rs))
-
-        return cls(p, inverse)
-
 
 def parse_pfunction(text: str) -> PFunction:
     """Parse 'power:gamma=0.333' or 'explog'."""
@@ -117,13 +87,6 @@ def p_eval(p: PFunction, r):
     nonzero = r != 0
     out[nonzero] = p.p(r[nonzero])
     return float(out) if out.ndim == 0 else out
-
-
-def p_inverse(p: PFunction, s: float) -> float:
-    """Solve p(r) = s for r; p.inverse does so for s > 0."""
-    if s < 0:
-        raise ValueError("p takes non-negative values")
-    return 0.0 if s == 0.0 else p.inverse(s)
 
 
 def check_condition(eigenvalues, beta, p: PFunction, K: int) -> tuple[bool, int | None]:
@@ -147,11 +110,11 @@ def stability_bound(eps: float, E: float, p: PFunction) -> float:
     """Jensen-style cap E sqrt(p^{-1}(eps^2 / E^2)) on the worst-case norm."""
     if not (0 < eps < math.inf and 0 < E < math.inf):
         raise ValueError("need finite eps > 0 and E > 0")
-    return E * math.sqrt(p_inverse(p, _square(eps / E, "(eps/E)^2", f"eps = {eps:g}, E = {E:g}")))
+    return E * math.sqrt(p.inverse(_square(eps / E, "(eps/E)^2", f"eps = {eps:g}, E = {E:g}")))
 
 
-def stability_sup_exact(eigenvalues, beta, eps: float, E: float, K: int | None = None) -> float:
-    """Exact sup { ||f|| : ||lambda f|| <= eps, ||beta f|| <= E } over K modes.
+def stability_sup_exact(eigenvalues, beta, eps: float, E: float) -> float:
+    """Exact sup { ||f|| : ||lambda f|| <= eps, ||beta f|| <= E } over the listed modes.
 
     In u_k = f_k^2 this is a linear program with two resource constraints.
     Put a_k = lambda_k^2 / eps^2 and b_k = beta_k^2 / E^2.  A feasible u of
@@ -175,13 +138,9 @@ def stability_sup_exact(eigenvalues, beta, eps: float, E: float, K: int | None =
     lam = _validate_eigenvalues(eigenvalues)
     if not (0 < eps < math.inf and 0 < E < math.inf):
         raise ValueError("need finite eps > 0 and E > 0")
-    if K is None:
-        K = lam.size
-    if not 1 <= K <= lam.size:
-        raise ValueError("K must lie in [1, number of modes]")
     mr, er = math.frexp(_square(eps / E, "(eps/E)^2", f"eps = {eps:g}, E = {E:g}"))
-    ma, ea = np.frexp(_square(lam[:K], "lambda_k^2"))
-    mb, eb = np.frexp(_square(_weights(beta, lam.size, K), "beta_k^2"))
+    ma, ea = np.frexp(_square(lam, "lambda_k^2"))
+    mb, eb = np.frexp(_square(_weights(beta, lam.size), "beta_k^2"))
     ea = ea - er
     # Every point has max(x, y) above 2^(max(e_a, e_b) - 1), so the minimum lies in
     # (2^(top - 2), 2^(top + 1)).  A point with a coordinate above 2^(top + 500) moves
@@ -223,7 +182,6 @@ class ContinuityFit:
     model: str
     exponent: float
     residual: float
-    alt_residual: float
 
 
 def classify_continuity(eps_grid, sup_values) -> ContinuityFit:
@@ -257,5 +215,5 @@ def classify_continuity(eps_grid, sup_values) -> ContinuityFit:
     slope_h, resid_h = fit(np.log(eps_grid))
     slope_l, resid_l = fit(np.log(np.abs(np.log(eps_grid / 2.0))))
     if resid_h <= resid_l:
-        return ContinuityFit("holder", slope_h, resid_h, resid_l)
-    return ContinuityFit("logarithmic", slope_l, resid_l, resid_h)
+        return ContinuityFit("holder", slope_h, resid_h)
+    return ContinuityFit("logarithmic", slope_l, resid_l)

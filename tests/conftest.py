@@ -1,13 +1,26 @@
-"""Shared discretizations, the acceptance scoreboard reporter, and warnings
-as errors for every test here: a test that expects a warning asserts it."""
+"""Shared discretizations, the triangular kernel's closed-form eigenpairs,
+the acceptance scoreboard reporter, and warnings as errors for every test
+here: a test that expects a warning asserts it."""
 
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from trunceig import SincKernel, gauss_legendre, spectral_system, triangular_kernel
 
 _acceptance_lines: list[str] = []
+
+
+def triangular_eigensystem(k: int):
+    """Eigenpair k >= 1 of the triangular kernel: (1/(k pi)^2, sqrt(2) sin(k pi x))."""
+    lam = 1.0 / (k * math.pi) ** 2
+
+    def psi(x):
+        return math.sqrt(2.0) * np.sin(k * math.pi * np.asarray(x, dtype=float))
+
+    return lam, psi
 
 
 def pytest_collection_modifyitems(items):

@@ -16,11 +16,12 @@ from trunceig import (
     prolate_eigenvalues,
     prolate_modes,
     shannon_number,
-    triangular_eigensystem,
     triangular_kernel,
 )
 from trunceig import kernels
 from trunceig.spectral import eigh
+
+from conftest import triangular_eigensystem
 
 
 def test_triangular_kernel_values_and_symmetry():
@@ -46,8 +47,6 @@ def test_triangular_eigensystem_closed_form():
     assert psi(x) == pytest.approx(np.sqrt(2.0) * np.sin(3.0 * math.pi * x))
     # Eigenfunctions vanish at the interval ends.
     assert abs(psi(0.0)) < 1e-15 and abs(psi(1.0)) < 1e-12
-    with pytest.raises(ValueError):
-        triangular_eigensystem(0)
 
 
 def test_triangular_kernel_satisfies_eigen_identity():
@@ -212,7 +211,7 @@ def test_prolate_eigenvalues_match_dense_full_matrix(c, count):
 @pytest.mark.parametrize("c, count", [(1.0, 6), (10.0, 30), (50.0, 5)])
 def test_prolate_modes_rows_are_eigenvectors_for_chi(c, count):
     chi, rows = prolate_modes(c, count)
-    matrix = kernels._prolate_matrix(c, rows.shape[1])
+    matrix = _dense_prolate(c, rows.shape[1])
     residual = matrix @ rows.T - rows.T * chi[None, :]
     assert np.max(np.abs(residual)) <= 1e-12 * max(float(np.max(chi)), 1.0)
     assert np.array_equal(chi, prolate_eigenvalues(c, count))

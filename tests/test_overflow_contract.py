@@ -5,8 +5,8 @@ decides exactly on seeded families whether an input lies in the admissible
 class: beta = k^p for p in [-400, 400], eps and E across 1e+-300, and f
 entries across 1e+-300 with zeros mixed in.  Each test asserts that the code
 reaches the same verdict: ProblemInstance's noise check and budget,
-synthesize_problem's exit class, and check_condition's verdict or its exit-2
-gate.  Tier-1 runs with warnings as errors, so a leaked RuntimeWarning fails
+synthesize_problem's exit class (also where its noise sum overflows), and
+check_condition's verdict or its exit-2 gate.  Tier-1 runs with warnings as errors, so a leaked RuntimeWarning fails
 here too.  A verdict that lies within rounding of its threshold is
 undecidable in doubles; such draws are counted, must stay rare, and are not
 asserted.
@@ -26,6 +26,7 @@ from trunceig import (
     PFunction,
     ProblemInstance,
     check_condition,
+    make_noise,
     synthesize_problem,
 )
 
@@ -197,13 +198,36 @@ def test_synthesis_exit_class_agrees_with_decimal():
             got = "E^2" if "E^2" in str(exc) else "weights"
         else:
             got = "ok"
-            assert 0.0 <= inst.low_mode_fraction <= 1.0
             if tight:
                 norm = _sum_sq(inst.betas, inst.f_true).sqrt()
                 assert abs(norm / D(E) - 1) < D("5e-10"), (norm, E)
         assert got == want, (i, str(want), got)
     assert decided >= 0.95 * DRAWS
     assert seen == {"E^2", "weights", "overflow", "underflow", "ok"}
+
+
+def test_synthesis_where_the_noise_scale_overflows():
+    # At eps = 1.7e308, eps / ||draws|| overflows, so the noise is scaled as
+    # (n / ||n||) (s eps); the data lambda_1 f_1 + n_1, with f_1 = 1e308 (to within
+    # rounding of the budget), then overflow at some seeds, and those are exit 3.
+    lam, eps = np.array([1.6, 0.4]), 1.7e308
+    verdicts = []
+    for seed in range(8):
+        noise = make_noise(seed, eps, "flat", lam)
+        assert D(eps) / 2 <= _sum_sq(np.ones(2), noise).sqrt() <= D(eps) * (1 + REL)
+        over = _above(abs(D(1.6) * D(1e308) + D(float(noise[0]))), MAX)
+        try:
+            inst = synthesize_problem(lam, [1e-158] * 2, eps, 1e150, f_coeffs=[1e308],
+                                      tight=False, seed=seed)
+        except InfeasibleSpecError as exc:
+            assert str(exc).startswith("lambda_k f_k + n_k overflows at k = 1"), exc
+            assert over is True
+            verdicts.append(3)
+        else:
+            assert over is False
+            assert np.array_equal(inst.g_noisy, lam * inst.f_true + noise)
+            verdicts.append(0)
+    assert verdicts == [3, 3, 3, 3, 0, 0, 3, 0]
 
 
 def _p_exact(spec, r):

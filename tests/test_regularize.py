@@ -168,12 +168,8 @@ def test_make_noise_norm_and_modes():
     assert not np.array_equal(make_noise(7, 1e-3, "flat", lam), make_noise(8, 1e-3, "flat", lam))
     assert np.all(make_noise(3, 0.0, "flat", lam) == 0.0)
 
-    truncated = make_noise(5, 1e-2, "flat", lam, k_noise=4)
-    assert np.all(truncated[4:] == 0.0) and np.any(truncated[:4] != 0.0)
     with pytest.raises(ValueError):
         make_noise(0, 1e-3, "gaussian", lam)
-    with pytest.raises(ValueError):
-        make_noise(0, 1e-3, "flat", lam, k_noise=0)
     with pytest.raises(ValueError):
         make_noise(0, -1e-3, "flat", lam)
 
@@ -188,7 +184,6 @@ def test_synthesize_problem_tight_budget():
         assert float(np.linalg.norm(inst.noise)) <= 1e-3
         assert np.array_equal(inst.g_clean, inst.eigenvalues * inst.f_true)
         assert inst.g_noisy == pytest.approx(inst.g_clean + inst.noise, abs=1e-18)
-        assert 0.0 <= inst.low_mode_fraction <= 1.0
 
 
 def test_synthesize_problem_coefficient_options():
@@ -407,14 +402,12 @@ def test_truncated_solution_shapes_and_rules():
 
     for rec in (rec1, rec2):
         assert np.all(rec.coefficients[rec.cutoff:] == 0.0)
-        assert np.all(rec.data_projection[rec.cutoff:] == 0.0)
-        assert np.array_equal(rec.data_projection[: rec.cutoff], inst.g_noisy[: rec.cutoff])
         # Within the cutoff the reconstruction solves lambda f = gbar.
         assert inst.eigenvalues[: rec.cutoff] * rec.coefficients[: rec.cutoff] == pytest.approx(
-            rec.data_projection[: rec.cutoff], rel=1e-15
+            inst.g_noisy[: rec.cutoff], rel=1e-15
         )
-        # Re-applying the truncation formula to the projection changes nothing.
-        again = rec.data_projection[: rec.cutoff] / inst.eigenvalues[: rec.cutoff]
+        # Re-applying the truncation formula to the data changes nothing.
+        again = inst.g_noisy[: rec.cutoff] / inst.eigenvalues[: rec.cutoff]
         assert np.array_equal(again, rec.coefficients[: rec.cutoff])
 
     with pytest.raises(ValueError):
@@ -486,7 +479,6 @@ def test_synthesized_problems_are_permissible():
 
 
 def test_error_splitting_reports():
-    rng_bad = False
     for seed in range(25):
         inst = synthesize_problem(TRI_LAM_80, DERIVATIVE_80,
                                   1e-3, 1.0, f_decay=(1.0, 2.0), seed=seed)
@@ -494,14 +486,11 @@ def test_error_splitting_reports():
         rec2 = truncated_solution(inst, "k2")
         rep1 = identity_rule_residuals(inst, rec1)
         rep2 = weighted_rule_residuals(inst, rec2)
-        for rep, E_weight in ((rep1, 1.0), (rep2, None)):
+        for rep in (rep1, rep2):
             assert rep.ok
             assert rep.image_residual <= math.sqrt(2.0) * inst.eps * (1 + 1e-12)
             assert rep.constraint_residual <= math.sqrt(2.0) * inst.E * (1 + 1e-12)
             assert rep.combined <= 4.0 * inst.eps**2 * (1 + 1e-12)
-            img, con, comb = rep.margins
-            rng_bad |= img < 0 or con < 0 or comb < 0
-    assert not rng_bad
 
     inst = synthesize_problem(TRI_LAM_80, DERIVATIVE_80,
                               1e-3, 1.0, f_decay=(1.0, 2.0), seed=0)

@@ -18,11 +18,12 @@ from trunceig import (
     row_defect,
     spectral_eigenvalues,
     spectral_system,
-    triangular_eigensystem,
     triangular_kernel,
 )
 from trunceig.errors import NumericDomainError
 from trunceig.spectral import MAX_ORDER
+
+from conftest import triangular_eigensystem
 
 
 def test_gauss_legendre_two_point_closed_form():
