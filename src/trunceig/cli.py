@@ -73,13 +73,12 @@ def _system(spec, args) -> np.ndarray:
     return spectral.spectral_eigenvalues(spec.kernel, grid)
 
 
-def _rule_inputs(args, count=None) -> tuple[np.ndarray, np.ndarray]:
+def _rule_inputs(args) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and constraint weights for the rule commands.
 
     A kernel with closed-form eigenvalues (the triangular one) uses them over
     --n-modes modes; other kernels are discretized by _system and keep their
-    first --n-modes positive retained eigenvalues.  Both are cut to the first
-    `count` modes (all of them by default) before the weights are parsed.
+    first --n-modes positive retained eigenvalues.
     """
     from . import kernels, regularize
 
@@ -91,7 +90,6 @@ def _rule_inputs(args, count=None) -> tuple[np.ndarray, np.ndarray]:
         lam = lam[lam > 0][: args.n_modes]
         if lam.size == 0:
             raise ValueError("kernel has no positive retained eigenvalues")
-    lam = lam[:count]
     return lam, regularize.parse_constraint(args.constraint, lam.size)
 
 
@@ -206,10 +204,10 @@ def cmd_entropy(args) -> str:
 def cmd_stability(args) -> str:
     from . import stability
 
-    lam, beta = _rule_inputs(args, args.K)  # the supremum and the condition read only K modes
+    lam, beta = _rule_inputs(args)
     pfun = stability.parse_pfunction(args.p)
     eps_grid = _float_list(args.eps_grid)
-    ok, _ = stability.check_condition(lam, beta, pfun, args.K or lam.size)  # free of eps
+    ok, _ = stability.check_condition(lam, beta, pfun)  # free of eps
     rows = []
     sups = []
     for eps in eps_grid:
@@ -350,8 +348,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_problem_options(sub)
     sub.add_argument("--eps-grid", default="1e-2,1e-3,1e-4,1e-5,1e-6,1e-7")
     sub.add_argument("--p", default="power:gamma=0.3333333333333333")
-    sub.add_argument("--K", type=_count, default=None,
-                     help="modes in the exact supremum")
 
     sub = new_command("cover", cmd_cover, "exact covering/packing numbers of a point file")
     sub.add_argument("--points", required=True, help="CSV file, one point per row")

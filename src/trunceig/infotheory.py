@@ -143,6 +143,21 @@ def shannon_entropy_estimate(shannon_number: float, eps: float) -> float:
     return shannon_number * math.log2(1.0 / eps)
 
 
+def _distances(points: np.ndarray) -> np.ndarray:
+    """Pairwise Euclidean distances, each summed as regularize._norm sums a norm:
+    the halved difference vector over the power of two of its largest entry.  So
+    no step overflows, and a distance is bit for bit sqrt(sum(diff^2)) wherever
+    that squares in range, and inf, with no warning, above the largest double."""
+    half = 0.5 * points
+    diff = half[:, None, :] - half[None, :, :]
+    top = np.frexp(np.max(np.abs(diff), axis=2, initial=0.0))[1]
+    scaled = np.ldexp(diff, -top[:, :, None])
+    mant, exp = np.frexp(np.sqrt(np.sum(scaled * scaled, axis=2)))
+    exp += top + 1
+    # mant 2^1024 is finite for a mantissa in [1/2, 1), so only the clamped entries are inf.
+    return np.where(exp <= 1024, np.ldexp(mant, np.minimum(exp, 1024)), math.inf)
+
+
 @dataclass
 class FinitePointSet:
     """A small set of distinct points in a common Euclidean space.
@@ -159,8 +174,9 @@ class FinitePointSet:
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[0] == 0:
             raise ValueError("points must form a non-empty 2-d array")
-        diff = self.points[:, None, :] - self.points[None, :, :]
-        self.distances = np.sqrt(np.sum(diff * diff, axis=2))
+        if not np.all(np.isfinite(self.points)):
+            raise ValueError("points must be finite")
+        self.distances = _distances(self.points)
         off = self.distances[np.triu_indices(self.size, k=1)]
         if off.size and float(np.min(off)) <= 1e-12:
             raise ValueError("points must be pairwise distinct (min spacing 1e-12)")

@@ -151,6 +151,29 @@ def _preset(text: str, what: str, heads: dict) -> tuple[str, dict[str, float]]:
     return head, params
 
 
+def _from_json(raw, what: str, keys: tuple[str, ...], build):
+    """build(*values) of `keys` in a parsed JSON file.
+
+    The one shape check of a JSON file: raw must be an object holding every
+    key, and a TypeError from build, a field of the wrong type, becomes a
+    ValueError.  `what` names the file in error messages.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    missing = [key for key in keys if key not in raw]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(missing)}")
+    try:
+        return build(*(raw[key] for key in keys))
+    except TypeError as exc:
+        raise ValueError(f"{what} field of the wrong type: {exc}") from None
+
+
+def _tabulated(a, b, nodes, weights, samples) -> KernelSpec:
+    grid = QuadratureGrid(float(a), float(b), nodes, weights)
+    return KernelSpec(TabulatedKernel(grid, samples), grid.a, grid.b, grid=grid)
+
+
 def parse_kernel(text: str) -> KernelSpec:
     """Parse a kernel string: 'triangular', 'sinc:c=10[,a=-1,b=1]', 'tabulated:FILE'."""
     head, _, path = text.partition(":")
@@ -159,14 +182,8 @@ def parse_kernel(text: str) -> KernelSpec:
             raise ValueError("tabulated kernel requires a file path")
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-        grid = QuadratureGrid(
-            float(raw["a"]),
-            float(raw["b"]),
-            np.asarray(raw["nodes"], dtype=float),
-            np.asarray(raw["weights"], dtype=float),
-        )
-        kernel = TabulatedKernel(grid, np.asarray(raw["samples"], dtype=float))
-        return KernelSpec(kernel, grid.a, grid.b, grid=grid)
+        return _from_json(raw, "kernel table", ("a", "b", "nodes", "weights", "samples"),
+                          _tabulated)
     head, params = _preset(text, "kernel", {"triangular": ((), ()), "sinc": (("c",), ("a", "b"))})
     if head == "triangular":
         return KernelSpec(triangular_kernel, 0.0, 1.0,

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConvergenceError, HypothesisWarning, InfeasibleSpecError
-from .kernels import _preset
+from .kernels import _from_json, _preset
 
 __all__ = [
     "parse_constraint",
@@ -115,12 +115,11 @@ def _validate_eigenvalues(eigenvalues) -> np.ndarray:
     return lam
 
 
-def _weights(beta, size: int, count: int | None = None) -> np.ndarray:
-    """Constraint weights beta_1 .. beta_count for `size` eigenvalues.
+def _weights(beta, size: int) -> np.ndarray:
+    """Constraint weights beta_1 .. beta_size for `size` eigenvalues.
 
     The one rule for what a constraint argument may be: an array holding
-    exactly one finite, positive weight per eigenvalue, of which the first
-    `count` entries are used.  count defaults to size.
+    exactly one finite, positive weight per eigenvalue.
     """
     try:
         betas = np.asarray(beta, dtype=float)
@@ -128,7 +127,7 @@ def _weights(beta, size: int, count: int | None = None) -> np.ndarray:
         betas = None
     if betas is None or betas.shape != (size,) or not np.all(np.isfinite(betas) & (betas > 0)):
         raise ValueError("need one finite, positive constraint weight per eigenvalue")
-    return betas[:count]
+    return betas
 
 
 def _square(x, what: str, where: str = ""):
@@ -250,19 +249,11 @@ class ProblemInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "ProblemInstance":
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ValueError("instance must be a JSON object")
-        missing = [key for key in ("eigenvalues", "beta", "f_true", "g_noisy", "eps", "E", "seed",
-                                   "noise_mode") if key not in raw]
-        if missing:
-            raise ValueError(f"instance lacks {', '.join(missing)}")
-        try:
-            return cls(raw["eigenvalues"], raw["beta"], raw["f_true"], raw["g_noisy"],
-                       float(raw["eps"]), float(raw["E"]), int(raw["seed"]),
-                       str(raw["noise_mode"]))
-        except TypeError as exc:
-            raise ValueError(f"instance field of the wrong type: {exc}") from None
+        def build(lam, beta, f_true, g_noisy, eps, E, seed, noise_mode):
+            return cls(lam, beta, f_true, g_noisy, float(eps), float(E), int(seed), str(noise_mode))
+
+        return _from_json(json.loads(text), "instance", ("eigenvalues", "beta", "f_true",
+                          "g_noisy", "eps", "E", "seed", "noise_mode"), build)
 
 
 @dataclass
@@ -298,7 +289,9 @@ def make_noise(seed: int, eps: float, mode: str, eigenvalues) -> np.ndarray:
 
     "flat" spreads i.i.d. normal draws over every mode; "range_compatible"
     shapes the draws by lambda_k, so the noise lives where the operator range
-    does.
+    does.  Where the plain sum of squares of the shaped draws is not a finite,
+    normal double (it overflows, or underflows and loses digits), _norm gives
+    their norm.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if not 0 <= eps < math.inf:
@@ -307,12 +300,15 @@ def make_noise(seed: int, eps: float, mode: str, eigenvalues) -> np.ndarray:
     draws = rng.standard_normal(lam.size)
     scale_fraction = rng.uniform(0.5, 1.0)
     if mode == "flat":
-        n = draws
+        n, w = draws, 1.0
     elif mode == "range_compatible":
-        n = lam * draws
+        n, w = lam * draws, lam
     else:
         raise ValueError("noise mode must be 'flat' or 'range_compatible'")
-    norm = float(np.linalg.norm(n))
+    with np.errstate(over="ignore"):  # an overflow takes _norm below
+        norm = float(np.linalg.norm(n))
+    if not _SQRT_TINY <= norm < math.inf:
+        norm = _norm(draws, w)
     if eps == 0.0 or norm == 0.0:
         return np.zeros(lam.size)
     scale = scale_fraction * eps / norm

@@ -280,18 +280,7 @@ class SpectralSystem:
     grid: QuadratureGrid
     eigenvalues: np.ndarray
     eigfun: np.ndarray
-    negative_count: int = 0
-    discarded: int = 0
-
-    def __post_init__(self):
-        self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
-        self.eigfun = np.asarray(self.eigfun, dtype=float)
-        if self.eigfun.ndim != 2:
-            raise ValueError("eigfun must be a 2-d array with one row per mode")
-        if self.eigfun.shape[0] != self.eigenvalues.size:
-            raise ValueError("one eigenfunction row per eigenvalue required")
-        if self.eigenvalues.size and self.eigfun.shape[1] != self.grid.size:
-            raise ValueError("eigenfunction rows must match the grid size")
+    negative_count: int
 
     @property
     def n_modes(self) -> int:
@@ -347,13 +336,7 @@ def spectral_system(kernel, grid: QuadratureGrid) -> SpectralSystem:
     kept_lam = lam[keep]
     psi = vectors[keep]
     psi /= np.sqrt(grid.weights)
-    return SpectralSystem(
-        grid,
-        kept_lam,
-        psi,
-        negative_count=int(np.sum(kept_lam <= 0)),
-        discarded=int(np.sum(~keep)),
-    )
+    return SpectralSystem(grid, kept_lam, psi, int(np.sum(kept_lam <= 0)))
 
 
 def spectral_eigenvalues(kernel, grid: QuadratureGrid) -> np.ndarray:

@@ -89,17 +89,15 @@ def p_eval(p: PFunction, r):
     return float(out) if out.ndim == 0 else out
 
 
-def check_condition(eigenvalues, beta, p: PFunction, K: int) -> tuple[bool, int | None]:
-    """Does lambda_k^2 >= beta_k^2 p(beta_k^-2) hold for k = 1..K?
+def check_condition(eigenvalues, beta, p: PFunction) -> tuple[bool, int | None]:
+    """Does lambda_k^2 >= beta_k^2 p(beta_k^-2) hold for every listed mode k?
 
     Returns (ok, first violating k or None).  A relative slack of 1e-9
     absorbs round-off in the equality case; beta_k^2 and lambda_k^2 must pass _square.
     """
     lam = _validate_eigenvalues(eigenvalues)
-    if not 1 <= K <= lam.size:
-        raise ValueError("K must lie in [1, number of modes]")
-    bet2 = _square(_weights(beta, lam.size, K), "beta_k^2")
-    lam2 = _square(lam[:K], "lambda_k^2")
+    bet2 = _square(_weights(beta, lam.size), "beta_k^2")
+    lam2 = _square(lam, "lambda_k^2")
     bad = np.nonzero(lam2 < bet2 * p_eval(p, 1.0 / bet2) * (1.0 - 1e-9))[0]
     if bad.size:
         return False, int(bad[0]) + 1

@@ -187,7 +187,7 @@ def test_criterion_08_exact_supremum_under_jensen_bound(acceptance_report):
     worst_gap = -math.inf
     all_ok = True
     for name, lam, betas, p in presets:
-        cond_ok, first = check_condition(lam, betas, p, lam.size)
+        cond_ok, first = check_condition(lam, betas, p)
         all_ok &= cond_ok
         for eps in (1e-2, 1e-3, 1e-4):
             for E in (0.5, 1.0, 2.0):

@@ -92,12 +92,6 @@ def test_truncate_on_discretized_kernels(tmp_path, capsys, tabulated):
 
 
 def test_tabulated_kernel_rule_errors(tmp_path, capsys):
-    kernel = _table(tmp_path / "table.json")
-    assert main(["stability", "--kernel", kernel, "--K", "61"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: K must lie in [1, number of modes]\n"
-
     kernel = _table(tmp_path / "negative.json", sign=-1.0)
     assert main(["truncate", "--kernel", kernel]) == 2
     captured = capsys.readouterr()
@@ -160,7 +154,7 @@ def test_stability_command_with_classification(tmp_path):
 
 @pytest.mark.parametrize("options, ok", [
     (["--constraint", "derivative"], True),
-    (["--constraint", "derivative", "--K", "30"], True),
+    (["--constraint", "derivative", "--n-modes", "30"], True),
     (["--constraint", "power:p=0.1", "--p", "explog"], False),
 ], ids=["derivative", "derivative-K-30", "power-explog"])
 def test_stability_condition_column_matches_check_condition(capsys, options, ok):
@@ -168,11 +162,11 @@ def test_stability_condition_column_matches_check_condition(capsys, options, ok)
     assert main(["stability", "--n-modes", "60", *options]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:-1]]
     argv = dict(zip(options[::2], options[1::2]))
-    K = int(argv.get("--K", 60))
+    K = int(argv.get("--n-modes", 60))
     lam = 1.0 / (np.arange(1, K + 1) * math.pi) ** 2
     beta = parse_constraint(argv["--constraint"], K)
     pfun = parse_pfunction(argv.get("--p", "power:gamma=0.3333333333333333"))
-    assert check_condition(lam, beta, pfun, K)[0] is ok
+    assert check_condition(lam, beta, pfun)[0] is ok
     assert len(rows) == 6
     assert all(row[3] == ("true" if ok else "false") for row in rows)
 
@@ -217,6 +211,31 @@ def test_cover_on_an_empty_points_file_exits_2(tmp_path, capsys, content):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: points must form a non-empty 2-d array\n"
+
+
+@pytest.mark.parametrize("content", ["0,0\n1,0\nnan,0\n", "0,0\ninf,1\n"], ids=["nan", "inf"])
+def test_cover_on_non_finite_points_exits_2(tmp_path, capsys, content):
+    # The nan file used to print N=3, M=2, holds=false and the inf file
+    # N=2, M=2, both with exit 0.
+    pts = tmp_path / "pts.csv"
+    pts.write_text(content)
+    assert main(["cover", "--points", str(pts), "--eps", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: points must be finite\n"
+
+
+@pytest.mark.parametrize("eps, rc, out, err", [
+    ("1.2e200", 0, "N=1, M=2, holds=true\n", ""),
+    ("nan", 2, "", "error: eps must be finite and non-negative\n"),
+], ids=["eps-1.2e200", "eps-nan"])
+def test_cover_at_coordinates_whose_squares_overflow(tmp_path, capsys, eps, rc, out, err):
+    # Squared differences near 1e200 used to overflow with a RuntimeWarning,
+    # printed even before --eps nan was rejected.
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0,0\n1e200,0\n0,1e200\n")
+    assert main(["cover", "--points", str(pts), "--eps", eps]) == rc
+    assert capsys.readouterr() == (out, err)
 
 
 def test_simulate_is_deterministic(tmp_path):
@@ -508,6 +527,24 @@ def test_solve_on_a_malformed_instance_exits_2(tmp_path, capsys, text, err):
         assert captured.err == err
 
 
+@pytest.mark.parametrize("edit, err", [
+    (lambda raw: {k: v for k, v in raw.items() if k != "samples"},
+     "error: kernel table lacks samples\n"),
+    (lambda raw: [1, 2], "error: kernel table must be a JSON object\n"),
+    (lambda raw: {**raw, "a": None}, "error: kernel table field of the wrong type: "),
+    (lambda raw: {**raw, "nodes": {"x": 1}}, "error: kernel table field of the wrong type: "),
+], ids=["missing-samples", "not-an-object", "null-a", "object-nodes"])
+def test_spectrum_on_a_malformed_kernel_table_exits_2(tmp_path, capsys, edit, err):
+    # Each of these used to end in a KeyError or TypeError traceback, exit 1.
+    path = tmp_path / "table.json"
+    _table(path, n=8)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    assert main(["spectrum", "--kernel", f"tabulated:{path}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(err) and captured.err.endswith("\n")
+
+
 @pytest.mark.parametrize("p, k", [("100", 35), ("-200", 6)])
 def test_stability_names_the_first_weight_whose_square_leaves_the_range(capsys, p, k):
     # beta_k = k^p: beta_k^2 overflows from k = 35 at p = 100 and is subnormal
@@ -688,12 +725,10 @@ def test_convergence_failure_exits_2(capsys, monkeypatch):
     (["spectrum", "--n-modes", "0"], "--n-modes", 0),
     (["spectrum", "--kernel", "sinc:c=2", "--n-modes", "-2"], "--n-modes", -2),
     (["truncate", "--n-modes", "0"], "--n-modes", 0),
-    (["stability", "--K", "0"], "--K", 0),
     (["spectrum", "--config", {"n_modes": 0}], "--n-modes", 0),
     (["truncate", "--config", {"n_modes": -3}], "--n-modes", -3),
-    (["stability", "--config", {"K": 0}], "--K", 0),
-], ids=["spectrum-0", "spectrum-negative", "truncate-0", "stability-K-0",
-        "spectrum-config-0", "truncate-config-negative", "stability-config-K-0"])
+], ids=["spectrum-0", "spectrum-negative", "truncate-0", "spectrum-config-0",
+        "truncate-config-negative"])
 def test_mode_counts_below_one_exit_2(tmp_path, capsys, argv, option, value):
     if isinstance(argv[-1], dict):  # a config file supplies the count
         config = tmp_path / "config.json"
@@ -709,7 +744,7 @@ def test_mode_counts_below_one_exit_2(tmp_path, capsys, argv, option, value):
     ({"n_modes": 2.5}, "error: argument --n-modes: invalid int value: '2.5'\n"),
     ({"n_modes": None}, "error: argument --n-modes: invalid int value: 'null'\n"),
     ({"n_modes": False}, "error: argument --n-modes: invalid int value: 'false'\n"),
-    ({"K": [0]}, "error: argument --K: must be at least 1, got 0\n"),
+    ({"n_modes": [0]}, "error: argument --n-modes: must be at least 1, got 0\n"),
 ], ids=["float", "null", "bool", "list"])
 def test_config_values_are_converted_like_flags(tmp_path, capsys, config, err):
     # A config value that was not a string used to skip the option's type:
@@ -750,10 +785,19 @@ def test_config_tight_must_be_a_json_boolean(tmp_path, capsys, value):
                             f"got {json.dumps(value)}\n")
 
 
+def test_stability_takes_its_mode_count_from_n_modes_only(capsys):
+    # --K used to re-cut the modes that --n-modes had already chosen.
+    assert main(["stability", "--K", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: unrecognized arguments: --K 5\n")
+
+
 @pytest.mark.parametrize("config, key", [
     ({"func": "x"}, "func"),
     ({"n_mode": 5}, "n_mode"),
-], ids=["internal-default", "typo"])
+    ({"K": 5}, "K"),
+], ids=["internal-default", "typo", "retired-K"])
 def test_config_keys_that_name_no_option_exit_2(tmp_path, capsys, config, key):
     # "func" used to replace the command's handler (a TypeError traceback,
     # exit 1), and a misspelt option was ignored with exit 0.

@@ -280,6 +280,23 @@ def test_finite_point_set_validation():
         FinitePointSet(np.zeros((0, 2)))
 
 
+def test_finite_point_set_distances_in_and_beyond_the_squaring_range():
+    # In range the distances are bit for bit the plain formula ...
+    rng = np.random.default_rng(5)
+    for scale in (1e-6, 1.0, 1e3, 1e140):
+        points = scale * rng.standard_normal((12, 3))
+        diff = points[:, None, :] - points[None, :, :]
+        assert np.array_equal(FinitePointSet(points).distances,
+                              np.sqrt(np.sum(diff * diff, axis=2)))
+    # ... and beyond it, where the squares overflow, they are still true, or inf
+    # above the largest double, with no warning.
+    assert FinitePointSet(np.array([[1e200, 0.0], [-1e200, 0.0]])).distances[0, 1] == 2e200
+    assert FinitePointSet(np.array([[1.7e308], [-1.7e308]])).distances[0, 1] == math.inf
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="points must be finite"):
+            FinitePointSet(np.array([[0.0, 0.0], [bad, 1.0]]))
+
+
 def test_packing_three_collinear_points():
     ps = FinitePointSet(np.array([[0.0], [1.0], [2.0]]))
     m, witness = packing_number_exact(ps, 1.0)

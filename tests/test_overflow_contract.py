@@ -230,6 +230,21 @@ def test_synthesis_where_the_noise_scale_overflows():
     assert verdicts == [3, 3, 3, 3, 0, 0, 3, 0]
 
 
+@pytest.mark.parametrize("top", [1e200, 1e-158, 1e-170])
+def test_range_compatible_noise_where_its_squares_leave_the_range(top):
+    # The plain ||lambda draws|| overflowed at 1e200 (a RuntimeWarning and
+    # all-zero noise), underflowed to 0 at 1e-170 (all-zero noise) and lost
+    # digits in subnormal squares at 1e-158.  Now, as in range, the noise
+    # norm is s eps for the seed's draw s in [1/2, 1).
+    lam, eps = top * np.array([1.0, 0.5, 0.1]), 1e-3
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(lam.size)
+        want = D(rng.uniform(0.5, 1.0)) * D(eps)
+        noise = make_noise(seed, eps, "range_compatible", lam)
+        assert abs(_sum_sq(np.ones(lam.size), noise).sqrt() / want - 1) < D("1e-15")
+
+
 def _p_exact(spec, r):
     kind, gamma = spec
     if kind == "power":
@@ -285,10 +300,10 @@ def _check_conditions(cases):
         if isinstance(want, str):
             seen.add(want.split()[0])
             with pytest.raises(ValueError, match=re.escape(want)):
-                check_condition(lam, beta, _pfunction(spec), lam.size)
+                check_condition(lam, beta, _pfunction(spec))
         else:
             seen.add(want[0])
-            assert check_condition(lam, beta, _pfunction(spec), lam.size) == want
+            assert check_condition(lam, beta, _pfunction(spec)) == want
     assert decided >= 0.95 * len(cases)
     return seen
 

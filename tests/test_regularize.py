@@ -620,7 +620,7 @@ LAM_5 = TRI_LAM_80[:5]
 BETA_TAKERS = {
     "truncation_weighted": lambda b: truncation_weighted(LAM_5, b, 1e-3, 1.0),
     "strong_error_bound": lambda b: strong_error_bound(LAM_5, b, 1e-3, 1.0),
-    "check_condition": lambda b: check_condition(LAM_5, b, PFunction.power(1.0 / 3.0), 5),
+    "check_condition": lambda b: check_condition(LAM_5, b, PFunction.power(1.0 / 3.0)),
     "stability_sup_exact": lambda b: stability_sup_exact(LAM_5, b, 1e-3, 1.0),
     "ellipsoid_of": lambda b: ellipsoid_of(LAM_5, b, 1.0),
     "information_flow_comparison": lambda b: information_flow_comparison(LAM_5, b, 1e-3, 1.0),

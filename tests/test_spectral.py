@@ -297,7 +297,6 @@ def test_weighted_orthonormality_of_eigenfunctions(tri_sys_256):
 def test_constant_kernel_single_retained_mode():
     sys = spectral_system(lambda x, y: 1.0, gauss_legendre(20, 0.0, 1.0))
     assert sys.n_modes == 1
-    assert sys.discarded == 19
     assert sys.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
     # The eigenfunction of the rank-one averaging kernel is constant 1.
     assert sys.eigfun[0] == pytest.approx(np.ones(20), abs=1e-10)

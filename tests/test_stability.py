@@ -184,24 +184,19 @@ def test_check_condition_boundary_cases():
     p = PFunction.power(1.0 / 3.0)
     # lambda_k = (k pi)^-2 with beta_k = k pi sits exactly on the equality
     # lambda_k^2 = beta_k^2 p(beta_k^-2).
-    ok, first = check_condition(TRI_LAM, DERIV_BETA, p, 50)
+    ok, first = check_condition(TRI_LAM, DERIV_BETA, p)
     assert ok and first is None
 
-    ok, first = check_condition(TRI_LAM, 1.01 * DERIV_BETA, p, 50)
+    ok, first = check_condition(TRI_LAM, 1.01 * DERIV_BETA, p)
     assert ok
 
-    ok, first = check_condition(TRI_LAM, 0.5 * DERIV_BETA, p, 50)
+    ok, first = check_condition(TRI_LAM, 0.5 * DERIV_BETA, p)
     assert not ok and first == 1
 
-    with pytest.raises(ValueError):
-        check_condition(TRI_LAM, DERIV_BETA, p, 0)
-    with pytest.raises(ValueError):
-        check_condition(TRI_LAM, DERIV_BETA, p, 51)
 
-
-def _condition_by_loop(lam, betas, p, K):
+def _condition_by_loop(lam, betas, p):
     """Reference check_condition: one scalar p_eval per mode."""
-    for k in range(K):
+    for k in range(lam.size):
         if lam[k] ** 2 < betas[k] ** 2 * p_eval(p, 1.0 / betas[k] ** 2) * (1.0 - 1e-9):
             return False, k + 1
     return True, None
@@ -217,8 +212,8 @@ def test_check_condition_matches_the_scalar_loop(p):
     verdicts = set()
     for betas in (DERIV_BETA, 1.01 * DERIV_BETA, 0.5 * DERIV_BETA, 0.05 * DERIV_BETA, late):
         for K in (1, 7, 50):
-            expected = _condition_by_loop(TRI_LAM, betas, p, K)
-            assert check_condition(TRI_LAM, betas, p, K) == expected
+            expected = _condition_by_loop(TRI_LAM[:K], betas[:K], p)
+            assert check_condition(TRI_LAM[:K], betas[:K], p) == expected
             verdicts.add(expected)
     assert (True, None) in verdicts and (False, 7) in verdicts
 
