@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError
-from .regularize import _validate_eigenvalues, _weights, truncation_identity, truncation_weighted
+from .regularize import (_norm, _validate_eigenvalues, _weights, truncation_identity,
+                         truncation_weighted)
 
 __all__ = [
     "Ellipsoid",
@@ -143,28 +144,15 @@ def shannon_entropy_estimate(shannon_number: float, eps: float) -> float:
     return shannon_number * math.log2(1.0 / eps)
 
 
-def _distances(points: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances, each summed as regularize._norm sums a norm:
-    the halved difference vector over the power of two of its largest entry.  So
-    no step overflows, and a distance is bit for bit sqrt(sum(diff^2)) wherever
-    that squares in range, and inf, with no warning, above the largest double."""
-    half = 0.5 * points
-    diff = half[:, None, :] - half[None, :, :]
-    top = np.frexp(np.max(np.abs(diff), axis=2, initial=0.0))[1]
-    scaled = np.ldexp(diff, -top[:, :, None])
-    mant, exp = np.frexp(np.sqrt(np.sum(scaled * scaled, axis=2)))
-    exp += top + 1
-    # mant 2^1024 is finite for a mantissa in [1/2, 1), so only the clamped entries are inf.
-    return np.where(exp <= 1024, np.ldexp(mant, np.minimum(exp, 1024)), math.inf)
-
-
 @dataclass
 class FinitePointSet:
     """A small set of distinct points in a common Euclidean space.
 
     The pairwise distance matrix is built once, here, and both exact solvers
     read it.  It is quadratic in memory, so the class is meant for small sets:
-    check a point count against EXACT_BUDGET before building one.
+    check a point count against EXACT_BUDGET before building one.  Each
+    distance is the _norm of a halved difference, doubled: bit for bit
+    sqrt(sum(diff^2)) in range, and inf with no warning above it.
     """
 
     points: np.ndarray
@@ -176,7 +164,8 @@ class FinitePointSet:
             raise ValueError("points must form a non-empty 2-d array")
         if not np.all(np.isfinite(self.points)):
             raise ValueError("points must be finite")
-        self.distances = _distances(self.points)
+        half = 0.5 * self.points  # so no difference overflows
+        self.distances = _norm(half[:, None, :] - half[None, :, :], 2.0)
         off = self.distances[np.triu_indices(self.size, k=1)]
         if off.size and float(np.min(off)) <= 1e-12:
             raise ValueError("points must be pairwise distinct (min spacing 1e-12)")

@@ -20,10 +20,11 @@ beta_k^2 and lambda_k^2) is formed by _square, which first checks that every
 |x| lies in [sqrt(tiny), sqrt(max)] and otherwise raises a ValueError naming
 the quantity and the first bad mode k (or eps and E).  A sum of squares is
 read through its root, from _norm, which forms ||w x|| in exact powers of
-two: bit for bit the plain sqrt(sum(w^2 x^2)) inside the double range, and
-inf, not nan, beyond it.  The budget ||beta f|| <= E, the noise check, the
-rescaling in synthesize_problem and the residual norms all go through it, so
-they compare true values and print no warning.
+two and scales back with _ldexp: bit for bit sqrt(sum(w^2 x^2)) in range,
+and inf, not nan, beyond it.  The budget ||beta f|| <= E, the noise check,
+the rescaling in synthesize_problem, the residual norms, weak_pairing's bound
+and infotheory's point distances all go through it, so they compare true
+values and print no warning.
 """
 
 from __future__ import annotations
@@ -139,15 +140,24 @@ def _square(x, what: str, where: str = ""):
     return x**2
 
 
-def _norm(x, w=1.0) -> float:
-    """||w x|| (w a float or one weight per entry), summed from mantissas at the largest
-    power of two: bit for bit sqrt(sum(w^2 x^2)) in range, and inf with no warning above."""
+def _ldexp(x, e):
+    """x 2^e for x >= 0 (a float or an array), inf with no warning above the largest double."""
+    mant, exp = np.frexp(x)
+    # mant 2^1024 is finite for a mantissa in [1/2, 1), so only the clamped entries are inf.
+    out = np.where(exp + e <= 1024, np.ldexp(mant, np.minimum(exp + e, 1024)), math.inf)
+    return float(out) if out.ndim == 0 else out
+
+
+def _norm(x, w=1.0):
+    """||w x|| over the last axis (w a float or weights that broadcast against x), summed
+    from mantissas at the largest power of two: bit for bit sqrt(sum(w^2 x^2)) in range,
+    and inf with no warning above.  A vector gives a float, a stack an array."""
     (mx, ex), (mw, ew) = np.frexp(x), np.frexp(w)
     terms, exp = (mw * mw) * (mx * mx), 2 * (ex + ew)
     # top is even, so the root scales by 2^(top/2); no nonzero term has 2(e_x + e_w) < -4400.
-    top = int(np.max(exp, where=terms != 0, initial=-4400))
-    root = math.sqrt(float(np.sum(np.ldexp(terms, exp - top))))
-    return math.ldexp(root, top // 2) if math.frexp(root)[1] + top // 2 <= 1024 else math.inf
+    top = np.max(exp, axis=-1, where=terms != 0, initial=-4400, keepdims=True)
+    root = np.sqrt(np.sum(np.ldexp(terms, exp - top), axis=-1))
+    return _ldexp(root, top[..., 0] // 2)
 
 
 def _bisect(below, lo: float, hi: float) -> float:
@@ -364,7 +374,8 @@ def synthesize_problem(
     else:
         c, q = f_decay
         k = np.arange(1, m + 1, dtype=float)
-        f = c * k ** (-q)
+        with np.errstate(over="ignore"):  # an infinite f_k is rejected below
+            f = c * k ** (-q)
     if not np.all(np.isfinite(f)):
         raise InfeasibleSpecError("solution coefficients are not finite")
 
@@ -547,7 +558,8 @@ def weak_pairing(instance: ProblemInstance, rec: Reconstruction, v) -> tuple[flo
     """Pairing |sum (f_k - fhat_k) v_k| and its Schwarz bound.
 
     The bound is 2 eps sqrt(sum v_k^2 / (lambda_k^2 + (eps/E)^2)), finite for
-    any coefficient vector v over the retained modes.
+    any coefficient vector v over the retained modes; it is read from _norm
+    with weights 1 / hypot(lambda_k, eps/E), so no square leaves the range.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != instance.f_true.shape:
@@ -556,8 +568,5 @@ def weak_pairing(instance: ProblemInstance, rec: Reconstruction, v) -> tuple[flo
         raise ValueError("weak pairing bound needs eps > 0")
     diff = instance.f_true - rec.coefficients
     pairing = abs(float(np.sum(diff * v)))
-    lam = instance.eigenvalues
-    ratio = instance.eps / instance.E
-    denom = lam * lam + ratio * ratio
-    bound = 2.0 * instance.eps * math.sqrt(float(np.sum(v * v / denom)))
-    return pairing, bound
+    weights = 1.0 / np.hypot(instance.eigenvalues, instance.eps / instance.E)
+    return pairing, 2.0 * instance.eps * _norm(v, weights)

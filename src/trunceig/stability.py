@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import _preset
-from .regularize import _bisect, _square, _validate_eigenvalues, _weights
+from .regularize import _bisect, _ldexp, _square, _validate_eigenvalues, _weights
 
 __all__ = [
     "PFunction",
@@ -93,12 +93,18 @@ def check_condition(eigenvalues, beta, p: PFunction) -> tuple[bool, int | None]:
     """Does lambda_k^2 >= beta_k^2 p(beta_k^-2) hold for every listed mode k?
 
     Returns (ok, first violating k or None).  A relative slack of 1e-9
-    absorbs round-off in the equality case; beta_k^2 and lambda_k^2 must pass _square.
+    absorbs round-off in the equality case; beta_k^2 and lambda_k^2 must pass _square,
+    and p(beta_k^-2) must be a finite double, else a ValueError names the first bad k.
     """
     lam = _validate_eigenvalues(eigenvalues)
     bet2 = _square(_weights(beta, lam.size), "beta_k^2")
     lam2 = _square(lam, "lambda_k^2")
-    bad = np.nonzero(lam2 < bet2 * p_eval(p, 1.0 / bet2) * (1.0 - 1e-9))[0]
+    with np.errstate(over="ignore"):  # explog's 2/r overflows to p = 0; an infinite p is gated
+        pk = p_eval(p, 1.0 / bet2)
+    bad = np.flatnonzero(~np.isfinite(pk))
+    if bad.size:
+        raise ValueError(f"p(beta_k^-2) is not a finite double at k = {bad[0] + 1}")
+    bad = np.nonzero(lam2 < bet2 * pk * (1.0 - 1e-9))[0]
     if bad.size:
         return False, int(bad[0]) + 1
     return True, None
@@ -166,11 +172,10 @@ def stability_sup_exact(eigenvalues, beta, eps: float, E: float) -> float:
     if np.any(crosses):
         num = hx[:-1] * hy[1:] - hx[1:] * hy[:-1]
         best = min(best, float(np.min(num[crosses] / (d[:-1] - d[1:])[crosses])))
-    # sup = E / sqrt(best 2^top), from the mantissa of E: inf with no warning above range.
+    # sup = E / sqrt(best 2^top), scaled back from the mantissa of E.
     half, odd = divmod(top, 2)
     mE, eE = math.frexp(E)
-    root = mE / math.sqrt(math.ldexp(best, odd))
-    return math.ldexp(root, eE - half) if math.frexp(root)[1] + eE - half <= 1024 else math.inf
+    return _ldexp(mE / math.sqrt(math.ldexp(best, odd)), eE - half)
 
 
 @dataclass

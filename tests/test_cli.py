@@ -456,6 +456,7 @@ def test_simulate_at_huge_eps(capsys):
 
 OVERFLOW_ERROR = ("error: infeasible request: "
                   "sum beta^2 f^2 overflows, so f cannot be rescaled to the budget\n")
+NOT_FINITE_ERROR = "error: infeasible request: solution coefficients are not finite\n"
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -464,10 +465,14 @@ OVERFLOW_ERROR = ("error: infeasible request: "
     (["--f-decay", "1e200,2"], OVERFLOW_ERROR),
     (["--f-coeffs", "1e-200"], "error: infeasible request: cannot meet the constraint budget "
                                "with equality: sum beta^2 f^2 underflows to zero\n"),
-], ids=["coeffs-overflow", "coeffs-overflow-no-tight", "decay-overflow", "coeffs-underflow"])
+    (["--f-decay", "1,-1000"], NOT_FINITE_ERROR),
+    (["--f-decay", "1e308,-5"], NOT_FINITE_ERROR),
+], ids=["coeffs-overflow", "coeffs-overflow-no-tight", "decay-overflow", "coeffs-underflow",
+        "decay-power-overflow", "decay-product-overflow"])
 def test_simulate_names_a_budget_sum_out_of_range(capsys, argv, err):
     # An overflowed sum used to rescale f by E/inf and write an all-zero
-    # solution with exit 0; an underflowed one was blamed on a zero f.
+    # solution with exit 0; an underflowed one was blamed on a zero f.  A decay
+    # law whose c k^-q overflows used to print a RuntimeWarning before exit 3.
     assert main(["simulate", "--n-modes", "3", *argv]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -6,10 +6,11 @@ class: beta = k^p for p in [-400, 400], eps and E across 1e+-300, and f
 entries across 1e+-300 with zeros mixed in.  Each test asserts that the code
 reaches the same verdict: ProblemInstance's noise check and budget,
 synthesize_problem's exit class (also where its noise sum overflows), and
-check_condition's verdict or its exit-2 gate.  Tier-1 runs with warnings as errors, so a leaked RuntimeWarning fails
-here too.  A verdict that lies within rounding of its threshold is
-undecidable in doubles; such draws are counted, must stay rare, and are not
-asserted.
+check_condition's verdict or its exit-2 gates; and that weak_pairing's bound
+is true at every scale.  Tier-1 runs with warnings as errors, so a leaked
+RuntimeWarning fails here too.  A verdict that lies within rounding of its
+threshold is undecidable in doubles; such draws are counted, must stay rare,
+and are not asserted.
 """
 
 import decimal
@@ -28,6 +29,8 @@ from trunceig import (
     check_condition,
     make_noise,
     synthesize_problem,
+    truncated_solution,
+    weak_pairing,
 )
 
 CTX = decimal.Context(prec=50, Emax=999999, Emin=-999999)
@@ -245,6 +248,21 @@ def test_range_compatible_noise_where_its_squares_leave_the_range(top):
         assert abs(_sum_sq(np.ones(lam.size), noise).sqrt() / want - 1) < D("1e-15")
 
 
+def test_weak_pairing_bound_where_its_squares_leave_the_range():
+    # lambda_k^2 overflowed at 1e200 (a RuntimeWarning and a bound of 0) and
+    # underflowed with (eps/E)^2 at 1e-170 (a division by zero).  Now the bound
+    # 2 eps sqrt(sum v_k^2 / (lambda_k^2 + (eps/E)^2)) is true at every scale.
+    v = 1.0 / np.arange(1.0, 4.0)
+    for top in (1e200, 1e150, 1.0, 1e-158, 1e-170):
+        lam, eps, E = top * np.array([1.0, 0.5, 0.1]), 1e-5 * top, 2.0
+        inst = ProblemInstance(lam, np.ones(3), np.zeros(3), np.zeros(3), eps, E, seed=0)
+        _, bound = weak_pairing(inst, truncated_solution(inst, "k1"), v)
+        ratio2 = (D(eps) / D(E)) ** 2
+        want = 2 * D(eps) * sum(D(vk) ** 2 / (D(lk) ** 2 + ratio2)
+                                for lk, vk in zip(lam, v)).sqrt()
+        assert abs(D(bound) / want - 1) < D("1e-15"), top
+
+
 def _p_exact(spec, r):
     kind, gamma = spec
     if kind == "power":
@@ -277,6 +295,10 @@ def _condition_oracle(lam, beta, spec):
     r = [D(float(v)) for v in 1.0 / beta**2]  # the arguments the code hands p
     p = [_p_exact(spec, rk) for rk in r]
     overflows = any(pk > MAX for pk in p) or (spec[0] == "explog" and any(2 / rk > MAX for rk in r))
+    for k, pk in enumerate(p, 1):
+        over = _above(pk, MAX)
+        if over is not False:
+            return over and f"p(beta_k^-2) is not a finite double at k = {k}", overflows
     for k, (lk, bk, pk) in enumerate(zip(lam, beta, p), 1):
         violated = _above(D(float(bk)) ** 2 * pk * D(1.0 - 1e-9), D(float(lk)) ** 2)
         if violated is None:
@@ -313,10 +335,12 @@ def test_check_condition_agrees_with_decimal():
     assert seen == {"one", "beta_k^2", "lambda_k^2", True, False}
 
 
-@pytest.mark.xfail(raises=RuntimeWarning, strict=True,
-                   reason="p(beta_k^-2) is evaluated in doubles, and for small weights "
-                          "it overflows with a RuntimeWarning")
 def test_check_condition_where_p_overflows():
+    # A power p above the largest double is an exit-2 gate.  Explog's 2/r
+    # overflows where beta_k^2 > max / 2, and gives p = 0, which keeps the verdict.
+    explog = [(np.array(lam), np.array([1.0, 1.3e154]), ("explog", None))
+              for lam in ([1.0, 0.5], [0.5, 0.4])]
     cases = [c for c in _condition_cases(1978) if c[4]]
-    assert cases
-    _check_conditions(cases)
+    cases += [(*c, *_condition_oracle(*c)) for c in explog]
+    assert all(c[4] for c in cases)
+    assert _check_conditions(cases) == {"p(beta_k^-2)", True, False}

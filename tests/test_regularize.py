@@ -339,6 +339,13 @@ def test_norm_scales_by_powers_of_two():
     assert _norm(np.array([1e300, 1e300]), 1e10) == math.inf
     assert _norm(np.zeros(3), 1e300) == 0.0
     assert _norm(np.zeros(0)) == 0.0
+    # A stack gives each row's norm bit for bit: 0 for a zero row, inf above the range.
+    stack = rng.standard_normal((20, 60)) * 10.0 ** rng.uniform(-300, 300, (20, 60))
+    stack[3], stack[7] = 0.0, 1.7e308
+    for w in (1.0, 1e10, 10.0 ** rng.uniform(0, 70, 60)):
+        norms = _norm(stack, w)
+        assert norms.shape == (20,) and norms[3] == 0.0 and norms[7] == math.inf
+        assert np.array_equal(norms, [_norm(row, w) for row in stack])
 
 
 def test_derived_noise_allows_for_the_rounding_of_g_noisy():
