@@ -557,9 +557,10 @@ def strong_error_bound(eigenvalues, beta, eps: float, E: float) -> StrongErrorBo
 def weak_pairing(instance: ProblemInstance, rec: Reconstruction, v) -> tuple[float, float]:
     """Pairing |sum (f_k - fhat_k) v_k| and its Schwarz bound.
 
-    The bound is 2 eps sqrt(sum v_k^2 / (lambda_k^2 + (eps/E)^2)), finite for
-    any coefficient vector v over the retained modes; it is read from _norm
-    with weights 1 / hypot(lambda_k, eps/E), so no square leaves the range.
+    The bound 2 eps sqrt(sum v_k^2 / (lambda_k^2 + (eps/E)^2)) is read from _norm with
+    weights 1 / hypot(lambda_k 2^e, eps/E 2^e), times eps 2^e, where 2^e brings eps/E
+    into (1/2, 2) but keeps lambda_1 2^e below 2^1023: no square leaves the range, and
+    a weight overflows only where lambda_1 / max(lambda_k, eps/E) exceeds 2^2046.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != instance.f_true.shape:
@@ -568,5 +569,8 @@ def weak_pairing(instance: ProblemInstance, rec: Reconstruction, v) -> tuple[flo
         raise ValueError("weak pairing bound needs eps > 0")
     diff = instance.f_true - rec.coefficients
     pairing = abs(float(np.sum(diff * v)))
-    weights = 1.0 / np.hypot(instance.eigenvalues, instance.eps / instance.E)
-    return pairing, 2.0 * instance.eps * _norm(v, weights)
+    (m_eps, e_eps), (m_E, e_E) = np.frexp(instance.eps), np.frexp(instance.E)
+    e = min(e_E - e_eps, 1023 - int(np.frexp(instance.eigenvalues[0])[1]))
+    ratio = np.ldexp(m_eps / m_E, e - e_E + e_eps)
+    weights = 1.0 / np.hypot(np.ldexp(instance.eigenvalues, e), ratio)
+    return pairing, _ldexp(m_eps * _norm(v, weights), e_eps + e + 1)

@@ -250,17 +250,23 @@ def test_range_compatible_noise_where_its_squares_leave_the_range(top):
 
 def test_weak_pairing_bound_where_its_squares_leave_the_range():
     # lambda_k^2 overflowed at 1e200 (a RuntimeWarning and a bound of 0) and
-    # underflowed with (eps/E)^2 at 1e-170 (a division by zero).  Now the bound
+    # underflowed with (eps/E)^2 at 1e-170 (a division by zero); at 1e-300 and
+    # 1e-310, 1 / hypot(lambda_k, eps/E) overflowed.  Now the bound
     # 2 eps sqrt(sum v_k^2 / (lambda_k^2 + (eps/E)^2)) is true at every scale.
-    v = 1.0 / np.arange(1.0, 4.0)
-    for top in (1e200, 1e150, 1.0, 1e-158, 1e-170):
-        lam, eps, E = top * np.array([1.0, 0.5, 0.1]), 1e-5 * top, 2.0
-        inst = ProblemInstance(lam, np.ones(3), np.zeros(3), np.zeros(3), eps, E, seed=0)
+    cases = [(top * np.array([1.0, 0.5, 0.1]), 1e-5 * top, 2.0)
+             for top in (1e200, 1e150, 1.0, 1e-158, 1e-170, 1e-300, 1e-310)]
+    # lambda_k / (eps/E) above 2^1024: bringing eps/E to 1 alone would take
+    # lambda_k to inf, its weight to 0 and the bound to 0.
+    cases += [(np.array([1e200]), 1e-100, 1e20), (np.array([1.0]), 1e-160, 1e150),
+              (np.array([1e300, 1e-300]), 1e-290, 1.0), (np.array([1e300, 1e-300]), 1e-320, 1.0)]
+    for lam, eps, E in cases:
+        m, v = lam.size, 1.0 / np.arange(1.0, lam.size + 1)
+        inst = ProblemInstance(lam, np.ones(m), np.zeros(m), np.zeros(m), eps, E, seed=0)
         _, bound = weak_pairing(inst, truncated_solution(inst, "k1"), v)
         ratio2 = (D(eps) / D(E)) ** 2
         want = 2 * D(eps) * sum(D(vk) ** 2 / (D(lk) ** 2 + ratio2)
                                 for lk, vk in zip(lam, v)).sqrt()
-        assert abs(D(bound) / want - 1) < D("1e-15"), top
+        assert abs(D(bound) / want - 1) < D("1e-15"), (lam, eps, E)
 
 
 def _p_exact(spec, r):

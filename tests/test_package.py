@@ -78,3 +78,19 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, added, absent)
         assert new == added
     if absent is not None:
         assert new and not new & absent
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
+    # bench/traced_cli.py wraps library names where their callers look them
+    # up; a renamed or deleted name makes its install() raise before the
+    # command runs, and a caller that stops looking a name up loses its span.
+    tracer = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "traced_cli.py")
+    spans = tmp_path / "spans.json"
+    argv = ["spectrum", "--kernel", "triangular", "--n-nodes", "8", "--n-modes", "1"]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}  # finds this trunceig
+    result = subprocess.run([sys.executable, tracer, str(spans), *argv], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert names >= {"cli.main", "kernels.parse_kernel", "spectral.gauss_legendre",
+                     "spectral.nystrom_matrix"}

@@ -1,7 +1,10 @@
 """Quadrature, Nystrom discretization, and the eigensolver."""
 
+import json
 import math
 import tracemalloc
+from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +73,39 @@ def test_gauss_legendre_grid_invariants():
     # a + b overflows here but b - a does not: the nodes are still inside.
     g = gauss_legendre(8, 1e308, 1.5e308)
     assert 1e308 < g.nodes[0] and g.nodes[-1] < 1.5e308
+
+
+REFERENCE = json.loads((Path(__file__).parent / "gauss_legendre_40digits.json").read_text())
+
+
+@pytest.mark.parametrize("n, earlier_rtol", [
+    (16, 1.89e-15), (24, 1.09e-14), (128, 3.40e-13), (400, 1.93e-12),
+])
+def test_gauss_legendre_matches_a_40_digit_reference(n, earlier_rtol):
+    # Errors are taken exactly, in decimal.  earlier_rtol is the weights' error
+    # under the earlier Newton on all n roots.  The end weights are the worst:
+    # w = 2 / ((1 - x^2) P_n'(x)^2) moves by 2 dx / (1 - x^2) relative when the
+    # end node x moves by dx, so the bound adds that change for one ulp of x,
+    # which another libm's rounding may shift the end node by.
+    rule = REFERENCE["rules"][str(n)]
+    half_x = [Decimal(s) for s in rule["nodes"]]
+    half_w = [Decimal(s) for s in rule["weights"]]
+    want_x = [-x for x in reversed(half_x)] + half_x[n % 2:]
+    want_w = list(reversed(half_w)) + half_w[n % 2:]
+    end = float(half_x[-1])
+    weight_rtol = earlier_rtol + 2 * math.ulp(end) / (1 - end * end)
+    g = gauss_legendre(n, -1.0, 1.0)
+    assert max(abs(Decimal(x) - want) for x, want in zip(g.nodes, want_x)) <= Decimal("1e-16")
+    assert max(abs(Decimal(w) / want - 1) for w, want in zip(g.weights, want_w)) <= weight_rtol
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 17, 24, 127, 128, 255, 256, 257, 400, 401, 2047, 2048])
+def test_gauss_legendre_is_exactly_symmetric(n):
+    g = gauss_legendre(n, -1.0, 1.0)
+    assert np.array_equal(g.nodes, -g.nodes[::-1])
+    assert np.array_equal(g.weights, g.weights[::-1])
+    if n % 2:
+        assert g.nodes[n // 2] == 0.0
 
 
 def test_quadrature_grid_validation():
