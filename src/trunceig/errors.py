@@ -1,7 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 __all__ = ["ConvergenceError", "ResolutionError", "BudgetExceededError",
-           "InfeasibleSpecError", "NumericDomainError", "HypothesisWarning"]
+           "InfeasibleSpecError", "NumericDomainError"]
 
 
 class ConvergenceError(RuntimeError):
@@ -23,6 +23,3 @@ class InfeasibleSpecError(ValueError):
 class NumericDomainError(ValueError):
     """An evaluation produced a non-finite value or left its numeric domain."""
 
-
-class HypothesisWarning(UserWarning):
-    """A stated hypothesis behind a bound is not met; the result is advisory."""

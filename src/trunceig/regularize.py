@@ -22,22 +22,21 @@ the quantity and the first bad mode k (or eps and E).  A sum of squares is
 read through its root, from _norm, which forms ||w x|| in exact powers of
 two and scales back with _ldexp: bit for bit sqrt(sum(w^2 x^2)) in range,
 and inf, not nan, beyond it.  The budget ||beta f|| <= E, the noise check,
-the rescaling in synthesize_problem, the residual norms, weak_pairing's bound
-and infotheory's point distances all go through it, so they compare true
-values and print no warning.
+the rescaling in synthesize_problem, feasibility_check's misfit and minimum,
+the residual norms, weak_pairing's bound and infotheory's point distances all
+go through it, so they compare true values and print no warning.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import ConvergenceError, HypothesisWarning, InfeasibleSpecError
+from .errors import InfeasibleSpecError
 from .kernels import _from_json, _preset
 
 __all__ = [
@@ -45,18 +44,15 @@ __all__ = [
     "ProblemInstance",
     "Reconstruction",
     "ResidualReport",
-    "StrongErrorBound",
     "FeasibilityResult",
     "truncation_identity",
     "truncation_weighted",
     "truncated_solution",
     "make_noise",
-    "range_compatibility_sums",
     "synthesize_problem",
     "feasibility_check",
     "weighted_rule_residuals",
     "identity_rule_residuals",
-    "strong_error_bound",
     "weak_pairing",
 ]
 
@@ -326,18 +322,6 @@ def make_noise(seed: int, eps: float, mode: str, eigenvalues) -> np.ndarray:
     return n * scale if scale < math.inf else (n / norm) * (scale_fraction * eps)
 
 
-def range_compatibility_sums(instance: ProblemInstance) -> tuple[float, float]:
-    """Report how well the noisy data sit inside the operator's range.
-
-    Returns (sum of gbar_k / lambda_k, sum of (gbar_k / lambda_k)^2) over the
-    retained modes. Blow-up of either sum as modes are added flags data that
-    the inversion cannot treat as coming from a square-integrable source;
-    both conventions circulate, so both are reported without picking one.
-    """
-    ratios = instance.g_noisy / instance.eigenvalues
-    return float(np.sum(ratios)), float(np.sum(ratios**2))
-
-
 def synthesize_problem(
     eigenvalues,
     beta,
@@ -433,39 +417,46 @@ def feasibility_check(instance: ProblemInstance) -> FeasibilityResult:
 
     Minimizes sum beta_k^2 f_k^2 subject to sum (lambda_k f_k - gbar_k)^2
     <= eps^2.  If the data already lie within eps of zero the minimum is 0.
-    Otherwise the minimizer has f_k(mu) = lambda_k gbar_k / (lambda_k^2 +
-    mu beta_k^2) and the data residual grows monotonically in mu, so the
-    active-constraint multiplier is found by bisection.
+    Otherwise the minimizer is f_k = lambda_k gbar_k / (lambda_k^2 + t^2 beta_k^2).
+    With x_k = rho_k / t and rho_k = lambda_k / beta_k, its misfit gbar_k /
+    (1 + x_k^2) grows with t, and beta_k f_k is gbar_k x_k / (t (1 + x_k^2)), or
+    gbar_k / (rho_k (1 + x_k^-2)) where x_k >= 1.  log2 t is bisected over
+    every scale the rho_k can give, and each term is kept as a mantissa and an
+    integer exponent, split between the two factors of _norm, so neither t,
+    rho_k nor any square has to be a double.
     """
-    lam = instance.eigenvalues
-    betas = instance.betas
-    g = instance.g_noisy
-    eps = instance.eps
-
-    g_norm = float(np.linalg.norm(g))
-    if g_norm <= eps:
+    g, eps = instance.g_noisy, instance.eps
+    if _norm(g) <= eps:
         return FeasibilityResult(True, 0.0)
+    (mg, eg), (ml, el), (mb, eb) = map(np.frexp, (g, instance.eigenvalues, instance.betas))
+    m, e = ml / mb, el - eb  # rho_k = m_k 2^e_k
 
-    lam2 = lam * lam
-    bet2 = betas * betas
-    target = eps * eps
+    def norm(mant, exp):  # ||mant 2^exp||: a term beyond 2^(+-2000) reads 0 or inf either way
+        exp = np.clip(exp, -2000, 2000)
+        return _norm(np.ldexp(mant, exp // 2), np.ldexp(1.0, exp - exp // 2))
 
-    def residual_sq(mu: float) -> float:
-        misfit = g * (mu * bet2) / (lam2 + mu * bet2)
-        return float(np.sum(misfit * misfit))
+    def terms(S: float, sigma: float):
+        """x_k >= 1, 1 + min(x_k, 1/x_k)^2, and x_k = c_k 2^d_k, at t = 2^(S + sigma), S whole."""
+        c, d = m / 2.0**sigma, e - int(S)
+        fit = np.ldexp(c, np.minimum(d, 3)) >= 1.0  # c_k > 1/8, so d_k >= 3 fits
+        z = np.ldexp(np.where(fit, 1.0 / c, c), np.where(fit, -d, d))  # at most 1: no overflow
+        return fit, 1.0 + z * z, c, d
 
-    hi = 1.0
-    for _ in range(400):
-        if residual_sq(hi) >= target:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError("could not bracket the feasibility multiplier")
-    mu = _bisect(lambda mu: residual_sq(mu) < target, 0.0, hi)
-    f = lam * g / (lam2 + mu * bet2)
-    min_norm = float(np.sqrt(np.sum(bet2 * f * f)))
-    permissible = min_norm <= instance.E * (1.0 + 1e-9)
-    return FeasibilityResult(permissible, min_norm)
+    def fits(S: float, sigma: float) -> bool:  # the misfit at t = 2^(S + sigma) is at most eps
+        fit, den, c, d = terms(S, sigma)
+        return norm(mg / den / np.where(fit, c * c, 1.0), eg - np.where(fit, 2 * d, 0)) <= eps
+
+    # Every x_k is above 2^1099 at the lower end and below 2^-1099 at the upper one.  The
+    # first pass bisects log2 t + 2^42, whose doubles are 2^-10 apart, to find S; the
+    # second finds the fraction sigma of log2 t = S + sigma to the spacing of doubles near 1.
+    shift = 2.0**42
+    lo, hi = shift + float(np.min(e)) - 1100.0, shift + float(np.max(e)) + 1100.0
+    S = math.floor(_bisect(lambda v: fits(*divmod(v - shift, 1.0)), lo, hi) - shift)
+    sigma = _bisect(lambda sigma: fits(S, sigma), -1.0, 2.0)
+    fit, den, c, d = terms(S, sigma)
+    size = np.where(fit, 1.0 / m, c / 2.0**sigma) / den
+    min_norm = norm(mg * size, eg + np.where(fit, -e, d - S))
+    return FeasibilityResult(min_norm <= instance.E * (1.0 + 1e-9), min_norm)
 
 
 @dataclass
@@ -515,43 +506,6 @@ def identity_rule_residuals(instance: ProblemInstance, rec: Reconstruction) -> R
     if rec.rule != "k1":
         raise ValueError("reconstruction must come from rule 'k1'")
     return _residual_report(instance, rec, np.ones(instance.n_modes))
-
-
-@dataclass
-class StrongErrorBound:
-    """Norm-convergence bound data for the weighted rule.
-
-    spectrum[k-1] = lambda_k^2 + (eps/E)^2 beta_k^2 is the symbol of the
-    combined normal operator; its minimum over retained modes controls
-    ||f - fhat|| <= 2 eps / sqrt(min spectrum), with the weaker but simpler
-    form 2 E / beta_{k0} at the argmin k0.  When k0 is the last listed mode
-    the weights never outgrow the decay, and strong_error_bound warns with a
-    HypothesisWarning.
-    """
-
-    spectrum: np.ndarray
-    k0: int
-    bound: float
-    simplified_bound: float
-
-
-def strong_error_bound(eigenvalues, beta, eps: float, E: float) -> StrongErrorBound:
-    lam = _validate_eigenvalues(eigenvalues)
-    if not (0 < eps < math.inf and 0 < E < math.inf):
-        raise ValueError("need finite eps > 0 and E > 0")
-    betas = _weights(beta, lam.size)
-    ratio = eps / E
-    spectrum = lam * lam + (ratio * betas) ** 2
-    k0 = int(np.argmin(spectrum)) + 1
-    if k0 == lam.size:
-        warnings.warn(
-            "combined spectrum is smallest on the last mode; the error bound does not shrink",
-            HypothesisWarning,
-            stacklevel=2,
-        )
-    bound = 2.0 * eps / math.sqrt(float(spectrum[k0 - 1]))
-    simplified = 2.0 * E / float(betas[k0 - 1])
-    return StrongErrorBound(spectrum, k0, bound, simplified)
 
 
 def weak_pairing(instance: ProblemInstance, rec: Reconstruction, v) -> tuple[float, float]:

@@ -308,7 +308,10 @@ def row_defect(kernel, grid: QuadratureGrid, matrix: np.ndarray) -> np.ndarray:
     scale = np.abs(terms[:, value]).sum(axis=1)
     with np.errstate(invalid="ignore"):  # non-finite rows compare False
         resolved = np.abs(integral - check) <= DEFECT_RTOL * scale
+    # sqrt(w) scaled by 2^-e, e the exponent of its largest entry: exact, and the product
+    # sums w_j K_ij sqrt(w_i) 2^-e, which stays finite where sqrt(w_i) K_ij w_j would not.
     root_w = np.sqrt(grid.weights)
+    root_w = np.ldexp(root_w, -np.frexp(np.max(root_w))[1])
     defect = integral - (matrix @ root_w) / root_w
     return np.where(resolved, defect, 0.0)
 

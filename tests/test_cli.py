@@ -837,6 +837,17 @@ def test_non_finite_sinc_parameter_exits_2(capsys, kernel, err):
     assert captured.err == err
 
 
+def test_spectrum_on_a_wide_sinc_interval_prints_no_warning(capsys):
+    # sqrt(w_i) K_ij w_j overflowed in row_defect's row sums near 1e300, though
+    # sum_j w_j K_ij is finite: a RuntimeWarning from the matrix product.
+    argv = ["spectrum", "--kernel", "sinc:c=10,a=1e300,b=1.0000001e300", "--n-nodes", "8",
+            "--n-modes", "2"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("k,lambda,lambda_analytic,rel_err\n1,")
+
+
 # One grammar reads all three preset families: each family's malformed strings
 # fail the same way, with the family's word in the message.
 PRESET_FAMILIES = {

@@ -7,10 +7,10 @@ entries across 1e+-300 with zeros mixed in.  Each test asserts that the code
 reaches the same verdict: ProblemInstance's noise check and budget,
 synthesize_problem's exit class (also where its noise sum overflows), and
 check_condition's verdict or its exit-2 gates; and that weak_pairing's bound
-is true at every scale.  Tier-1 runs with warnings as errors, so a leaked
-RuntimeWarning fails here too.  A verdict that lies within rounding of its
-threshold is undecidable in doubles; such draws are counted, must stay rare,
-and are not asserted.
+and feasibility_check's minimum norm are true at every scale.  Tier-1 runs
+with warnings as errors, so a leaked RuntimeWarning fails here too.  A
+verdict that lies within rounding of its threshold is undecidable in
+doubles; such draws are counted, must stay rare, and are not asserted.
 """
 
 import decimal
@@ -27,6 +27,7 @@ from trunceig import (
     PFunction,
     ProblemInstance,
     check_condition,
+    feasibility_check,
     make_noise,
     synthesize_problem,
     truncated_solution,
@@ -267,6 +268,56 @@ def test_weak_pairing_bound_where_its_squares_leave_the_range():
         want = 2 * D(eps) * sum(D(vk) ** 2 / (D(lk) ** 2 + ratio2)
                                 for lk, vk in zip(lam, v)).sqrt()
         assert abs(D(bound) / want - 1) < D("1e-15"), (lam, eps, E)
+
+
+def _feasibility_exact(lam, beta, g, eps):
+    """min ||beta f|| subject to ||lambda f - g|| <= eps, with ||g|| > eps: f_k =
+    lambda_k g_k / (lambda_k^2 + mu beta_k^2) at the mu whose misfit is eps,
+    found by bisection on log10 mu."""
+    lam, beta, g = ([D(float(v)) for v in arr] for arr in (lam, beta, g))
+
+    def f(mu):
+        return [lk * gk / (lk * lk + mu * bk * bk) for lk, bk, gk in zip(lam, beta, g)]
+
+    def misfit(mu):
+        return sum(((lk * fk - gk) ** 2 for lk, fk, gk in zip(lam, f(mu), g)), D(0)).sqrt()
+
+    lo, hi = D(-2000), D(2000)
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if misfit(D(10) ** mid) <= D(eps) else (lo, mid)
+    return sum(((bk * fk) ** 2 for bk, fk in zip(beta, f(D(10) ** lo))), D(0)).sqrt()
+
+
+@pytest.mark.parametrize("lam, beta, f, g, eps", [
+    ([1e100], [1e-100], [1e-100], [1.05], 0.1),
+    ([1e-60], [1e60], [1e-60], [1e-120], 1e-130),
+    ([1e200], [1.0], [1e-200], [1.05], 0.1),
+    ([1.0], [1e160], [1e-160], [1e-160], 1e-170),
+    ([1e-160], [1.0], [1.0], [1e-160], 1e-170),
+], ids=["rho-1e200", "rho-1e-120", "lambda-1e200", "beta-1e160", "lambda-1e-160"])
+def test_feasibility_where_the_multiplier_leaves_the_range(lam, beta, f, g, eps):
+    # The multiplier mu = (lambda / beta)^2 eps / (|g| - eps) lies beyond 2^400
+    # or below 2^-200, and in the last three lambda^2 or beta^2 leaves the
+    # double range: the bisection on mu raised ConvergenceError (after
+    # overflow warnings in two cases) or returned 0.  One mode has the closed
+    # form beta (|g| - eps) / lambda.
+    inst = ProblemInstance(lam, beta, f, g, eps, 1.0, seed=0)
+    res = feasibility_check(inst)
+    want = D(beta[0]) * (D(g[0]) - D(eps)) / D(lam[0])
+    assert abs(D(res.min_constraint_norm) / want - 1) < D("1e-15")
+    assert res.permissible
+
+
+def test_feasibility_of_two_modes_whose_squares_leave_the_range():
+    # lambda_k^2 overflows, beta_k^2 underflows and mu is near 1e600; rho_k =
+    # lambda_k / beta_k differ by a factor 2, so both modes share the misfit.
+    lam, beta = np.array([1e200, 1e190]), np.array([1e-100, 2e-110])
+    f, g, eps = np.array([1e-200, 1e-190]), np.array([1.05, 0.97]), 0.1
+    res = feasibility_check(ProblemInstance(lam, beta, f, g, eps, 1.0, seed=0))
+    want = _feasibility_exact(lam, beta, g, eps)
+    assert abs(D(res.min_constraint_norm) / want - 1) < D("1e-14")
+    assert D("1e-301") < want < D("1e-299")
 
 
 def _p_exact(spec, r):

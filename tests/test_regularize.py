@@ -2,7 +2,6 @@
 
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -18,9 +17,7 @@ from trunceig import (
     make_noise,
     parse_constraint,
     prolate_eigenvalues,
-    range_compatibility_sums,
     stability_sup_exact,
-    strong_error_bound,
     synthesize_problem,
     truncated_solution,
     truncation_identity,
@@ -28,7 +25,7 @@ from trunceig import (
     weak_pairing,
     weighted_rule_residuals,
 )
-from trunceig.errors import HypothesisWarning, InfeasibleSpecError
+from trunceig.errors import InfeasibleSpecError
 from trunceig.regularize import _norm, _square
 
 TRI_LAM_80 = 1.0 / (np.arange(1, 81) * math.pi) ** 2
@@ -507,67 +504,6 @@ def test_error_splitting_reports():
         identity_rule_residuals(inst, truncated_solution(inst, "k2"))
 
 
-def test_strong_error_bound_argmin_location():
-    # lambda_k = k^(-1/2), beta_k = k^(1/2): the combined symbol 1/k + (eps E)^2 k
-    # is minimized at k = E/eps.
-    m = 500
-    k = np.arange(1, m + 1, dtype=float)
-    lam = k**-0.5
-    betas = k**0.5
-    out = strong_error_bound(lam, betas, 1e-2, 1.0)
-    assert out.k0 == 100
-    assert out.spectrum.shape == (m,)
-    assert out.bound == pytest.approx(2e-2 / math.sqrt(0.02), rel=1e-12)
-
-    out = strong_error_bound(lam, betas, 3e-3, 1.0)
-    assert out.k0 in (333, 334)
-
-    # Tighter noise keeps more modes: the argmin never moves backwards.
-    last = 0
-    for eps in (3e-2, 1e-2, 3e-3):
-        k0 = strong_error_bound(lam, betas, eps, 1.0).k0
-        assert k0 >= last
-        last = k0
-    with pytest.warns(HypothesisWarning):  # the minimizer E/eps = 1000 lies past mode 500
-        k0 = strong_error_bound(lam, betas, 1e-3, 1.0).k0
-    assert k0 == m >= last
-
-
-def test_strong_error_bound_warns_for_bounded_weights():
-    lam = TRI_LAM_80[:30]
-    with pytest.warns(HypothesisWarning):
-        out = strong_error_bound(lam, np.ones(30), 1e-3, 2.0)
-    assert out.simplified_bound == pytest.approx(4.0)  # 2 E / beta_k0 with beta = 1
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        strong_error_bound(lam, DERIVATIVE_80[:30], 1e-3, 2.0)
-
-
-def test_strong_error_bound_warns_when_argmin_is_the_last_mode():
-    # The warning reads only its inputs: any weight array whose combined
-    # spectrum is smallest on the last listed mode warns.
-    lam = TRI_LAM_80[:30]
-    k = np.arange(1, 31, dtype=float)
-    with pytest.warns(HypothesisWarning):
-        assert strong_error_bound(lam, k**-0.5, 1e-3, 2.0).k0 == 30
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert strong_error_bound(lam, k**0.5, 1e-3, 2.0).k0 == 11
-        assert strong_error_bound(lam, math.pi * k, 1e-3, 2.0).k0 == 5
-
-
-def test_strong_error_bound_dominates_reconstruction_error():
-    beta = DERIVATIVE_80
-    for seed in range(20):
-        inst = synthesize_problem(TRI_LAM_80, beta, 1e-3, 1.0,
-                                  f_decay=(1.0, 2.0), seed=seed)
-        rec = truncated_solution(inst, "k2")
-        err = float(np.linalg.norm(inst.f_true - rec.coefficients))
-        out = strong_error_bound(inst.eigenvalues, inst.betas, inst.eps, inst.E)
-        assert err <= out.bound * (1.0 + 1e-9)
-        assert out.bound <= out.simplified_bound * (1.0 + 1e-9) or out.k0 == 1
-
-
 def test_weak_pairing_basics():
     inst = synthesize_problem(TRI_LAM_80, DERIVATIVE_80,
                               1e-3, 1.0, f_decay=(1.0, 2.0), seed=5)
@@ -610,23 +546,11 @@ def test_weak_pairing_bound_holds_and_decays():
         last_bound = bound
 
 
-def test_range_compatibility_sums_reports_both():
-    inst = synthesize_problem(TRI_LAM_80[:20], np.ones(20),
-                              1e-4, 1.0, f_coeffs=[0.5, 0.25], seed=2,
-                              noise_mode="range_compatible")
-    linear, squared = range_compatibility_sums(inst)
-    direct = inst.g_noisy / inst.eigenvalues
-    assert linear == pytest.approx(float(np.sum(direct)), rel=1e-14)
-    assert squared == pytest.approx(float(np.sum(direct**2)), rel=1e-14)
-    assert squared >= 0.0
-
-
 # Every entry point that takes the weight sequence beta follows one contract:
 # an array holds exactly one finite, positive weight per eigenvalue.
 LAM_5 = TRI_LAM_80[:5]
 BETA_TAKERS = {
     "truncation_weighted": lambda b: truncation_weighted(LAM_5, b, 1e-3, 1.0),
-    "strong_error_bound": lambda b: strong_error_bound(LAM_5, b, 1e-3, 1.0),
     "check_condition": lambda b: check_condition(LAM_5, b, PFunction.power(1.0 / 3.0)),
     "stability_sup_exact": lambda b: stability_sup_exact(LAM_5, b, 1e-3, 1.0),
     "ellipsoid_of": lambda b: ellipsoid_of(LAM_5, b, 1.0),
@@ -644,10 +568,6 @@ BAD_WEIGHTS = {
 @pytest.mark.parametrize("bad", sorted(BAD_WEIGHTS))
 @pytest.mark.parametrize("taker", sorted(BETA_TAKERS))
 def test_beta_takers_reject_bad_weights(taker, bad):
-    if taker == "strong_error_bound":  # its minimum lies on the last of the five modes
-        with pytest.warns(HypothesisWarning):
-            BETA_TAKERS[taker](np.arange(1.0, 6.0))
-    else:
-        BETA_TAKERS[taker](np.arange(1.0, 6.0))  # the valid sequence is accepted
+    BETA_TAKERS[taker](np.arange(1.0, 6.0))  # the valid sequence is accepted
     with pytest.raises(ValueError):
         BETA_TAKERS[taker](np.array(BAD_WEIGHTS[bad]))

@@ -16,6 +16,7 @@ from trunceig import (
     eigh,
     gauss_legendre,
     nystrom_matrix,
+    parse_kernel,
     project,
     reconstruct,
     row_defect,
@@ -312,6 +313,20 @@ def test_row_defect_leaves_unresolved_rows_uncorrected():
     kern = SincKernel(80.0)
     g = gauss_legendre(400, -1.0, 1.0)
     assert not np.any(row_defect(kern, g, nystrom_matrix(kern, g).entries))
+
+
+@pytest.mark.parametrize("text, n", [("triangular", 128), ("sinc:c=10", 200)])
+def test_row_defect_is_the_split_integral_less_the_plain_row_sums(text, n):
+    # The zero matrix gives the split rule's integrals; scaling sqrt(w) by a
+    # power of two before its product with the matrix changes no bit of the rest.
+    spec = parse_kernel(text)
+    g = gauss_legendre(n, spec.a, spec.b)
+    matrix = nystrom_matrix(spec.kernel, g).entries
+    integral = row_defect(spec.kernel, g, np.zeros_like(matrix))
+    assert np.all(integral != 0.0)  # every row is resolved
+    root_w = np.sqrt(g.weights)
+    assert np.array_equal(row_defect(spec.kernel, g, matrix),
+                          integral - (matrix @ root_w) / root_w)
 
 
 def test_tabulated_kernel_gets_no_row_defect():
