@@ -29,6 +29,9 @@ from .errors import ConvergenceError, InfeasibleSpecError, ResolutionError
 
 __all__ = ["main"]
 
+# The largest --n-modes: simulate, the costliest command, peaks near 700 MB there.
+MAX_MODES = 10**6
+
 
 def _fmt(x) -> str:
     if isinstance(x, bool):
@@ -66,9 +69,13 @@ def _pair(text: str) -> tuple[float, float]:
 def _system(spec, args) -> np.ndarray:
     """Kept eigenvalues of a parsed kernel, by non-increasing magnitude: a
     tabulated kernel on its own grid, any other on --n-nodes Gauss-Legendre
-    nodes.  No command reads an eigenfunction, so none is computed."""
+    nodes, and at least the kernel's min_nodes of them.  No command reads an
+    eigenfunction, so none is computed."""
     from . import spectral
 
+    if spec.min_nodes is not None and args.n_nodes < spec.min_nodes:
+        raise ResolutionError(f"{args.n_nodes} quadrature nodes cannot resolve the kernel: "
+                              f"it needs at least {spec.min_nodes:g}")
     grid = spec.grid or spectral.gauss_legendre(args.n_nodes, spec.a, spec.b)
     return spectral.spectral_eigenvalues(spec.kernel, grid)
 
@@ -154,7 +161,7 @@ def cmd_sweep(args) -> str:
         instance = _build_instance(lam, beta, eps, args, args.seed + i)
         rec1 = regularize.truncated_solution(instance, "k1")
         rec2 = regularize.truncated_solution(instance, "k2")
-        err_f2 = float(np.linalg.norm(instance.f_true - rec2.coefficients))
+        err_f2 = regularize._norm(instance.f_true - rec2.coefficients)
         _, weak_bound = regularize.weak_pairing(instance, rec1, v)
         bound_m = math.sqrt(2.0) * stability.stability_bound(eps, args.E, pfun)
         report6 = regularize.weighted_rule_residuals(instance, rec2)
@@ -233,7 +240,6 @@ def cmd_cover(args) -> str:
     with warnings.catch_warnings():  # an empty file is rejected by FinitePointSet
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         points = np.loadtxt(args.points, delimiter=",", dtype=float, ndmin=2)
-    infotheory._check_budget(points.shape[0])  # before the quadratic distance matrix
     point_set = infotheory.FinitePointSet(points)
     n_cover, _ = infotheory.covering_number_exact(point_set, args.eps)
     m_pack, _ = infotheory.packing_number_exact(point_set, args.eps)
@@ -248,13 +254,15 @@ def cmd_simulate(args) -> str:
 
 
 def _count(text: str) -> int:
-    """A mode count: an integer of at least 1."""
+    """A mode count: an integer in [1, MAX_MODES]."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value > MAX_MODES:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_MODES}, got {value}")
     return value
 
 

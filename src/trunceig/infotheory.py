@@ -149,9 +149,9 @@ class FinitePointSet:
     """A small set of distinct points in a common Euclidean space.
 
     The pairwise distance matrix is built once, here, and both exact solvers
-    read it.  It is quadratic in memory, so the class is meant for small sets:
-    check a point count against EXACT_BUDGET before building one.  Each
-    distance is the _norm of a halved difference, doubled: bit for bit
+    read it.  It is quadratic in memory, so a set of more than EXACT_BUDGET
+    points is refused before its values are checked or its distances built.
+    Each distance is the _norm of a halved difference, doubled: bit for bit
     sqrt(sum(diff^2)) in range, and inf with no warning above it.
     """
 
@@ -162,6 +162,9 @@ class FinitePointSet:
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2 or self.points.shape[0] == 0:
             raise ValueError("points must form a non-empty 2-d array")
+        if self.size > EXACT_BUDGET:
+            raise BudgetExceededError(f"exact search limited to {EXACT_BUDGET} points, "
+                                      f"got {self.size}")
         if not np.all(np.isfinite(self.points)):
             raise ValueError("points must be finite")
         half = 0.5 * self.points  # so no difference overflows
@@ -173,11 +176,6 @@ class FinitePointSet:
     @property
     def size(self) -> int:
         return int(self.points.shape[0])
-
-
-def _check_budget(count: int):
-    if count > EXACT_BUDGET:
-        raise BudgetExceededError(f"exact search limited to {EXACT_BUDGET} points, got {count}")
 
 
 def _degree_ordered_masks(relation: np.ndarray) -> tuple[list[int], list[int]]:
@@ -200,7 +198,6 @@ def packing_number_exact(point_set: FinitePointSet, eps: float) -> tuple[int, li
     """
     if not 0 <= eps < math.inf:
         raise ValueError("eps must be finite and non-negative")
-    _check_budget(point_set.size)
     order, neighbours = _degree_ordered_masks(point_set.distances > eps)
     best: list[int] = []
 
@@ -233,7 +230,6 @@ def covering_number_exact(point_set: FinitePointSet, eps: float) -> tuple[int, l
     """
     if not 0 <= eps < math.inf:
         raise ValueError("eps must be finite and non-negative")
-    _check_budget(point_set.size)
     m = point_set.size
     # Fewest balls first, so the lowest uncovered bit is the branch point.
     order, balls = _degree_ordered_masks(point_set.distances <= eps)

@@ -105,14 +105,16 @@ class TabulatedKernel:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Parsed kernel: the callable on [a, b], a tabulated kernel's own grid, and
-    the closed-form eigenvalues k -> lambda_k (vectorized, k >= 1) where known."""
+    """Parsed kernel: the callable on [a, b], a tabulated kernel's own grid, the
+    closed-form eigenvalues k -> lambda_k (vectorized, k >= 1) where known, and
+    the node count below which no quadrature rule resolves it, where known."""
 
     kernel: Callable
     a: float
     b: float
     grid: QuadratureGrid | None = None
     analytic_eigenvalue: Callable[[np.ndarray], np.ndarray] | None = None
+    min_nodes: int | None = None
 
 
 def _preset(text: str, what: str, heads: dict) -> tuple[str, dict[str, float]]:
@@ -201,7 +203,9 @@ def parse_kernel(text: str) -> KernelSpec:
     if not math.isfinite(c * (b - a)):
         raise ValueError(f"bandwidth c = {c:g} is too large for [{a:g}, {b:g}]: "
                          "c*(b - a) overflows")
-    return KernelSpec(kernel, a, b)
+    # Two nodes per period 2 pi / c of sin(c (x - y)) where an n-point rule is sparsest,
+    # about pi (b - a) / (2 n) apart mid-interval: a necessary floor, not a sufficient one.
+    return KernelSpec(kernel, a, b, min_nodes=math.ceil(c * (b - a) / 2))
 
 
 # ---------------------------------------------------------------------------

@@ -484,7 +484,7 @@ def _residual_report(instance: ProblemInstance, rec: Reconstruction, betas: np.n
 
     image_bound = math.sqrt(2.0) * instance.eps
     constr_bound = math.sqrt(2.0) * instance.E
-    combined_bound = 4.0 * instance.eps**2
+    combined_bound = 4.0 * instance.eps * instance.eps  # inf, not OverflowError, above range
     slack = 1e-12
     ok = (
         image <= image_bound + slack * max(1.0, image_bound)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from trunceig import check_condition, parse_constraint, parse_kernel, parse_pfunction, spectral
-from trunceig.cli import _build_parser, main
+from trunceig.cli import MAX_MODES, _build_parser, main
 from trunceig.errors import ConvergenceError
 from trunceig.regularize import truncation_identity, truncation_weighted
 from trunceig.spectral import MAX_ORDER
@@ -401,6 +401,24 @@ def test_stability_at_tiny_eps_and_E(capsys):
         assert 0 < float(exact_sup) <= float(bound) * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("argv, row", [
+    (["--constraint", "derivative", "--E", "1e10", "--eps-grid", "1e160", "--n-modes", "5"],
+     "1e+160,0,0,2.41959593e+10,2.73476431e+09,1.41421356e+60,true,true,0,0"),
+    (["--E", "1.34e154", "--eps-grid", "1.3e153", "--n-modes", "3", "--f-coeffs", "0,0,1"],
+     "1.3e+153,1,1,2.42976827e+154,1.34564545e+154,8.70761691e+153,true,true,"
+     "0.0626572134,0.0626572134"),
+], ids=["four-eps-squared", "err-f2"])
+@pytest.mark.filterwarnings("error")
+def test_sweep_where_a_square_overflows(capsys, argv, row):
+    # 4 eps**2 raised OverflowError (exit 1) at eps = 1e160, and err_f2 printed
+    # inf with a RuntimeWarning from np.linalg.norm where its true value,
+    # math.hypot of the error on the seed-0 instance, is 1.34564545e+154.
+    assert main(["sweep", *argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[1] == row
+
+
 @pytest.mark.filterwarnings("error")
 def test_stability_where_lambda_over_eps_squared_overflows(tmp_path, capsys):
     # lambda_1 ~ 2.28 and (eps/E)^2 near the least normal double: lambda_1^2 / eps^2
@@ -726,6 +744,15 @@ def test_convergence_failure_exits_2(capsys, monkeypatch):
     assert captured.err == "error: Newton iteration for quadrature nodes stalled\n"
 
 
+def _config_last(tmp_path, argv):
+    """argv, with a trailing dict written to a config file and replaced by its path."""
+    if not isinstance(argv[-1], dict):
+        return argv
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(argv[-1]))
+    return argv[:-1] + [str(config)]
+
+
 @pytest.mark.parametrize("argv, option, value", [
     (["spectrum", "--n-modes", "0"], "--n-modes", 0),
     (["spectrum", "--kernel", "sinc:c=2", "--n-modes", "-2"], "--n-modes", -2),
@@ -735,14 +762,26 @@ def test_convergence_failure_exits_2(capsys, monkeypatch):
 ], ids=["spectrum-0", "spectrum-negative", "truncate-0", "spectrum-config-0",
         "truncate-config-negative"])
 def test_mode_counts_below_one_exit_2(tmp_path, capsys, argv, option, value):
-    if isinstance(argv[-1], dict):  # a config file supplies the count
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(argv[-1]))
-        argv = argv[:-1] + [str(config)]
-    assert main(argv) == 2
+    assert main(_config_last(tmp_path, argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(f"error: argument {option}: must be at least 1, got {value}\n")
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["truncate", "--n-modes", "1000000000000"], 10**12),
+    (["entropy", "--n-modes", str(MAX_MODES + 1)], MAX_MODES + 1),
+    (["spectrum", "--config", {"n_modes": 10**12}], 10**12),
+    (["stability", "--config", {"n_modes": str(MAX_MODES + 1)}], MAX_MODES + 1),
+], ids=["truncate-1e12", "entropy-max-plus-1", "spectrum-config-1e12",
+        "stability-config-string"])
+def test_mode_counts_above_max_modes_exit_2(tmp_path, capsys, argv, value):
+    # truncate --n-modes 1e12 ended in numpy's _ArrayMemoryError traceback, exit 1.
+    assert main(_config_last(tmp_path, argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument --n-modes: must be at most {MAX_MODES}, got {value}\n")
 
 
 @pytest.mark.parametrize("config, err", [
@@ -837,15 +876,42 @@ def test_non_finite_sinc_parameter_exits_2(capsys, kernel, err):
     assert captured.err == err
 
 
+@pytest.mark.filterwarnings("error")
 def test_spectrum_on_a_wide_sinc_interval_prints_no_warning(capsys):
-    # sqrt(w_i) K_ij w_j overflowed in row_defect's row sums near 1e300, though
-    # sum_j w_j K_ij is finite: a RuntimeWarning from the matrix product.
+    # 8 nodes on an interval 1e293 long printed lambda_1 = 5.8e292 with exit 0,
+    # though the sinc operator's eigenvalues lie in (0, 1).  The floor is
+    # ceil(c (b - a) / 2) = 5e293, named in :g form, not as a 294-digit integer.
+    # (row_defect's own overflow at this scale is checked in test_spectral.)
     argv = ["spectrum", "--kernel", "sinc:c=10,a=1e300,b=1.0000001e300", "--n-nodes", "8",
             "--n-modes", "2"]
-    assert main(argv) == 0
+    assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err == ""
-    assert captured.out.startswith("k,lambda,lambda_analytic,rel_err\n1,")
+    assert captured.out == ""
+    assert captured.err == ("error: 8 quadrature nodes cannot resolve the kernel: "
+                            "it needs at least 5e+293\n")
+
+
+@pytest.mark.parametrize("kernel, n, least", [
+    ("sinc:c=10", 4, 10),
+    ("sinc:c=10", 9, 10),
+    ("sinc:c=10", 1, 10),
+    ("sinc:c=10.5,a=0,b=2", 10, 11),
+    ("sinc:c=4", 3, 4),
+], ids=["c10-n4", "c10-n9", "c10-n1", "c10.5-n10", "c4-n3"])
+@pytest.mark.filterwarnings("error")
+def test_sinc_grid_below_its_floor_exits_2(capsys, kernel, n, least):
+    # sinc:c=10 on 4 nodes printed lambda_1 = 1.58 with exit 0.
+    assert main(["spectrum", "--kernel", kernel, "--n-nodes", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {n} quadrature nodes cannot resolve the kernel: "
+                            f"it needs at least {least}\n")
+
+
+def test_sinc_grid_at_its_floor_runs(capsys):
+    # The check is n < floor: 4 nodes pass it for c = 4 (and 3 do not, above).
+    assert main(["spectrum", "--kernel", "sinc:c=4", "--n-nodes", "4", "--n-modes", "1"]) == 0
+    assert capsys.readouterr().out.startswith("k,lambda,lambda_analytic,rel_err\n1,")
 
 
 # One grammar reads all three preset families: each family's malformed strings

@@ -400,11 +400,11 @@ def test_exact_solvers_match_reference(ps, eps):
 
 
 def test_exact_search_budget():
-    ps = FinitePointSet(np.arange(31.0)[:, None])
-    with pytest.raises(BudgetExceededError):
-        packing_number_exact(ps, 0.5)
-    with pytest.raises(BudgetExceededError):
-        covering_number_exact(ps, 0.5)
+    # The set refuses itself, so no solver can be handed one over the budget.
+    with pytest.raises(BudgetExceededError, match="limited to 30 points, got 31"):
+        FinitePointSet(np.arange(31.0)[:, None])
+    with pytest.raises(BudgetExceededError):  # before the finite check
+        FinitePointSet(np.full((31, 2), np.nan))
 
 
 def test_sample_ellipsoid_boundary_points():

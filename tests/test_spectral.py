@@ -315,6 +315,17 @@ def test_row_defect_leaves_unresolved_rows_uncorrected():
     assert not np.any(row_defect(kern, g, nystrom_matrix(kern, g).entries))
 
 
+@pytest.mark.filterwarnings("error")
+def test_row_defect_on_a_wide_interval_does_not_overflow():
+    # sqrt(w_i) K_ij w_j overflowed in the row sums near 1e300, though
+    # sum_j w_j K_ij is finite: a RuntimeWarning from the matrix product.  8
+    # nodes do not resolve this kernel (the CLI refuses them), so no row is
+    # corrected.
+    kern = SincKernel(10.0)
+    g = gauss_legendre(8, 1e300, 1.0000001e300)
+    assert np.array_equal(row_defect(kern, g, nystrom_matrix(kern, g).entries), np.zeros(8))
+
+
 @pytest.mark.parametrize("text, n", [("triangular", 128), ("sinc:c=10", 200)])
 def test_row_defect_is_the_split_integral_less_the_plain_row_sums(text, n):
     # The zero matrix gives the split rule's integrals; scaling sqrt(w) by a
