@@ -70,14 +70,20 @@ def _system(spec, args) -> np.ndarray:
     """Kept eigenvalues of a parsed kernel, by non-increasing magnitude: a
     tabulated kernel on its own grid, any other on --n-nodes Gauss-Legendre
     nodes, and at least the kernel's min_nodes of them.  No command reads an
-    eigenfunction, so none is computed."""
+    eigenfunction, so none is computed.  eigvalsh's backward error is n u ||A||
+    (u = 2^-52), so a lambda_1 past max_eigenvalue by more than that is the grid's."""
     from . import spectral
 
     if spec.min_nodes is not None and args.n_nodes < spec.min_nodes:
         raise ResolutionError(f"{args.n_nodes} quadrature nodes cannot resolve the kernel: "
                               f"it needs at least {spec.min_nodes:g}")
     grid = spec.grid or spectral.gauss_legendre(args.n_nodes, spec.a, spec.b)
-    return spectral.spectral_eigenvalues(spec.kernel, grid)
+    lam = spectral.spectral_eigenvalues(spec.kernel, grid)
+    top, bound = (float(lam[0]) if lam.size else 0.0), spec.max_eigenvalue
+    if bound is not None and top - bound > grid.size * math.ulp(1.0) * top:
+        raise ResolutionError(f"{grid.size} quadrature nodes do not resolve the kernel: "
+                              f"lambda_1 exceeds its bound {bound:g} by {top - bound:.3g}")
+    return lam
 
 
 def _rule_inputs(args) -> tuple[np.ndarray, np.ndarray]:

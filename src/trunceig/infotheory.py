@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError
-from .regularize import (_norm, _validate_eigenvalues, _weights, truncation_identity,
-                         truncation_weighted)
+from .regularize import (_check_scales, _norm, _validate_eigenvalues, _weights,
+                         truncation_identity, truncation_weighted)
 
 __all__ = [
     "Ellipsoid",
@@ -64,12 +64,8 @@ def ellipsoid_of(eigenvalues, beta, E: float) -> Ellipsoid:
 
     beta=None is the plain constraint beta = 1.
     """
+    # Any order is allowed (the axes are sorted); Ellipsoid refuses each axis not finite and > 0.
     lam = np.asarray(eigenvalues, dtype=float)
-    # Not _validate_eigenvalues: the axes are sorted, so any order is allowed.
-    if lam.ndim != 1 or lam.size == 0 or not np.all(np.isfinite(lam) & (lam > 0)):
-        raise ValueError("need a non-empty 1-d array of finite, positive eigenvalues")
-    if not 0 < E < math.inf:
-        raise ValueError("E must be finite and positive")
     return Ellipsoid(E * lam / (1.0 if beta is None else _weights(beta, lam.size)))
 
 
@@ -85,22 +81,16 @@ class InfoReport:
     entropy_bits: float
 
 
-def _axis_bits(axes: np.ndarray, eps: float, where: str, scale: float = 1.0) -> float:
-    """sum log2(scale a / eps) over the semi-axes a (0 for none); a ValueError
-    naming `where` if that sum is not a finite double."""
-    with np.errstate(over="ignore"):
-        total = float(np.sum(np.log2(scale * axes / eps)))
-    if not math.isfinite(total):
-        raise ValueError(f"bit count over {axes.size} modes is not finite at {where}")
-    return total
+def _axis_bits(axes: np.ndarray, eps: float, scale: float = 1.0) -> float:
+    """sum log2 a + log2 scale - log2 eps over the semi-axes a (0 for none): finite."""
+    return float(np.sum(np.log2(axes) + (np.log2(scale) - np.log2(eps))))
 
 
 def entropy_lower_bound(ellipsoid: Ellipsoid, eps: float) -> InfoReport:
     """Volume lower bound on the eps-entropy of an ellipsoid."""
-    if not 0 < eps < math.inf:
-        raise ValueError("eps must be finite and positive")
+    _check_scales(eps)
     above = ellipsoid.semi_axes[ellipsoid.semi_axes >= eps]
-    return InfoReport(int(above.size), _axis_bits(above, eps, f"eps = {eps:g}"))
+    return InfoReport(int(above.size), _axis_bits(above, eps))
 
 
 @dataclass
@@ -122,12 +112,11 @@ def information_flow_comparison(eigenvalues, beta, eps: float, E: float) -> Flow
     messages the regularized data can still encode.
     """
     lam = _validate_eigenvalues(eigenvalues)
-    if not (0 < eps < math.inf and 0 < E < math.inf):
-        raise ValueError("need finite eps > 0 and E > 0")
+    _check_scales(eps, E)
     k1 = truncation_identity(lam, eps, E)
     k2 = truncation_weighted(lam, beta, eps, E)
 
-    b1, b2 = (_axis_bits(lam[:cut], eps, f"eps = {eps:g}, E = {E:g}", E) for cut in (k1, k2))
+    b1, b2 = (_axis_bits(lam[:cut], eps, E) for cut in (k1, k2))
     return FlowComparison(
         InfoReport(k1, b1),
         InfoReport(k2, b2),
@@ -196,8 +185,7 @@ def packing_number_exact(point_set: FinitePointSet, eps: float) -> tuple[int, li
     reached is a greedy clique, so no separate incumbent is needed.  Returns
     the count and one witness (sorted point indices).
     """
-    if not 0 <= eps < math.inf:
-        raise ValueError("eps must be finite and non-negative")
+    _check_scales(eps, noise_free=True)
     order, neighbours = _degree_ordered_masks(point_set.distances > eps)
     best: list[int] = []
 
@@ -228,8 +216,7 @@ def covering_number_exact(point_set: FinitePointSet, eps: float) -> tuple[int, l
     from the cover by every point.  Returns the count and the chosen centers
     (sorted point indices).
     """
-    if not 0 <= eps < math.inf:
-        raise ValueError("eps must be finite and non-negative")
+    _check_scales(eps, noise_free=True)
     m = point_set.size
     # Fewest balls first, so the lowest uncovered bit is the branch point.
     order, balls = _degree_ordered_masks(point_set.distances <= eps)
@@ -257,7 +244,8 @@ def sample_ellipsoid(ellipsoid: Ellipsoid, dim_cut: int, count: int, seed: int) 
     """Seeded points on the boundary of the ellipsoid's leading-axes section.
 
     Directions are isotropic Gaussian draws scaled onto the boundary of the
-    ellipsoid restricted to its first dim_cut axes.
+    ellipsoid restricted to its first dim_cut axes.  A draw within 1e-12 of a
+    point taken is rejected, and the 1000th rejection raises a ValueError.
     """
     if not 1 <= dim_cut <= min(4, ellipsoid.dim):
         raise ValueError("dim_cut must lie in [1, min(4, dim)]")
@@ -266,6 +254,7 @@ def sample_ellipsoid(ellipsoid: Ellipsoid, dim_cut: int, count: int, seed: int) 
     axes = ellipsoid.semi_axes[:dim_cut]
     rng = np.random.default_rng(seed)
     points: list[np.ndarray] = []
+    rejected = 0
     while len(points) < count:
         z = rng.standard_normal(dim_cut)
         norm = float(np.linalg.norm(z))
@@ -275,6 +264,9 @@ def sample_ellipsoid(ellipsoid: Ellipsoid, dim_cut: int, count: int, seed: int) 
         t = 1.0 / math.sqrt(float(np.sum((u / axes) ** 2)))
         p = t * u
         if any(float(np.linalg.norm(p - q)) <= 1e-12 for q in points):
+            rejected += 1
+            if rejected == 1000:
+                raise ValueError(f"the section holds no {count} points 1e-12 apart")
             continue
         points.append(p)
     return FinitePointSet(np.array(points))

@@ -105,9 +105,9 @@ class TabulatedKernel:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Parsed kernel: the callable on [a, b], a tabulated kernel's own grid, the
-    closed-form eigenvalues k -> lambda_k (vectorized, k >= 1) where known, and
-    the node count below which no quadrature rule resolves it, where known."""
+    """Parsed kernel: the callable on [a, b], a tabulated kernel's own grid, and,
+    where known, the closed-form eigenvalues k -> lambda_k (vectorized, k >= 1), the
+    node count below which no rule resolves it, and a bound on every eigenvalue."""
 
     kernel: Callable
     a: float
@@ -115,6 +115,7 @@ class KernelSpec:
     grid: QuadratureGrid | None = None
     analytic_eigenvalue: Callable[[np.ndarray], np.ndarray] | None = None
     min_nodes: int | None = None
+    max_eigenvalue: float | None = None
 
 
 def _preset(text: str, what: str, heads: dict) -> tuple[str, dict[str, float]]:
@@ -205,7 +206,8 @@ def parse_kernel(text: str) -> KernelSpec:
                          "c*(b - a) overflows")
     # Two nodes per period 2 pi / c of sin(c (x - y)) where an n-point rule is sparsest,
     # about pi (b - a) / (2 n) apart mid-interval: a necessary floor, not a sufficient one.
-    return KernelSpec(kernel, a, b, min_nodes=math.ceil(c * (b - a) / 2))
+    # Time- and band-limiting has norm 1, so lambda <= 1 (Slepian & Pollak 1961).
+    return KernelSpec(kernel, a, b, min_nodes=math.ceil(c * (b - a) / 2), max_eigenvalue=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,17 @@ A ProblemInstance holds only the fields of its JSON file (eigenvalues, betas,
 f_true, g_noisy, eps, E, seed, noise_mode); g_clean and noise are derived.
 
 One overflow contract decides whether an input lies in the admissible class.
-A square of user-scale data (E^2, (eps/E)^2, and in the stability layer
-beta_k^2 and lambda_k^2) is formed by _square, which first checks that every
-|x| lies in [sqrt(tiny), sqrt(max)] and otherwise raises a ValueError naming
-the quantity and the first bad mode k (or eps and E).  A sum of squares is
-read through its root, from _norm, which forms ||w x|| in exact powers of
-two and scales back with _ldexp: bit for bit sqrt(sum(w^2 x^2)) in range,
-and inf, not nan, beyond it.  The budget ||beta f|| <= E, the noise check,
-the rescaling in synthesize_problem, feasibility_check's misfit and minimum,
-the residual norms, weak_pairing's bound and infotheory's point distances all
-go through it, so they compare true values and print no warning.
+A square of user-scale data ((eps/E)^2, and in the stability layer beta_k^2 and
+lambda_k^2) is formed by _square, which first checks that every |x| lies in
+[sqrt(tiny), sqrt(max)] and otherwise raises a ValueError naming the quantity
+and the first bad mode k (or eps and E).  The E^2 check uses no square: with
+||beta f|| <= sqrt(max), it keeps the tight rescale's E / ||beta f|| >= sqrt(tiny / max).
+A sum of squares is read through its root, from _norm, which forms ||w x|| in
+exact powers of two and scales back with _ldexp: bit for bit sqrt(sum(w^2 x^2))
+in range, and inf, not nan, beyond it.  The budget ||beta f|| <= E, the noise
+check, the rescaling in synthesize_problem, feasibility_check's misfit and
+minimum, the residual norms, weak_pairing's bound and infotheory's point
+distances all go through it, so they compare true values and print no warning.
 """
 
 from __future__ import annotations
@@ -88,10 +89,9 @@ def parse_constraint(text: str, count: int) -> np.ndarray:
                              f"scale*k^p that are not finite and positive for k <= {count}")
         return beta
     c = params["c"]
-    if not 0 < c < math.inf:
-        raise ValueError("bandwidth c must be finite and positive")
-    # Compared as floats first: ceil(e c) overflows for c near the float limit.
-    split = count if head == "prolate" or math.e * c >= count else math.ceil(math.e * c)
+    # prolate_eigenvalues checks c, and gives every weight unless 0 < e c < count (compared
+    # as floats: ceil(e c) overflows near the float limit, and fails on a NaN).
+    split = count if head == "prolate" or not 0 < math.e * c < count else math.ceil(math.e * c)
     tail = k[split:]
     return np.concatenate([
         np.sqrt(kernels.prolate_eigenvalues(c, split)),
@@ -110,6 +110,14 @@ def _validate_eigenvalues(eigenvalues) -> np.ndarray:
     if np.any(np.diff(lam) > 1e-12 * float(lam[0])):
         raise ValueError("eigenvalues must be non-increasing")
     return lam
+
+
+def _check_scales(eps: float, E: float | None = None, *, noise_free: bool = False) -> None:
+    """The one check of a noise bound eps and, where given, a budget E: both finite,
+    E > 0, and eps > 0, or eps >= 0 where a rule or an instance can be noise-free."""
+    if not (0 <= eps < math.inf and (noise_free or eps > 0) and (E is None or 0 < E < math.inf)):
+        raise ValueError(f"need finite eps {'>=' if noise_free else '>'} 0"
+                         + ("" if E is None else " and E > 0"))
 
 
 def _weights(beta, size: int) -> np.ndarray:
@@ -176,8 +184,7 @@ def truncation_identity(eigenvalues, eps: float, E: float) -> int:
 def truncation_weighted(eigenvalues, beta, eps: float, E: float) -> int:
     """Largest k with lambda_k >= (eps / E) * beta_k (0 if none)."""
     lam = _validate_eigenvalues(eigenvalues)
-    if not (0 <= eps < math.inf and 0 < E < math.inf):
-        raise ValueError("need finite eps >= 0 and E > 0")
+    _check_scales(eps, E, noise_free=True)
     ratio = eps / E
     # No mode passes with (eps/E) beta_k > 2 lambda_1: capping beta_k there, floored at
     # the least positive double, keeps the product finite and changes no verdict.
@@ -217,11 +224,10 @@ class ProblemInstance:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
             setattr(self, name, arr)
-        if not (0 <= self.eps < math.inf and 0 < self.E < math.inf):
-            raise ValueError("need finite eps >= 0 and E > 0")
+        _check_scales(self.eps, self.E, noise_free=True)
         _square(self.E, "E^2", f"eps = {self.eps:g}, E = {self.E:g}")
-        # noise = g_noisy - lambda f is known only to the rounding of g_noisy.
-        rounding = np.finfo(float).eps * _norm(self.g_noisy)
+        # noise = g_noisy - lambda f is known to the rounding u ||gbar||, read as ||u gbar||.
+        rounding = _norm(self.g_noisy, np.finfo(float).eps)
         if not _norm(self.noise) <= self.eps * (1.0 + 1e-9) + rounding:
             raise ValueError("noise norm exceeds its stated bound eps")
         if not _norm(self.f_true, self.betas) <= self.E * (1.0 + 5e-10):
@@ -300,8 +306,7 @@ def make_noise(seed: int, eps: float, mode: str, eigenvalues) -> np.ndarray:
     their norm.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    if not 0 <= eps < math.inf:
-        raise ValueError("need finite eps >= 0")
+    _check_scales(eps, noise_free=True)
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal(lam.size)
     scale_fraction = rng.uniform(0.5, 1.0)
@@ -344,8 +349,7 @@ def synthesize_problem(
     """
     lam = _validate_eigenvalues(eigenvalues)
     m = lam.size
-    if not (0 <= eps < math.inf and 0 < E < math.inf):
-        raise ValueError("need finite eps >= 0 and E > 0")
+    _check_scales(eps, E, noise_free=True)
     _square(E, "E^2", f"eps = {eps:g}, E = {E:g}")
     if (f_coeffs is None) == (f_decay is None):
         raise ValueError("give exactly one of f_coeffs or f_decay")
@@ -465,7 +469,7 @@ class ResidualReport:
 
     image_residual     = || lambda (f - fhat) ||      vs sqrt(2) eps
     constraint_residual= || beta (f - fhat) ||        vs sqrt(2) E
-    combined           = image^2 + (eps/E)^2 constr^2 vs 4 eps^2
+    combined           = image^2 + (eps/E)^2 constr^2 vs 4 eps^2 (implied by the two)
     """
 
     image_residual: float
@@ -475,22 +479,21 @@ class ResidualReport:
 
 
 def _residual_report(instance: ProblemInstance, rec: Reconstruction, betas: np.ndarray) -> ResidualReport:
-    lam = instance.eigenvalues
-    diff = instance.f_true - rec.coefficients
+    """ok allows ||n|| <= eps + excess and ||beta f|| <= E + 5e-10 E, as ProblemInstance does,
+    and fhat = gbar / lambda's rounding r, |r| <= u |fhat|: image <= sqrt(2) (eps + excess +
+    ||lambda r||), constr <= sqrt(2) (E + 5e-10 E + excess max_kept beta/lambda + ||beta r||)."""
+    lam, eps, E, u = instance.eigenvalues, instance.eps, instance.E, math.ulp(1.0)
+    fhat = rec.coefficients
+    diff = instance.f_true - fhat
     image = _norm(diff, lam)
     constr = _norm(diff, betas)
-    ratio = instance.eps / instance.E
-    combined = image * image + ratio * ratio * constr * constr
+    combined = image * image + (eps / E) * (eps / E) * constr * constr
 
-    image_bound = math.sqrt(2.0) * instance.eps
-    constr_bound = math.sqrt(2.0) * instance.E
-    combined_bound = 4.0 * instance.eps * instance.eps  # inf, not OverflowError, above range
-    slack = 1e-12
-    ok = (
-        image <= image_bound + slack * max(1.0, image_bound)
-        and constr <= constr_bound + slack * max(1.0, constr_bound)
-        and combined <= combined_bound + slack * max(1.0, combined_bound)
-    )
+    excess = 1e-9 * eps + _norm(instance.g_noisy, u)
+    (mb, eb), (ml, el) = np.frexp(betas[:rec.cutoff]), np.frexp(lam[:rec.cutoff])
+    amplified = float(np.max(_ldexp(excess * mb / ml, eb - el), initial=0.0))
+    ok = (image <= math.sqrt(2.0) * (eps + excess + u * _norm(fhat, lam))
+          and constr <= math.sqrt(2.0) * (E * (1.0 + 5e-10) + amplified + u * _norm(fhat, betas)))
     return ResidualReport(image, constr, combined, ok)
 
 

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import _preset
-from .regularize import _bisect, _ldexp, _square, _validate_eigenvalues, _weights
+from .regularize import _bisect, _check_scales, _ldexp, _square, _validate_eigenvalues, _weights
 
 __all__ = [
     "PFunction",
@@ -112,8 +112,7 @@ def check_condition(eigenvalues, beta, p: PFunction) -> tuple[bool, int | None]:
 
 def stability_bound(eps: float, E: float, p: PFunction) -> float:
     """Jensen-style cap E sqrt(p^{-1}(eps^2 / E^2)) on the worst-case norm."""
-    if not (0 < eps < math.inf and 0 < E < math.inf):
-        raise ValueError("need finite eps > 0 and E > 0")
+    _check_scales(eps, E)
     return E * math.sqrt(p.inverse(_square(eps / E, "(eps/E)^2", f"eps = {eps:g}, E = {E:g}")))
 
 
@@ -140,8 +139,7 @@ def stability_sup_exact(eigenvalues, beta, eps: float, E: float) -> float:
     stability_bound), not eps^2, E^2 or the points themselves.
     """
     lam = _validate_eigenvalues(eigenvalues)
-    if not (0 < eps < math.inf and 0 < E < math.inf):
-        raise ValueError("need finite eps > 0 and E > 0")
+    _check_scales(eps, E)
     mr, er = math.frexp(_square(eps / E, "(eps/E)^2", f"eps = {eps:g}, E = {E:g}"))
     ma, ea = np.frexp(_square(lam, "lambda_k^2"))
     mb, eb = np.frexp(_square(_weights(beta, lam.size), "beta_k^2"))

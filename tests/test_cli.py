@@ -227,11 +227,13 @@ def test_cover_on_non_finite_points_exits_2(tmp_path, capsys, content):
 
 @pytest.mark.parametrize("eps, rc, out, err", [
     ("1.2e200", 0, "N=1, M=2, holds=true\n", ""),
-    ("nan", 2, "", "error: eps must be finite and non-negative\n"),
-], ids=["eps-1.2e200", "eps-nan"])
+    ("nan", 2, "", "error: need finite eps >= 0\n"),
+    ("-1", 2, "", "error: need finite eps >= 0\n"),
+], ids=["eps-1.2e200", "eps-nan", "eps-negative"])
 def test_cover_at_coordinates_whose_squares_overflow(tmp_path, capsys, eps, rc, out, err):
     # Squared differences near 1e200 used to overflow with a RuntimeWarning,
-    # printed even before --eps nan was rejected.
+    # printed even before --eps nan was rejected.  A bad --eps gets the message
+    # of the one eps check (it read "eps must be finite and non-negative").
     pts = tmp_path / "pts.csv"
     pts.write_text("0,0\n1e200,0\n0,1e200\n")
     assert main(["cover", "--points", str(pts), "--eps", eps]) == rc
@@ -370,8 +372,7 @@ def _range_error(what, eps, E):
      _range_error("E^2", "0.001", "1e+300")),
     (["stability", "--constraint", "derivative", "--E", "1e308", "--n-modes", "10"],
      _range_error("(eps/E)^2", "0.01", "1e+308")),
-    (["entropy", "--constraint", "derivative", "--E", "1e308"],
-     "error: bit count over 100 modes is not finite at eps = 0.01, E = 1e+308\n"),
+    (["entropy", "--constraint", "derivative", "--E", "1e308"], ""),
     (["sweep", "--constraint", "derivative", "--E", "1e308", "--n-modes", "10"],
      _range_error("E^2", "0.01", "1e+308")),
 ], ids=["truncate-nan-eps", "entropy-nan-E", "stability-nan-eps", "stability-inf-E",
@@ -379,11 +380,14 @@ def _range_error(what, eps, E):
         "stability-E-1e308", "entropy-E-1e308", "sweep-E-1e308"])
 @pytest.mark.filterwarnings("error")
 def test_non_finite_eps_or_E_exits_2(capsys, argv, err):
-    # Beyond finiteness, (eps/E)^2 and E^2 must be normal doubles and every
-    # bit count finite: an overflow or underflow there exits 2 with one line.
-    assert main(argv) == 2
+    # Beyond finiteness, (eps/E)^2 and E^2 must be normal doubles: an overflow or
+    # underflow there exits 2 with one line.  A bit count is a sum of logarithms,
+    # finite at every scale, so entropy at E = 1e308, which exited 2 because
+    # E lambda_k / eps overflowed, now prints its bits (err "" marks exit 0;
+    # tests/test_overflow_contract.py checks those bits against decimal).
+    assert main(argv) == (2 if err else 0)
     captured = capsys.readouterr()
-    assert captured.out == ""
+    assert (captured.out == "") == bool(err)
     assert captured.err == err
 
 
@@ -417,6 +421,13 @@ def test_sweep_where_a_square_overflows(capsys, argv, row):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.splitlines()[1] == row
+
+
+def test_sweep_lemma_flags_where_eps_lies_below_the_rounding_of_gbar(capsys):
+    # eps = 1e130 lies below u ||gbar|| (about 1e137) here: the report allowed no
+    # rounding and printed false,false, though both lemmas hold.
+    assert main(["sweep", "--E", "1e154", "--eps-grid", "1e130", "--n-modes", "20"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[6:8] == ["true", "true"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -906,6 +917,35 @@ def test_sinc_grid_below_its_floor_exits_2(capsys, kernel, n, least):
     assert captured.out == ""
     assert captured.err == (f"error: {n} quadrature nodes cannot resolve the kernel: "
                             f"it needs at least {least}\n")
+
+
+@pytest.mark.parametrize("kernel, n, excess", [
+    ("sinc:c=10", 10, "0.0242"),
+    ("sinc:c=40", 50, "6.32e-12"),
+    ("sinc:c=100", 118, "3.6e-14"),
+], ids=["c10-n10", "c40-n50", "c100-n118"])
+def test_sinc_grid_whose_lambda_1_exceeds_one_exits_2(capsys, kernel, n, excess):
+    # These grids pass the node floor; the first printed lambda_1 = 1.02423755
+    # with exit 0, though every sinc eigenvalue lies in (0, 1).  The check allows
+    # n u lambda_1 of round-off (1.1e-14 at n = 50, 2.6e-14 at n = 118).
+    assert main(["spectrum", "--kernel", kernel, "--n-nodes", str(n)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {n} quadrature nodes do not resolve the kernel: "
+                            f"lambda_1 exceeds its bound 1 by {excess}\n")
+
+
+@pytest.mark.parametrize("kernel, n", [
+    ("sinc:c=10", 15), ("sinc:c=10", 22), ("sinc:c=40", 60), ("sinc:c=100", 400),
+    ("sinc:c=10,a=0,b=2", 400),
+])
+def test_sinc_grid_whose_lambda_1_is_within_round_off_of_one_runs(capsys, kernel, n):
+    # Resolved grids put lambda_1 within a few u of 1, far inside n u.  At c = 10
+    # on 15 nodes the eigenvalues are off by up to 1.6e-5, yet lambda_1 stays below
+    # 1: the check is necessary, not sufficient.
+    assert main(["spectrum", "--kernel", kernel, "--n-nodes", str(n), "--n-modes", "1"]) == 0
+    lam_1 = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+    assert lam_1 - 1.0 <= n * math.ulp(1.0)
 
 
 def test_sinc_grid_at_its_floor_runs(capsys):

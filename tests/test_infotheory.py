@@ -1,6 +1,7 @@
 """Bit-count bounds on data ellipsoids and exact covering/packing numbers."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -197,11 +198,12 @@ def test_entropy_lower_bound_edge_cases():
 
 @pytest.mark.filterwarnings("error")
 def test_entropy_lower_bound_whose_bit_count_overflows():
-    # 1e300 / 1e-10 overflows: the bound used to warn and report inf bits, where the
-    # rule comparison, which counts through the same helper, raised.
-    with pytest.raises(ValueError) as info:
-        entropy_lower_bound(Ellipsoid([1e300, 1.0]), 1e-10)
-    assert str(info.value) == "bit count over 2 modes is not finite at eps = 1e-10"
+    # 1e300 / 1e-10 overflows, and the bound raised "bit count over 2 modes is not
+    # finite".  The bits are a sum of logarithms, so they are finite: log2(1e310)
+    # + log2(1e10), 1029.79 + 33.22 bits.
+    report = entropy_lower_bound(Ellipsoid([1e300, 1.0]), 1e-10)
+    assert report.cutoff == 2
+    assert report.entropy_bits == pytest.approx(320 * math.log2(10.0), rel=1e-15)
 
 
 def test_entropy_monotonicity():
@@ -405,6 +407,31 @@ def test_exact_search_budget():
         FinitePointSet(np.arange(31.0)[:, None])
     with pytest.raises(BudgetExceededError):  # before the finite check
         FinitePointSet(np.full((31, 2), np.nan))
+
+
+def _within(seconds, call):
+    """call(), interrupted by TimeoutError after `seconds` of wall time."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("ellipsoid, dim_cut, count", [
+    (ellipsoid_of(TRI_LAM_80, None, 1.0), 1, 3),
+    (Ellipsoid([1e-13, 1e-13]), 2, 5),
+], ids=["one-dimensional", "tiny-axes"])
+def test_sample_ellipsoid_on_a_section_too_small_raises(ellipsoid, dim_cut, count):
+    # A 1-d section has two boundary points, and axes of 1e-13 put every pair of
+    # points within 1e-12: both calls never returned.
+    with pytest.raises(ValueError, match=f"^the section holds no {count} points 1e-12 apart$"):
+        _within(1.0, lambda: sample_ellipsoid(ellipsoid, dim_cut, count, seed=0))
 
 
 def test_sample_ellipsoid_boundary_points():

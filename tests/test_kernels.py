@@ -93,7 +93,7 @@ def test_tabulated_kernel_lookup():
 def test_parse_kernel_grammar(tmp_path):
     spec = parse_kernel("triangular")
     assert spec.kernel is triangular_kernel and (spec.a, spec.b) == (0.0, 1.0)
-    assert spec.grid is None and spec.min_nodes is None
+    assert spec.grid is None and spec.min_nodes is None and spec.max_eigenvalue is None
     k = np.arange(1, 6, dtype=float)
     assert np.array_equal(spec.analytic_eigenvalue(k), 1.0 / (k * math.pi) ** 2)
     assert spec.analytic_eigenvalue(2) == pytest.approx(triangular_eigensystem(2)[0])
@@ -103,6 +103,7 @@ def test_parse_kernel_grammar(tmp_path):
     assert spec.grid is None and spec.analytic_eigenvalue is None
     assert spec.kernel(0.0, 0.0) == pytest.approx(10.0 / math.pi)
     assert spec.min_nodes == 10  # ceil(c (b - a) / 2)
+    assert spec.max_eigenvalue == 1.0  # time- and band-limiting has norm 1
 
     spec = parse_kernel("sinc:c=2.5,a=0,b=3")
     assert (spec.kernel.c, spec.a, spec.b) == (2.5, 0.0, 3.0)
@@ -122,6 +123,7 @@ def test_parse_kernel_grammar(tmp_path):
     assert isinstance(spec.kernel, TabulatedKernel) and spec.grid is spec.kernel.grid
     assert np.array_equal(spec.grid.nodes, g.nodes) and (spec.a, spec.b) == (0.0, 2.0)
     assert spec.analytic_eigenvalue is None and spec.min_nodes is None
+    assert spec.max_eigenvalue is None
     assert spec.kernel(g.nodes[1], g.nodes[2]) == pytest.approx(g.nodes[1] * g.nodes[2])
 
     with pytest.raises(ValueError, match="repeated sinc kernel parameter 'c'"):

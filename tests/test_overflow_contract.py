@@ -6,8 +6,8 @@ class: beta = k^p for p in [-400, 400], eps and E across 1e+-300, and f
 entries across 1e+-300 with zeros mixed in.  Each test asserts that the code
 reaches the same verdict: ProblemInstance's noise check and budget,
 synthesize_problem's exit class (also where its noise sum overflows), and
-check_condition's verdict or its exit-2 gates; and that weak_pairing's bound
-and feasibility_check's minimum norm are true at every scale.  Tier-1 runs
+check_condition's verdict or its exit-2 gates; and that weak_pairing's bound,
+feasibility_check's minimum norm and entropy's bits are true at every scale.  Tier-1 runs
 with warnings as errors, so a leaked RuntimeWarning fails here too.  A
 verdict that lies within rounding of its threshold is undecidable in
 doubles; such draws are counted, must stay rare, and are not asserted.
@@ -33,6 +33,7 @@ from trunceig import (
     truncated_solution,
     weak_pairing,
 )
+from trunceig.cli import main
 
 CTX = decimal.Context(prec=50, Emax=999999, Emin=-999999)
 TINY = D(float(np.finfo(float).tiny))
@@ -401,3 +402,26 @@ def test_check_condition_where_p_overflows():
     cases += [(*c, *_condition_oracle(*c)) for c in explog]
     assert all(c[4] for c in cases)
     assert _check_conditions(cases) == {"p(beta_k^-2)", True, False}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--E", "1e308"],
+    ["--E", "1e200", "--eps-grid", "1e-100,1e-200"],
+    ["--eps-grid", "1e-300,5e-324"],
+], ids=["E-1e308", "E-1e200", "eps-subnormal"])
+def test_entropy_bits_where_E_lambda_over_eps_overflows(capsys, argv):
+    # E lambda_k / eps overflows on these grids, and entropy exited 2 ("bit count
+    # ... is not finite").  Each printed count is sum log2(E lambda_k / eps) over
+    # the kept modes to the 9 digits printed.
+    assert main(["entropy", "--constraint", "derivative", *argv]) == 0
+    out = capsys.readouterr().out.splitlines()
+    E = D(float(argv[argv.index("--E") + 1])) if "--E" in argv else D(1)
+    lam = [D(x) for x in 1.0 / (np.arange(1, 101) * math.pi) ** 2]
+    default = "1e-2,1e-3,1e-4"  # entropy's --eps-grid
+    grid = (argv[argv.index("--eps-grid") + 1] if "--eps-grid" in argv else default).split(",")
+    assert len(out) == 1 + len(grid)
+    for row in out[1:]:
+        eps, k1, bits_k1, k2, bits_k2, _ = row.split(",")
+        assert (k1, k2) == ("100", "100")  # E / eps passes every mode
+        want = sum((E * x / D(float(eps))).ln() for x in lam) / D(2).ln()
+        assert bits_k1 == bits_k2 == f"{float(want):.9g}"

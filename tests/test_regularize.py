@@ -7,16 +7,22 @@ import numpy as np
 import pytest
 
 from trunceig import (
+    Ellipsoid,
+    FinitePointSet,
     PFunction,
     ProblemInstance,
     check_condition,
+    covering_number_exact,
     ellipsoid_of,
+    entropy_lower_bound,
     feasibility_check,
     identity_rule_residuals,
     information_flow_comparison,
     make_noise,
+    packing_number_exact,
     parse_constraint,
     prolate_eigenvalues,
+    stability_bound,
     stability_sup_exact,
     synthesize_problem,
     truncated_solution,
@@ -240,6 +246,50 @@ def test_synthesis_rejects_non_finite_eps_or_E_by_name():
     for eps in (math.nan, math.inf, -1e-3):
         with pytest.raises(ValueError, match=r"^need finite eps >= 0$"):
             make_noise(0, eps, "flat", lam)
+
+
+def test_every_eps_and_E_taker_makes_the_one_check():
+    # Ten functions take a noise bound eps, most with a budget E, and all check them
+    # through regularize._check_scales: eps >= 0 where the data can be noise-free,
+    # eps > 0 elsewhere, both finite, E > 0.  Before, six messages said this.
+    lam, beta = TRI_LAM_80[:10], DERIVATIVE_80[:10]
+    inst = synthesize_problem(lam, beta, 1e-3, 1.0, f_decay=(1.0, 2.0), seed=0)
+    points = FinitePointSet(np.eye(3))
+    takers = {
+        "need finite eps >= 0 and E > 0": [
+            lambda eps, E: truncation_weighted(lam, beta, eps, E),
+            lambda eps, E: ProblemInstance(lam, beta, inst.f_true, inst.f_true * lam, eps, E, 0),
+            lambda eps, E: synthesize_problem(lam, beta, eps, E, f_decay=(1.0, 2.0)),
+        ],
+        "need finite eps > 0 and E > 0": [
+            lambda eps, E: stability_bound(eps, E, PFunction.power(0.5)),
+            lambda eps, E: stability_sup_exact(lam, beta, eps, E),
+            lambda eps, E: information_flow_comparison(lam, beta, eps, E),
+        ],
+        "need finite eps >= 0": [
+            lambda eps, E: make_noise(0, eps, "flat", lam),
+            lambda eps, E: packing_number_exact(points, eps),
+            lambda eps, E: covering_number_exact(points, eps),
+        ],
+        "need finite eps > 0": [lambda eps, E: entropy_lower_bound(Ellipsoid(lam), eps)],
+    }
+    for message, calls in takers.items():
+        bad = [(eps, 1.0) for eps in (math.nan, math.inf, -1e-3)]
+        bad += [(0.0, 1.0)] if "eps > 0" in message else []
+        bad += [(1e-3, E) for E in (math.nan, math.inf, 0.0, -1.0)] if "E > 0" in message else []
+        for call in calls:
+            for eps, E in bad:
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    call(eps, E)
+            call(1e-3, 1.0)  # the check passes a good pair
+
+
+def test_noise_check_where_the_norm_of_the_data_overflows():
+    # ||gbar|| = 1.84e308 overflows, and its rounding allowance u ||gbar|| read inf,
+    # so noise of norm 1.84e308 passed the bound eps = 1e308.  ||u gbar|| is 4.1e292.
+    with pytest.raises(ValueError, match="^noise norm exceeds its stated bound eps$"):
+        ProblemInstance([1.0, 1.0], [1.0, 1.0], [9e153, 9e153], [1.3e308, 1.3e308],
+                        1e308, 1.34e154, 0)
 
 
 def test_problem_instance_invariants():
@@ -502,6 +552,19 @@ def test_error_splitting_reports():
         weighted_rule_residuals(inst, truncated_solution(inst, "k1"))
     with pytest.raises(ValueError):
         identity_rule_residuals(inst, truncated_solution(inst, "k2"))
+
+
+def test_residual_report_allows_rounding_but_no_absolute_slack():
+    # The report's slack was 1e-12 max(1, bound): at eps = 1e-14 that passed an
+    # image residual ten times its bound sqrt(2) eps.
+    eps = 1e-14
+    inst = synthesize_problem(TRI_LAM_80, DERIVATIVE_80, eps, 1.0, f_decay=(1.0, 2.0), seed=0)
+    rec = truncated_solution(inst, "k2")
+    assert weighted_rule_residuals(inst, rec).ok
+    rec.coefficients[0] += 10.0 * math.sqrt(2.0) * eps / TRI_LAM_80[0]
+    report = weighted_rule_residuals(inst, rec)
+    assert report.image_residual == pytest.approx(10.0 * math.sqrt(2.0) * eps, rel=0.01)
+    assert not report.ok
 
 
 def test_weak_pairing_basics():

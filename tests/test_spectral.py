@@ -71,6 +71,9 @@ def test_gauss_legendre_grid_invariants():
     for a, b in ((-1e308, 1e308), (-math.inf, 0.0)):
         with pytest.raises(ValueError, match=r"^interval \[.*\] must have a finite length b - a$"):
             gauss_legendre(8, a, b)
+    for a, b in ((1.0, 0.0), (0.5, 0.5)):  # QuadratureGrid's own check
+        with pytest.raises(ValueError, match=r"^interval must satisfy a < b$"):
+            gauss_legendre(8, a, b)
     # a + b overflows here but b - a does not: the nodes are still inside.
     g = gauss_legendre(8, 1e308, 1.5e308)
     assert 1e308 < g.nodes[0] and g.nodes[-1] < 1.5e308
