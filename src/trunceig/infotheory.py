@@ -60,11 +60,11 @@ class Ellipsoid:
 
 
 def ellipsoid_of(eigenvalues, beta, E: float) -> Ellipsoid:
-    """Data ellipsoid of the constraint set: semi-axes E lambda_k / beta_k.
-
-    beta=None is the plain constraint beta = 1.
-    """
-    # Any order is allowed (the axes are sorted); Ellipsoid refuses each axis not finite and > 0.
+    """Data ellipsoid of the constraint set: semi-axes E lambda_k / beta_k (beta=None: all 1)."""
+    # Any order is allowed (the axes are sorted).  With E > 0 and beta_k > 0 each axis has
+    # lambda_k's sign, so Ellipsoid's refusal of an axis not finite and > 0 covers lambda.
+    if not E > 0:
+        raise ValueError("need E > 0")
     lam = np.asarray(eigenvalues, dtype=float)
     return Ellipsoid(E * lam / (1.0 if beta is None else _weights(beta, lam.size)))
 

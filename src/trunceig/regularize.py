@@ -492,8 +492,8 @@ def _residual_report(instance: ProblemInstance, rec: Reconstruction, betas: np.n
     excess = 1e-9 * eps + _norm(instance.g_noisy, u)
     (mb, eb), (ml, el) = np.frexp(betas[:rec.cutoff]), np.frexp(lam[:rec.cutoff])
     amplified = float(np.max(_ldexp(excess * mb / ml, eb - el), initial=0.0))
-    ok = (image <= math.sqrt(2.0) * (eps + excess + u * _norm(fhat, lam))
-          and constr <= math.sqrt(2.0) * (E * (1.0 + 5e-10) + amplified + u * _norm(fhat, betas)))
+    ok = (image <= math.sqrt(2.0) * (eps + excess + _norm(u * fhat, lam))
+          and constr <= math.sqrt(2.0) * (E * (1.0 + 5e-10) + amplified + _norm(u * fhat, betas)))
     return ResidualReport(image, constr, combined, ok)
 
 
@@ -522,8 +522,7 @@ def weak_pairing(instance: ProblemInstance, rec: Reconstruction, v) -> tuple[flo
     v = np.asarray(v, dtype=float)
     if v.shape != instance.f_true.shape:
         raise ValueError("need one pairing coefficient per mode")
-    if instance.eps <= 0:
-        raise ValueError("weak pairing bound needs eps > 0")
+    _check_scales(instance.eps)
     diff = instance.f_true - rec.coefficients
     pairing = abs(float(np.sum(diff * v)))
     (m_eps, e_eps), (m_E, e_E) = np.frexp(instance.eps), np.frexp(instance.E)

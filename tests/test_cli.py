@@ -922,12 +922,12 @@ def test_sinc_grid_below_its_floor_exits_2(capsys, kernel, n, least):
 @pytest.mark.parametrize("kernel, n, excess", [
     ("sinc:c=10", 10, "0.0242"),
     ("sinc:c=40", 50, "6.32e-12"),
-    ("sinc:c=100", 118, "3.6e-14"),
-], ids=["c10-n10", "c40-n50", "c100-n118"])
+], ids=["c10-n10", "c40-n50"])
 def test_sinc_grid_whose_lambda_1_exceeds_one_exits_2(capsys, kernel, n, excess):
     # These grids pass the node floor; the first printed lambda_1 = 1.02423755
     # with exit 0, though every sinc eigenvalue lies in (0, 1).  The check allows
-    # n u lambda_1 of round-off (1.1e-14 at n = 50, 2.6e-14 at n = 118).
+    # n u lambda_1 of round-off (1.1e-14 at n = 50); both excesses are hundreds of
+    # times that, so no LAPACK build's last bits decide these exits.
     assert main(["spectrum", "--kernel", kernel, "--n-nodes", str(n)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -163,6 +163,10 @@ def test_ellipsoid_of_rejects_non_finite_or_malformed_eigenvalues():
     for E in (math.nan, math.inf):
         with pytest.raises(ValueError):
             ellipsoid_of([0.5, 0.1], None, E)
+    # Two negatives make a valid axis: E's own sign is what refuses this pair.
+    for lam, E in (([-0.5, -0.1], -1.0), ([0.5, 0.1], -1.0), ([0.5, 0.1], 0.0)):
+        with pytest.raises(ValueError):
+            ellipsoid_of(lam, None, E)
 
 
 def test_exact_cover_and_pack_reject_non_finite_eps():

@@ -567,6 +567,25 @@ def test_residual_report_allows_rounding_but_no_absolute_slack():
     assert not report.ok
 
 
+def test_residual_report_where_the_norm_of_fhat_overflows():
+    # ||lambda fhat|| = 2e308 overflows; its rounding allowance u ||lambda fhat|| read
+    # inf, so the inf image residual of this reconstruction passed.  ||u lambda fhat||
+    # is 4.4e292.
+    inst = ProblemInstance(np.ones(4), np.ones(4), np.zeros(4), np.zeros(4), 1e-3, 1.0, 0)
+    rec = truncated_solution(inst, "k2")
+    rec.coefficients[:] = 1e308
+    report = weighted_rule_residuals(inst, rec)
+    assert report.image_residual == math.inf
+    assert not report.ok
+
+
+def test_weak_pairing_on_a_noise_free_instance_makes_the_one_check():
+    lam = TRI_LAM_80[:10]
+    inst = ProblemInstance(lam, np.ones(10), np.zeros(10), np.zeros(10), 0.0, 1.0, 0)
+    with pytest.raises(ValueError, match="^need finite eps > 0$"):
+        weak_pairing(inst, truncated_solution(inst, "k1"), np.zeros(10))
+
+
 def test_weak_pairing_basics():
     inst = synthesize_problem(TRI_LAM_80, DERIVATIVE_80,
                               1e-3, 1.0, f_decay=(1.0, 2.0), seed=5)

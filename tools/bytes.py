@@ -1,10 +1,10 @@
 """Byte-identity check of the command line against another revision.
 
-    python tools/bytes.py --against REV [--corpus FILE]
+    python tools/bytes.py --against REV
 
 Writes REV's src/ into the git-ignored .bench_work/bytes/ with `git archive`
-(local; no network), then runs every command of the corpus (default
-tools/bytes_corpus.txt, whose header gives its line format) once with REV's
+(local; no network), then runs every command of the corpus
+tools/bytes_corpus.txt (its header gives the line format) once with REV's
 src/ and once with the working tree's, in one scratch directory and with the
 same environment but for PYTHONPATH.  Both runs pin BLAS to one thread.
 
@@ -28,6 +28,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORK = ROOT / ".bench_work" / "bytes"
+CORPUS = ROOT / "tools" / "bytes_corpus.txt"
 TIMEOUT_S = 300
 
 
@@ -102,7 +103,6 @@ def first_difference(a, b) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, help="git revision to compare with")
-    parser.add_argument("--corpus", type=Path, default=ROOT / "tools" / "bytes_corpus.txt")
     args = parser.parse_args(argv)
 
     trees = (archive(args.against), ROOT / "src")
@@ -110,7 +110,7 @@ def main(argv=None) -> int:
     shutil.rmtree(cwd, ignore_errors=True)
     cwd.mkdir(parents=True)
     same, differing, total = 0, [], 0
-    for line in corpus_lines(args.corpus):
+    for line in corpus_lines(CORPUS):
         if line[0] == "write":
             (cwd / line[1]).write_text(line[2].replace("\\n", "\n"), encoding="utf-8")
             continue
