@@ -18,14 +18,14 @@ One overflow contract decides whether an input lies in the admissible class.
 A square of user-scale data ((eps/E)^2, and in the stability layer beta_k^2 and
 lambda_k^2) is formed by _square, which first checks that every |x| lies in
 [sqrt(tiny), sqrt(max)] and otherwise raises a ValueError naming the quantity
-and the first bad mode k (or eps and E).  The E^2 check uses no square: with
-||beta f|| <= sqrt(max), it keeps the tight rescale's E / ||beta f|| >= sqrt(tiny / max).
-A sum of squares is read through its root, from _norm, which forms ||w x|| in
-exact powers of two and scales back with _ldexp: bit for bit sqrt(sum(w^2 x^2))
-in range, and inf, not nan, beyond it.  The budget ||beta f|| <= E, the noise
-check, the rescaling in synthesize_problem, feasibility_check's misfit and
-minimum, the residual norms, weak_pairing's bound and infotheory's point
-distances all go through it, so they compare true values and print no warning.
+and the first bad mode k (or eps and E).  A sum of squares is read through its
+root, from _norm, which forms ||w x|| = r 2^h in exact powers of two (_norm_pair)
+and scales back with _ldexp: bit for bit sqrt(sum(w^2 x^2)) in range, and inf,
+not nan, beyond it.  The budget ||beta f|| <= E, the noise check, the rescaling
+in synthesize_problem, feasibility_check's misfit and minimum, the residual
+norms, weak_pairing's bound and infotheory's point distances all go through it,
+and the truncation rules compare lambda_k E with eps beta_k from mantissas, so
+they compare true values at every finite E > 0 and print no warning.
 """
 
 from __future__ import annotations
@@ -152,16 +152,20 @@ def _ldexp(x, e):
     return float(out) if out.ndim == 0 else out
 
 
-def _norm(x, w=1.0):
-    """||w x|| over the last axis (w a float or weights that broadcast against x), summed
-    from mantissas at the largest power of two: bit for bit sqrt(sum(w^2 x^2)) in range,
-    and inf with no warning above.  A vector gives a float, a stack an array."""
+def _norm_pair(x, w=1.0):
+    """(r, h) with ||w x|| = r 2^h over the last axis (w a float or weights that broadcast
+    against x), summed from mantissas at the largest power of two: r is 0 or in [1/4, sqrt(n))."""
     (mx, ex), (mw, ew) = np.frexp(x), np.frexp(w)
     terms, exp = (mw * mw) * (mx * mx), 2 * (ex + ew)
     # top is even, so the root scales by 2^(top/2); no nonzero term has 2(e_x + e_w) < -4400.
     top = np.max(exp, axis=-1, where=terms != 0, initial=-4400, keepdims=True)
-    root = np.sqrt(np.sum(np.ldexp(terms, exp - top), axis=-1))
-    return _ldexp(root, top[..., 0] // 2)
+    return np.sqrt(np.sum(np.ldexp(terms, exp - top), axis=-1)), top[..., 0] // 2
+
+
+def _norm(x, w=1.0):
+    """||w x|| from _norm_pair: bit for bit sqrt(sum(w^2 x^2)) in range, and inf with no
+    warning above.  A vector gives a float, a stack an array."""
+    return _ldexp(*_norm_pair(x, w))
 
 
 def _bisect(below, lo: float, hi: float) -> float:
@@ -182,14 +186,13 @@ def truncation_identity(eigenvalues, eps: float, E: float) -> int:
 
 
 def truncation_weighted(eigenvalues, beta, eps: float, E: float) -> int:
-    """Largest k with lambda_k >= (eps / E) * beta_k (0 if none)."""
+    """Largest k with lambda_k >= (eps / E) * beta_k (0 if none), decided as lambda_k E >=
+    eps beta_k on mantissas and exponents, so neither eps / E nor a product has to be a double."""
     lam = _validate_eigenvalues(eigenvalues)
     _check_scales(eps, E, noise_free=True)
-    ratio = eps / E
-    # No mode passes with (eps/E) beta_k > 2 lambda_1: capping beta_k there, floored at
-    # the least positive double, keeps the product finite and changes no verdict.
-    cap = max(2.0 * (float(lam[0]) / ratio), math.ulp(0.0)) if ratio > 0 else math.inf
-    hits = np.nonzero(lam >= ratio * np.minimum(_weights(beta, lam.size), cap))[0]
+    (ml, el), (mb, eb), (mE, eE), (me, ee) = map(np.frexp, (lam, _weights(beta, lam.size), E, eps))
+    # Both mantissa products lie in [1/4, 1) (eps beta_k may be 0): a gap of 2 exponents decides.
+    hits = np.nonzero(np.ldexp(ml * mE, np.clip(el + eE - eb - ee, -2, 2)) >= me * mb)[0]
     return int(hits[-1] + 1) if hits.size else 0
 
 
@@ -225,12 +228,12 @@ class ProblemInstance:
                 raise ValueError(f"{name} must be finite")
             setattr(self, name, arr)
         _check_scales(self.eps, self.E, noise_free=True)
-        _square(self.E, "E^2", f"eps = {self.eps:g}, E = {self.E:g}")
         # noise = g_noisy - lambda f is known to the rounding u ||gbar||, read as ||u gbar||.
         rounding = _norm(self.g_noisy, np.finfo(float).eps)
         if not _norm(self.noise) <= self.eps * (1.0 + 1e-9) + rounding:
             raise ValueError("noise norm exceeds its stated bound eps")
-        if not _norm(self.f_true, self.betas) <= self.E * (1.0 + 5e-10):
+        # The slack divides the norm: E (1 + 5e-10) overflows, and passes any norm, near max.
+        if not _norm(self.f_true, self.betas) / (1.0 + 5e-10) <= self.E:
             raise ValueError("constraint budget exceeded: sum beta^2 f^2 > E^2")
 
     @property
@@ -291,6 +294,10 @@ def truncated_solution(instance: ProblemInstance, rule: str) -> Reconstruction:
         cutoff = truncation_weighted(lam, instance.betas, instance.eps, instance.E)
     else:
         raise ValueError("rule must be 'k1' or 'k2'")
+    (mg, eg), (ml, el) = np.frexp(instance.g_noisy[:cutoff]), np.frexp(lam[:cutoff])
+    bad = np.flatnonzero((np.frexp(mg / ml)[1] + eg - el > 1024) & (mg != 0))  # as for lambda f
+    if bad.size:
+        raise ValueError(f"fhat_k = gbar_k / lambda_k overflows at k = {bad[0] + 1}")
     coeff = np.zeros(lam.size)
     coeff[:cutoff] = instance.g_noisy[:cutoff] / lam[:cutoff]
     return Reconstruction(rule, cutoff, coeff)
@@ -350,7 +357,6 @@ def synthesize_problem(
     lam = _validate_eigenvalues(eigenvalues)
     m = lam.size
     _check_scales(eps, E, noise_free=True)
-    _square(E, "E^2", f"eps = {eps:g}, E = {E:g}")
     if (f_coeffs is None) == (f_decay is None):
         raise ValueError("give exactly one of f_coeffs or f_decay")
     if f_coeffs is not None:
@@ -368,19 +374,19 @@ def synthesize_problem(
         raise InfeasibleSpecError("solution coefficients are not finite")
 
     betas = _weights(beta, m)
-    budget = _norm(f, betas)  # sum beta^2 f^2 = budget^2
-    if budget > _SQRT_MAX:
-        raise InfeasibleSpecError("sum beta^2 f^2 overflows, so f cannot be rescaled to the budget")
-    if tight and budget * budget == 0.0:
-        why = "sum beta^2 f^2 underflows to zero" if np.any(f) else "f is zero"
+    r, h = _norm_pair(f, betas)  # ||beta f|| = r 2^h
+    why = "f is zero" if tight and r == 0 else ""
+    if not why and (tight or _ldexp(r, h) > E):
+        # f_k E / ||beta f|| = (m_k m_E / r) 2^(e_k + e_E - h): finite while the exponent <= 1024.
+        (mE, eE), (mf, ef) = np.frexp(E), np.frexp(f)
+        mant, exp = np.frexp(mf * (mE / r))
+        exp = exp + ef + eE - h
+        f = np.ldexp(mant, np.minimum(exp, 1024))
+        r, h = _norm_pair(f, betas)  # meets E to ProblemInstance's 5e-10 unless f underflowed
+        why = ("the rescaled f overflows" if np.any(exp > 1024, where=mant != 0) else
+               "the rescaled f underflows" if abs(_ldexp(r / mE, h - eE) - 1.0) > 5e-10 else "")
+    if why:
         raise InfeasibleSpecError(f"cannot meet the constraint budget with equality: {why}")
-    if tight or budget > E:
-        # E / ||beta f|| overflows only where ||beta f|| < E / max, so f is far below the range.
-        f, budget = (f, budget) if E / budget < math.inf else (f * 2.0**64, budget * 2.0**64)
-        if float(np.max(np.abs(f))) * (E / budget) == math.inf:
-            raise InfeasibleSpecError("cannot meet the constraint budget with equality: "
-                                      "the rescaled f overflows")
-        f = f * (E / budget)
 
     # lambda_k f_k = (m_k f_k) 2^e_k, m_k in [1/2, 1): finite while its exponent is <= 1024.
     mant, exp2 = np.frexp(lam)
@@ -485,9 +491,10 @@ def _residual_report(instance: ProblemInstance, rec: Reconstruction, betas: np.n
     lam, eps, E, u = instance.eigenvalues, instance.eps, instance.E, math.ulp(1.0)
     fhat = rec.coefficients
     diff = instance.f_true - fhat
-    image = _norm(diff, lam)
-    constr = _norm(diff, betas)
-    combined = image * image + (eps / E) * (eps / E) * constr * constr
+    (me, ee), (mE, eE) = np.frexp(eps), np.frexp(E)
+    image, (r, h) = _norm(diff, lam), _norm_pair(diff, betas)
+    constr, scaled = _ldexp(r, h), _ldexp(me * r / mE, ee + h - eE)  # (eps/E) constr, at any scale
+    combined = image * image + scaled * scaled
 
     excess = 1e-9 * eps + _norm(instance.g_noisy, u)
     (mb, eb), (ml, el) = np.frexp(betas[:rec.cutoff]), np.frexp(lam[:rec.cutoff])

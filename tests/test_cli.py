@@ -365,25 +365,26 @@ def _range_error(what, eps, E):
     (["stability", "--constraint", "derivative", "--E", "1e-300", "--n-modes", "10"],
      _range_error("(eps/E)^2", "0.01", "1e-300")),
     (["sweep", "--constraint", "derivative", "--E", "1e-300", "--n-modes", "10"],
-     _range_error("E^2", "0.01", "1e-300")),
-    (["simulate", "--constraint", "derivative", "--E", "1e300", "--n-modes", "10"],
-     _range_error("E^2", "0.001", "1e+300")),
-    (["simulate", "--constraint", "derivative", "--E", "1e300", "--n-modes", "10", "--no-tight"],
-     _range_error("E^2", "0.001", "1e+300")),
+     _range_error("(eps/E)^2", "0.01", "1e-300")),
+    (["simulate", "--constraint", "derivative", "--E", "1e300", "--n-modes", "10"], ""),
+    (["simulate", "--constraint", "derivative", "--E", "1e300", "--n-modes", "10",
+      "--no-tight"], ""),
     (["stability", "--constraint", "derivative", "--E", "1e308", "--n-modes", "10"],
      _range_error("(eps/E)^2", "0.01", "1e+308")),
     (["entropy", "--constraint", "derivative", "--E", "1e308"], ""),
     (["sweep", "--constraint", "derivative", "--E", "1e308", "--n-modes", "10"],
-     _range_error("E^2", "0.01", "1e+308")),
+     _range_error("(eps/E)^2", "0.01", "1e+308")),
 ], ids=["truncate-nan-eps", "entropy-nan-E", "stability-nan-eps", "stability-inf-E",
         "stability-E-1e-300", "sweep-E-1e-300", "simulate-E-1e300", "simulate-no-tight-E-1e300",
         "stability-E-1e308", "entropy-E-1e308", "sweep-E-1e308"])
 @pytest.mark.filterwarnings("error")
 def test_non_finite_eps_or_E_exits_2(capsys, argv, err):
-    # Beyond finiteness, (eps/E)^2 and E^2 must be normal doubles: an overflow or
-    # underflow there exits 2 with one line.  A bit count is a sum of logarithms,
-    # finite at every scale, so entropy at E = 1e308, which exited 2 because
-    # E lambda_k / eps overflowed, now prints its bits (err "" marks exit 0;
+    # Beyond finiteness, (eps/E)^2 must be a normal double where the stability layer
+    # forms it: an overflow or underflow there exits 2 with one line.  No other step
+    # forms a square of eps or E.  A bit count is a sum of logarithms, finite at every
+    # scale, so entropy at E = 1e308, which exited 2 because E lambda_k / eps overflowed,
+    # now prints its bits, and simulate at E = 1e300, refused by an E^2 rule that named
+    # a square no code formed, writes its instance (err "" marks exit 0;
     # tests/test_overflow_contract.py checks those bits against decimal).
     assert main(argv) == (2 if err else 0)
     captured = capsys.readouterr()
@@ -483,29 +484,44 @@ def test_simulate_at_huge_eps(capsys):
     assert json.loads(captured.out)["eps"] == 1e200
 
 
-OVERFLOW_ERROR = ("error: infeasible request: "
-                  "sum beta^2 f^2 overflows, so f cannot be rescaled to the budget\n")
 NOT_FINITE_ERROR = "error: infeasible request: solution coefficients are not finite\n"
+DECAY_F = [c / math.sqrt(1 + 1 / 16 + 1 / 81) for c in (1.0, 1 / 4, 1 / 9)]  # f_k ~ k^-2, ||f|| = 1
 
 
-@pytest.mark.parametrize("argv, err", [
-    (["--f-coeffs", "1e200"], OVERFLOW_ERROR),
-    (["--f-coeffs", "1e200", "--no-tight"], OVERFLOW_ERROR),
-    (["--f-decay", "1e200,2"], OVERFLOW_ERROR),
-    (["--f-coeffs", "1e-200"], "error: infeasible request: cannot meet the constraint budget "
-                               "with equality: sum beta^2 f^2 underflows to zero\n"),
+@pytest.mark.parametrize("argv, want", [
+    (["--f-coeffs", "1e200"], [1.0, 0.0, 0.0]),
+    (["--f-coeffs", "1e200", "--no-tight"], [1.0, 0.0, 0.0]),
+    (["--f-decay", "1e200,2"], DECAY_F),
+    (["--f-coeffs", "1e-200"], [1.0, 0.0, 0.0]),
     (["--f-decay", "1,-1000"], NOT_FINITE_ERROR),
     (["--f-decay", "1e308,-5"], NOT_FINITE_ERROR),
 ], ids=["coeffs-overflow", "coeffs-overflow-no-tight", "decay-overflow", "coeffs-underflow",
         "decay-power-overflow", "decay-product-overflow"])
-def test_simulate_names_a_budget_sum_out_of_range(capsys, argv, err):
-    # An overflowed sum used to rescale f by E/inf and write an all-zero
-    # solution with exit 0; an underflowed one was blamed on a zero f.  A decay
-    # law whose c k^-q overflows used to print a RuntimeWarning before exit 3.
-    assert main(["simulate", "--n-modes", "3", *argv]) == 3
+@pytest.mark.filterwarnings("error")
+def test_simulate_names_a_budget_sum_out_of_range(capsys, argv, want):
+    # sum beta^2 f^2 overflows or underflows in the first four cases, but ||beta f|| does
+    # not, and the rescale by E / ||beta f|| is read from exponents: each writes f scaled
+    # to the budget E = 1, where it exited 3 (and before that wrote an all-zero f).  A
+    # decay law whose c k^-q overflows exits 3, with no RuntimeWarning.
+    if isinstance(want, str):
+        assert main(["simulate", "--n-modes", "3", *argv]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", want)
+        return
+    assert main(["simulate", "--n-modes", "3", *argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["f_true"] == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_where_the_rescaled_f_underflows_exits_3(capsys):
+    # E = 1e-320 is subnormal, so f_k E / ||f|| keeps too few digits to meet E to 5e-10.
+    assert main(["simulate", "--E", "1e-320", "--n-modes", "3", "--eps", "1e-321"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == err
+    assert captured.err == ("error: infeasible request: cannot meet the constraint budget "
+                            "with equality: the rescaled f underflows\n")
 
 
 def test_simulate_without_tight_keeps_a_tiny_solution(capsys):
@@ -540,6 +556,47 @@ def test_solve_decides_the_budget_on_the_products(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: constraint budget exceeded: sum beta^2 f^2 > E^2\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_where_gbar_over_lambda_overflows_exits_2(tmp_path, capsys):
+    # gbar_1 / lambda_1 = 5e312: solve printed fhat_1 = inf with a RuntimeWarning and exit 0.
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"eigenvalues": [2e-300], "beta": [1e-160], "f_true": [0.0],
+                                "g_noisy": [1e13], "eps": 1e13, "E": 1e153, "seed": 0,
+                                "noise_mode": "flat"}))
+    assert main(["solve", "--instance", str(inst)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: fhat_k = gbar_k / lambda_k overflows at k = 1\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_reconstruction_of_a_simulated_instance_that_overflows_exits_2(tmp_path, capsys):
+    # eps = 1e308 against lambda_2 ~ 0.025: gbar_2 / lambda_2 leaves the range.  solve
+    # printed -inf, and sweep err_f2 = inf with lemma6_ok = true, its bound being inf too.
+    args = ["--E", "1e300", "--constraint", "power:p=1,scale=1e-10", "--no-tight",
+            "--f-coeffs", "1e-10", "--n-modes", "3"]
+    inst = tmp_path / "inst.json"
+    assert main(["simulate", *args, "--eps", "1e308", "--output", str(inst)]) == 0
+    capsys.readouterr()
+    err = "error: fhat_k = gbar_k / lambda_k overflows at k = 2\n"
+    for argv in (["solve", "--instance", str(inst)], ["sweep", *args, "--eps-grid", "1e308"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", err)
+
+
+@pytest.mark.parametrize("rule, fhat", [("k1", "1"), ("k2", "0")])
+def test_solve_where_eps_over_E_underflows(tmp_path, capsys, rule, fhat):
+    # eps / E = 1e-454 rounds to 0, and k2 kept every mode: lambda_1 E = 1e-146 lies
+    # below eps beta_1 = 1e-100, so it keeps none; k1 keeps mode 1 (lambda_1 >= 1e-454).
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"eigenvalues": [1e-300], "beta": [1e200], "f_true": [0.0],
+                                "g_noisy": [1e-300], "eps": 1e-300, "E": 1e154, "seed": 0,
+                                "noise_mode": "flat"}))
+    assert main(["solve", "--instance", str(inst), "--rule", rule]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == f"1,1e-300,1e+200,0,1e-300,{fhat}"
 
 
 @pytest.mark.parametrize("text, err", [

@@ -5,9 +5,10 @@ decides exactly on seeded families whether an input lies in the admissible
 class: beta = k^p for p in [-400, 400], eps and E across 1e+-300, and f
 entries across 1e+-300 with zeros mixed in.  Each test asserts that the code
 reaches the same verdict: ProblemInstance's noise check and budget,
-synthesize_problem's exit class (also where its noise sum overflows), and
-check_condition's verdict or its exit-2 gates; and that weak_pairing's bound,
-feasibility_check's minimum norm and entropy's bits are true at every scale.  Tier-1 runs
+synthesize_problem's exit class (also where its noise sum overflows), both
+truncation cutoffs, and check_condition's verdict or its exit-2 gates; and that
+weak_pairing's bound, feasibility_check's minimum norm, the residual report's
+combined value and entropy's bits are true at every scale.  Tier-1 runs
 with warnings as errors, so a leaked RuntimeWarning fails here too.  A
 verdict that lies within rounding of its threshold is undecidable in
 doubles; such draws are counted, must stay rare, and are not asserted.
@@ -29,9 +30,14 @@ from trunceig import (
     check_condition,
     feasibility_check,
     make_noise,
+    parse_constraint,
+    parse_kernel,
     synthesize_problem,
     truncated_solution,
+    truncation_identity,
+    truncation_weighted,
     weak_pairing,
+    weighted_rule_residuals,
 )
 from trunceig.cli import main
 
@@ -82,12 +88,10 @@ def _family(rng):
 
 
 def _instance_oracle(lam, beta, f, g, eps, E):
-    """The first check a ProblemInstance fails ('weights', 'E^2', 'noise',
-    'budget') or 'ok'; None when a verdict is within rounding."""
+    """The first check a ProblemInstance fails ('weights', 'noise', 'budget') or
+    'ok'; None when a verdict is within rounding.  Every finite E > 0 is admissible."""
     if not np.all((0 < beta) & (beta < math.inf)):
         return "weights"
-    if not _normal_square(E):
-        return "E^2"
     noise = sum(((D(float(gk)) - D(float(lk)) * D(float(fk))) ** 2
                  for gk, lk, fk in zip(g, lam, f)), D(0)).sqrt()
     g_norm = _sum_sq(np.ones(lam.size), g).sqrt()
@@ -105,8 +109,8 @@ def _instance_verdict(*args):
     try:
         ProblemInstance(*args, seed=0)
     except ValueError as exc:
-        for key, text in (("weights", "constraint weight"), ("E^2", "E^2 is not"),
-                          ("noise", "noise norm"), ("budget", "budget exceeded")):
+        for key, text in (("weights", "constraint weight"), ("noise", "noise norm"),
+                          ("budget", "budget exceeded")):
             if text in str(exc):
                 return key
         raise
@@ -137,7 +141,7 @@ def test_budget_verdict_agrees_with_decimal():
         cases.append((lam, beta, f, lam * f, eps, E))
     verdicts = [_instance_oracle(*args) for args in cases]
     assert _check_instances(cases) >= 0.95 * len(cases)
-    assert {"weights", "E^2", "budget", "ok"} <= set(verdicts)
+    assert {"weights", "budget", "ok"} <= set(verdicts)
 
 
 def test_noise_verdict_agrees_with_decimal():
@@ -158,24 +162,34 @@ def test_noise_verdict_agrees_with_decimal():
 
 
 def _synthesis_oracle(lam, beta, f, eps, E, tight):
-    """'E^2', 'weights', 'overflow', 'underflow' or 'ok'; None within rounding."""
-    if not _normal_square(E):
-        return "E^2"
+    """'weights', 'zero', 'overflow', 'underflow' or 'ok'; None within rounding.
+
+    No square of E or of a sum decides: f is rescaled by E / ||beta f|| where tight
+    or ||beta f|| > E, and refused only where a rescaled entry overflows or the
+    rescaled doubles (rounded once here) miss E by more than 5e-10, relatively."""
     if not np.all((0 < beta) & (beta < math.inf)):
         return "weights"
-    total = _sum_sq(beta, f)
-    over = _above(total, MAX)
+    if tight and not np.any(f):
+        return "zero"
+    norm, E = _sum_sq(beta, f).sqrt(), D(float(E))
+    rescale = tight or _above(norm, E)
+    if not rescale:  # None: too close to E to tell whether the code rescales
+        return None if rescale is None else "ok"
+    scale = E / norm
+    over = _above(D(float(np.max(np.abs(f)))) * scale, MAX)
     if over is not False:
         return over and "overflow"
-    if tight:  # the sum rounds to zero below half the least subnormal
-        under = _above(SUBNORMAL / 2, total)
-        if under is not False:
-            return under and "underflow"
-    if tight or total > D(float(E)) ** 2:
-        top = D(float(np.max(np.abs(f)))) * D(float(E)) / total.sqrt()
-        over = _above(top, MAX)
-        if over is not False:
-            return over and "overflow"
+    exact = [D(float(fk)) * scale for fk in f]
+    # The code's scale is E / ||beta f|| to a relative 1e-13, so a normal entry differs from
+    # this rounding by as much, and a subnormal one by the least subnormal where its exact
+    # value lies that close to a rounding midpoint.
+    units = [abs(x) / SUBNORMAL for x in exact]
+    near = [x < TINY / SUBNORMAL and abs(x % 1 - D("0.5")) <= x * D("1e-13") for x in units]
+    slop = D("1e-13") + SUBNORMAL * sum((D(float(bk)) for bk, n in zip(beta, near) if n), D(0)) / E
+    scaled = [float(x) for x in exact]
+    under = _above(abs(_sum_sq(beta, scaled).sqrt() / E - 1), D("5e-10"), slop)
+    if under is not False:
+        return under and "underflow"
     return "ok"
 
 
@@ -190,6 +204,8 @@ def test_synthesis_exit_class_agrees_with_decimal():
             # ||beta f|| near 1e-162, where the sum of squares leaves the subnormals.
             scale = D(10) ** D(rng.uniform(-166.0, -158.0)) / _sum_sq(beta, f).sqrt()
             f = np.array([float(D(float(fk)) * scale) for fk in f])
+        if i % 4 == 3:  # E below 1e-300, down to the subnormals
+            E = float(10.0 ** rng.uniform(-323.0, -300.0))
         want = _synthesis_oracle(lam, beta, f, eps, E, tight)
         if want is None:
             continue
@@ -198,9 +214,10 @@ def test_synthesis_exit_class_agrees_with_decimal():
         try:
             inst = synthesize_problem(lam, beta, eps, E, f_coeffs=f, seed=i, tight=tight)
         except InfeasibleSpecError as exc:  # exit 3
-            got = "overflow" if "overflows" in str(exc) else "underflow"
-        except ValueError as exc:  # exit 2
-            got = "E^2" if "E^2" in str(exc) else "weights"
+            got = next(key for key, text in (("zero", "f is zero"), ("overflow", "f overflows"),
+                                             ("underflow", "f underflows")) if text in str(exc))
+        except ValueError:  # exit 2
+            got = "weights"
         else:
             got = "ok"
             if tight:
@@ -208,7 +225,56 @@ def test_synthesis_exit_class_agrees_with_decimal():
                 assert abs(norm / D(E) - 1) < D("5e-10"), (norm, E)
         assert got == want, (i, str(want), got)
     assert decided >= 0.95 * DRAWS
-    assert seen == {"E^2", "weights", "overflow", "underflow", "ok"}
+    assert seen == {"weights", "zero", "overflow", "underflow", "ok"}
+
+
+def _cutoff_oracle(lam, beta, eps, E):
+    """Largest k with lambda_k E >= eps beta_k (0 if none); None where a verdict lies
+    within rounding of its threshold."""
+    cutoff = 0
+    for k, (lk, bk) in enumerate(zip(lam, beta), 1):
+        keep = _above(D(float(lk)) * D(E), D(eps) * D(float(bk)))
+        if keep is None:
+            return None
+        cutoff = k if keep else cutoff
+    return cutoff
+
+
+def test_truncation_rules_agree_with_decimal():
+    # eps / E runs across 1e+-630 and lambda_k into the subnormals.  The rules compared
+    # lambda_k with the double eps / E, which kept every mode where that ratio rounded
+    # to 0 and lost digits where it was subnormal.
+    rng = np.random.default_rng(1454)
+    decided, seen = 0, set()
+    for _ in range(DRAWS):
+        m = int(rng.integers(1, 41))
+        lam = np.sort(10.0 ** rng.uniform(-320.0, 300.0, m))[::-1]
+        beta = 10.0 ** rng.uniform(-300.0, 300.0, m)
+        eps, E = (float(x) for x in 10.0 ** rng.uniform(-323.0, 308.0, 2))
+        eps = 0.0 if rng.random() < 0.05 else eps
+        for got, weights in ((truncation_identity(lam, eps, E), np.ones(m)),
+                             (truncation_weighted(lam, beta, eps, E), beta)):
+            want = _cutoff_oracle(lam, weights, eps, E)
+            if want is not None:
+                decided += 1
+                seen.add("none" if want == 0 else "all" if want == m else "some")
+                assert got == want, (lam, weights, eps, E)
+    assert decided >= 0.95 * 2 * DRAWS
+    assert seen == {"none", "some", "all"}
+
+
+@pytest.mark.parametrize("eps, E", [(1e160, 1.0), (1e-3, 1e-160)])
+def test_residual_combined_where_eps_over_E_squared_leaves_the_range(eps, E):
+    # combined = image^2 + (eps/E)^2 constr^2 formed (eps/E)^2 first: inf at
+    # eps/E = 1e160, whose value is 9.87e300, and at 1e157, whose value is 1e-6.
+    lam = parse_kernel("triangular").analytic_eigenvalue(np.arange(1.0, 21.0))
+    beta = parse_constraint("derivative", 20)
+    inst = synthesize_problem(lam, beta, eps, E, f_coeffs=[1e-10], tight=False)
+    rec = truncated_solution(inst, "k2")
+    diff = [D(float(x)) - D(float(y)) for x, y in zip(inst.f_true, rec.coefficients)]
+    want = (sum((D(float(lk)) * dk) ** 2 for lk, dk in zip(lam, diff))
+            + (D(eps) / D(E)) ** 2 * sum((D(float(bk)) * dk) ** 2 for bk, dk in zip(beta, diff)))
+    assert abs(D(weighted_rule_residuals(inst, rec).combined) / want - 1) < D("1e-14")
 
 
 def test_synthesis_where_the_noise_scale_overflows():

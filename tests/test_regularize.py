@@ -329,6 +329,14 @@ def test_problem_instance_noise_check_does_not_overflow():
         ProblemInstance([1.0, 0.5], [1, 1], [0, 0], [6e199, 8.1e199], 1e200, 1.0, 0)
 
 
+def test_problem_instance_budget_at_the_largest_E():
+    # E (1 + 5e-10) overflows at E = max, and the check passed ||beta f|| = 1e600.
+    E = np.finfo(float).max
+    with pytest.raises(ValueError, match="budget exceeded"):
+        ProblemInstance([1.0], [1e300], [1e300], [1e300], 0.0, E, 0)
+    assert ProblemInstance([1.0], [1e300], [1.0], [1.0], 0.0, E, 0).E == E
+
+
 def test_problem_instance_json_round_trip():
     fields = {"eigenvalues": "eigenvalues", "beta": "betas", "f_true": "f_true",
               "g_noisy": "g_noisy"}
