@@ -58,6 +58,10 @@ __all__ = [
 ]
 
 _SQRT_TINY, _SQRT_MAX = math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max)
+# Relative allowances on the a-priori bounds, met with equality by a tight instance and passed
+# by a few ulps in rounded entries: 1e-9 on ||n|| <= eps and on feasibility_check's minimum
+# ||beta f|| <= E, and 5e-10 (1e-9 squared) on an instance's ||beta f|| <= E.
+_NOISE_RTOL, _BUDGET_RTOL = 1e-9, 5e-10
 
 
 def parse_constraint(text: str, count: int) -> np.ndarray:
@@ -118,6 +122,12 @@ def _check_scales(eps: float, E: float | None = None, *, noise_free: bool = Fals
     if not (0 <= eps < math.inf and (noise_free or eps > 0) and (E is None or 0 < E < math.inf)):
         raise ValueError(f"need finite eps {'>=' if noise_free else '>'} 0"
                          + ("" if E is None else " and E > 0"))
+
+
+def _within(value: float, bound: float, rtol: float, rounding: float = 0.0) -> bool:
+    """value <= bound (1 + rtol) + rounding (all >= 0) as (value - rounding) / (1 + rtol) <= bound:
+    an infinite allowance passes, an infinite value fails a finite bound, and no nan arises."""
+    return rounding == math.inf or (value - rounding) / (1.0 + rtol) <= bound
 
 
 def _weights(beta, size: int) -> np.ndarray:
@@ -230,10 +240,9 @@ class ProblemInstance:
         _check_scales(self.eps, self.E, noise_free=True)
         # noise = g_noisy - lambda f is known to the rounding u ||gbar||, read as ||u gbar||.
         rounding = _norm(self.g_noisy, np.finfo(float).eps)
-        if not _norm(self.noise) <= self.eps * (1.0 + 1e-9) + rounding:
+        if not _within(_norm(self.noise), self.eps, _NOISE_RTOL, rounding):
             raise ValueError("noise norm exceeds its stated bound eps")
-        # The slack divides the norm: E (1 + 5e-10) overflows, and passes any norm, near max.
-        if not _norm(self.f_true, self.betas) / (1.0 + 5e-10) <= self.E:
+        if not _within(_norm(self.f_true, self.betas), self.E, _BUDGET_RTOL):
             raise ValueError("constraint budget exceeded: sum beta^2 f^2 > E^2")
 
     @property
@@ -382,9 +391,10 @@ def synthesize_problem(
         mant, exp = np.frexp(mf * (mE / r))
         exp = exp + ef + eE - h
         f = np.ldexp(mant, np.minimum(exp, 1024))
-        r, h = _norm_pair(f, betas)  # meets E to ProblemInstance's 5e-10 unless f underflowed
+        r, h = _norm_pair(f, betas)  # meets E to the budget's allowance unless f underflowed
         why = ("the rescaled f overflows" if np.any(exp > 1024, where=mant != 0) else
-               "the rescaled f underflows" if abs(_ldexp(r / mE, h - eE) - 1.0) > 5e-10 else "")
+               "the rescaled f underflows" if abs(_ldexp(r / mE, h - eE) - 1.0) > _BUDGET_RTOL
+               else "")
     if why:
         raise InfeasibleSpecError(f"cannot meet the constraint budget with equality: {why}")
 
@@ -466,7 +476,7 @@ def feasibility_check(instance: ProblemInstance) -> FeasibilityResult:
     fit, den, c, d = terms(S, sigma)
     size = np.where(fit, 1.0 / m, c / 2.0**sigma) / den
     min_norm = norm(mg * size, eg + np.where(fit, -e, d - S))
-    return FeasibilityResult(min_norm <= instance.E * (1.0 + 1e-9), min_norm)
+    return FeasibilityResult(_within(min_norm, instance.E, _NOISE_RTOL), min_norm)
 
 
 @dataclass
@@ -485,9 +495,8 @@ class ResidualReport:
 
 
 def _residual_report(instance: ProblemInstance, rec: Reconstruction, betas: np.ndarray) -> ResidualReport:
-    """ok allows ||n|| <= eps + excess and ||beta f|| <= E + 5e-10 E, as ProblemInstance does,
-    and fhat = gbar / lambda's rounding r, |r| <= u |fhat|: image <= sqrt(2) (eps + excess +
-    ||lambda r||), constr <= sqrt(2) (E + 5e-10 E + excess max_kept beta/lambda + ||beta r||)."""
+    """ok grants ProblemInstance's allowances, the noise's excess over eps amplified by max_kept
+    beta / lambda in constr, and the rounding r of fhat = gbar / lambda, |r| <= u |fhat|."""
     lam, eps, E, u = instance.eigenvalues, instance.eps, instance.E, math.ulp(1.0)
     fhat = rec.coefficients
     diff = instance.f_true - fhat
@@ -496,11 +505,13 @@ def _residual_report(instance: ProblemInstance, rec: Reconstruction, betas: np.n
     constr, scaled = _ldexp(r, h), _ldexp(me * r / mE, ee + h - eE)  # (eps/E) constr, at any scale
     combined = image * image + scaled * scaled
 
-    excess = 1e-9 * eps + _norm(instance.g_noisy, u)
+    rounding = _norm(instance.g_noisy, u)
+    excess = _NOISE_RTOL * eps + rounding
     (mb, eb), (ml, el) = np.frexp(betas[:rec.cutoff]), np.frexp(lam[:rec.cutoff])
     amplified = float(np.max(_ldexp(excess * mb / ml, eb - el), initial=0.0))
-    ok = (image <= math.sqrt(2.0) * (eps + excess + _norm(u * fhat, lam))
-          and constr <= math.sqrt(2.0) * (E * (1.0 + 5e-10) + amplified + _norm(u * fhat, betas)))
+    sqrt2 = math.sqrt(2.0)
+    ok = (_within(image / sqrt2, eps, _NOISE_RTOL, rounding + _norm(u * fhat, lam))
+          and _within(constr / sqrt2, E, _BUDGET_RTOL, amplified + _norm(u * fhat, betas)))
     return ResidualReport(image, constr, combined, ok)
 
 

@@ -6,7 +6,8 @@ class: beta = k^p for p in [-400, 400], eps and E across 1e+-300, and f
 entries across 1e+-300 with zeros mixed in.  Each test asserts that the code
 reaches the same verdict: ProblemInstance's noise check and budget,
 synthesize_problem's exit class (also where its noise sum overflows), both
-truncation cutoffs, and check_condition's verdict or its exit-2 gates; and that
+truncation cutoffs, check_condition's verdict or its exit-2 gates, and the
+residual report's and feasibility_check's verdicts near the largest double; and that
 weak_pairing's bound, feasibility_check's minimum norm, the residual report's
 combined value and entropy's bits are true at every scale.  Tier-1 runs
 with warnings as errors, so a leaked RuntimeWarning fails here too.  A
@@ -27,6 +28,7 @@ from trunceig import (
     InfeasibleSpecError,
     PFunction,
     ProblemInstance,
+    Reconstruction,
     check_condition,
     feasibility_check,
     make_noise,
@@ -161,6 +163,15 @@ def test_noise_verdict_agrees_with_decimal():
     assert {"noise", "ok"} <= set(verdicts)
 
 
+@pytest.mark.parametrize("g, want", [([1.7e308, 1.7e308], "noise"), ([1.2e308, 1.2e308], "ok")])
+def test_noise_verdict_near_the_largest_double(g, want):
+    # eps (1 + 1e-9) overflowed to inf at eps = 1.7976931348623e308 and passed any noise,
+    # here ||noise|| = 2.4e308 > eps.
+    args = (np.ones(2), np.ones(2), np.zeros(2), np.array(g), 1.7976931348623e308, 1.0)
+    assert _instance_oracle(*args) == want
+    assert _instance_verdict(*args) == want
+
+
 def _synthesis_oracle(lam, beta, f, eps, E, tight):
     """'weights', 'zero', 'overflow', 'underflow' or 'ok'; None within rounding.
 
@@ -277,6 +288,40 @@ def test_residual_combined_where_eps_over_E_squared_leaves_the_range(eps, E):
     assert abs(D(weighted_rule_residuals(inst, rec).combined) / want - 1) < D("1e-14")
 
 
+def _residual_oracle(inst, rec, betas):
+    """The report's ok, exactly: image <= sqrt(2) (eps (1 + 1e-9) + u ||gbar|| + u ||lambda
+    fhat||) and constr <= sqrt(2) (E (1 + 5e-10) + excess max_kept beta / lambda + u ||beta
+    fhat||), with excess = 1e-9 eps + u ||gbar||; None where a verdict is within rounding."""
+    lam, g, fhat = inst.eigenvalues, inst.g_noisy, rec.coefficients
+    diff = [D(float(a)) - D(float(b)) for a, b in zip(inst.f_true, fhat)]
+    ones, eps, E = np.ones(lam.size), D(inst.eps), D(inst.E)
+    rounding = MACH * _sum_sq(ones, g).sqrt()
+    excess = D("1e-9") * eps + rounding
+    amplified = max((excess * D(float(b)) / D(float(lk))
+                     for b, lk in zip(betas[:rec.cutoff], lam[:rec.cutoff])), default=D(0))
+    verdicts = [_above(sum(((D(float(w)) * d) ** 2 for w, d in zip(weights, diff)), D(0)).sqrt(),
+                       D(2).sqrt() * (bound + slack + MACH * _sum_sq(weights, fhat).sqrt()))
+                for weights, bound, slack in ((lam, eps * (1 + D("1e-9")), rounding),
+                                              (betas, E * (1 + D("5e-10")), amplified))]
+    return False if True in verdicts else None if None in verdicts else True
+
+
+@pytest.mark.parametrize("negate", [False, True], ids=["truncated", "fhat-negated"])
+def test_residual_verdict_near_the_largest_double(negate):
+    # sqrt(2) (E (1 + 5e-10) + ...) overflowed to inf at E = 1.7e308 and passed any
+    # constraint residual: fhat = -f, whose residual 2.9e308 exceeds sqrt(2) E = 2.4e308,
+    # read ok = true.
+    m = 3
+    inst = ProblemInstance(np.full(m, 1e-10), np.ones(m), np.full(m, 0.85e308),
+                           np.full(m, 0.85e298), 1e299, 1.7e308, seed=0)
+    rec = truncated_solution(inst, "k2")
+    if negate:
+        rec = Reconstruction("k2", rec.cutoff, -inst.f_true)
+    want = _residual_oracle(inst, rec, inst.betas)
+    assert want is (not negate)
+    assert weighted_rule_residuals(inst, rec).ok == want
+
+
 def test_synthesis_where_the_noise_scale_overflows():
     # At eps = 1.7e308, eps / ||draws|| overflows, so the noise is scaled as
     # (n / ||n||) (s eps); the data lambda_1 f_1 + n_1, with f_1 = 1e308 (to within
@@ -385,6 +430,18 @@ def test_feasibility_of_two_modes_whose_squares_leave_the_range():
     want = _feasibility_exact(lam, beta, g, eps)
     assert abs(D(res.min_constraint_norm) / want - 1) < D("1e-14")
     assert D("1e-301") < want < D("1e-299")
+
+
+@pytest.mark.parametrize("g2", [1e292, 0.0], ids=["min-norm-1e592", "min-norm-1.7e308"])
+def test_feasibility_verdict_near_the_largest_double(g2):
+    # E (1 + 1e-9) overflowed to inf at E = 1.7976931348623e308, so a minimum norm beyond
+    # the double range read permissible: g_2 = 1e292 passes as noise within the rounding
+    # of ||gbar||, but a fit within eps = 1e280 needs f_2 near g_2 / lambda_2 = 1e592.
+    lam, beta, g, eps, E = [1.0, 1e-300], [1.0, 1.0], [1.7e308, g2], 1e280, 1.7976931348623e308
+    res = feasibility_check(ProblemInstance(lam, beta, [1.7e308, 0.0], g, eps, E, seed=0))
+    over = _above(_feasibility_exact(lam, beta, g, eps), D(E) * (1 + D("1e-9")))
+    assert over is (g2 != 0.0)
+    assert res.permissible == (not over)
 
 
 def _p_exact(spec, r):

@@ -5,8 +5,11 @@
 Writes REV's src/ into the git-ignored .bench_work/bytes/ with `git archive`
 (local; no network), then runs every command of the corpus
 tools/bytes_corpus.txt (its header gives the line format) once with REV's
-src/ and once with the working tree's, in one scratch directory and with the
-same environment but for PYTHONPATH.  Both runs pin BLAS to one thread.
+src/ and once with the working tree's, each tree in its own scratch directory
+and with the same environment but for PYTHONPATH.  `write` lines and the bench
+fixtures go into both directories, so a command that reads a file an earlier
+line wrote (`solve --instance F` after `simulate --output F`) reads the file its
+own tree wrote.  Both runs pin BLAS to one thread.
 
 Compared per command: exit status, stdout, stderr with the checkout's src path
 replaced by <src> and line numbers after it dropped, and the file named by
@@ -38,17 +41,18 @@ def corpus_lines(path: Path) -> list[list[str]]:
     return [shlex.split(line) for line in lines if line and not line.startswith("#")]
 
 
-def bench_commands(seed: int, cwd: Path) -> list[list[str]]:
-    """The benchmark's pass lists at `seed`, as trunceig argvs; their fixture
-    files are written into cwd."""
+def bench_commands(seed: int, cwds: list[Path]) -> list[list[str]]:
+    """The benchmark's pass lists at `seed`, as trunceig argvs with paths relative
+    to each of cwds; their fixture files are written into each of cwds."""
     sys.path.insert(0, str(ROOT / "bench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
-    commands = []
-    for build in workloads.WORKLOADS.values():
-        commands += [["trunceig", *c.argv] for c in build(seed, str(cwd)).pass_commands(0)]
+    for cwd in cwds:  # each cwd gives the same relative argvs
+        commands = [["trunceig", *(arg.replace(f"{cwd}/", "") for arg in c.argv)]
+                    for build in workloads.WORKLOADS.values()
+                    for c in build(seed, str(cwd)).pass_commands(0)]
     return commands
 
 
@@ -100,27 +104,36 @@ def first_difference(a, b) -> str:
     return f"{a!r} -> {b!r}"
 
 
+def compare(lines: list[list[str]], trees: tuple[Path, Path], work: Path) -> tuple:
+    """(identical count, total, differing commands with both results) of the corpus
+    lines, run with each of the two src trees in its own fresh directory under work."""
+    cwds = [work / f"cwd-{i}" for i in range(len(trees))]
+    for cwd in cwds:
+        shutil.rmtree(cwd, ignore_errors=True)
+        cwd.mkdir(parents=True)
+    same, differing, total = 0, [], 0
+    for line in lines:
+        if line[0] == "write":
+            for cwd in cwds:
+                (cwd / line[1]).write_text(line[2].replace("\\n", "\n"), encoding="utf-8")
+            continue
+        for command in bench_commands(int(line[1]), cwds) if line[0] == "bench" else [line]:
+            total += 1
+            before, after = (run(command, src, cwd) for src, cwd in zip(trees, cwds))
+            if before == after:
+                same += 1
+            else:
+                differing.append((command, before, after))
+    return same, total, differing
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, help="git revision to compare with")
     args = parser.parse_args(argv)
 
     trees = (archive(args.against), ROOT / "src")
-    cwd = WORK / "cwd"
-    shutil.rmtree(cwd, ignore_errors=True)
-    cwd.mkdir(parents=True)
-    same, differing, total = 0, [], 0
-    for line in corpus_lines(CORPUS):
-        if line[0] == "write":
-            (cwd / line[1]).write_text(line[2].replace("\\n", "\n"), encoding="utf-8")
-            continue
-        for command in bench_commands(int(line[1]), cwd) if line[0] == "bench" else [line]:
-            total += 1
-            before, after = (run(command, src, cwd) for src in trees)
-            if before == after:
-                same += 1
-            else:
-                differing.append((command, before, after))
+    same, total, differing = compare(corpus_lines(CORPUS), trees, WORK)
     print(f"{same} of {total} identical")
     for command, before, after in differing:
         print(f"--- {shlex.join(command)}")
