@@ -14,18 +14,17 @@ recovers the retained coefficients.
 A ProblemInstance holds only the fields of its JSON file (eigenvalues, betas,
 f_true, g_noisy, eps, E, seed, noise_mode); g_clean and noise are derived.
 
-One overflow contract decides whether an input lies in the admissible class.
-A square of user-scale data ((eps/E)^2, and in the stability layer beta_k^2 and
-lambda_k^2) is formed by _square, which first checks that every |x| lies in
-[sqrt(tiny), sqrt(max)] and otherwise raises a ValueError naming the quantity
-and the first bad mode k (or eps and E).  A sum of squares is read through its
-root, from _norm, which forms ||w x|| = r 2^h in exact powers of two (_norm_pair)
-and scales back with _ldexp: bit for bit sqrt(sum(w^2 x^2)) in range, and inf,
-not nan, beyond it.  The budget ||beta f|| <= E, the noise check, the rescaling
-in synthesize_problem, feasibility_check's misfit and minimum, the residual
-norms, weak_pairing's bound and infotheory's point distances all go through it,
-and the truncation rules compare lambda_k E with eps beta_k from mantissas, so
-they compare true values at every finite E > 0 and print no warning.
+One overflow contract decides whether an input lies in the admissible class,
+at every finite eps and E > 0, from four primitives.  _square forms a square of
+user-scale data ((eps/E)^2, and in the stability layer beta_k^2 and lambda_k^2)
+once every |x| lies in [sqrt(tiny), sqrt(max)], and otherwise raises a
+ValueError naming the quantity and the first bad mode k (or eps and E).
+_scaled forms a product or quotient as m 2^x from mantissas and exponents, so
+it need not be a double itself; _norm_pair forms ||w x 2^e|| = r 2^h the same
+way, and _norm reads it as a double (bit for bit sqrt(sum(w^2 x^2)) in range).
+_ldexp scales a pair back: inf, with no warning, beyond the largest double.  A
+zero is m = 0 with the exponent _ZERO, below every nonzero value's, so a test
+of an exponent against 1024 needs no mask for zeros.
 """
 
 from __future__ import annotations
@@ -62,6 +61,7 @@ _SQRT_TINY, _SQRT_MAX = math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(floa
 # by a few ulps in rounded entries: 1e-9 on ||n|| <= eps and on feasibility_check's minimum
 # ||beta f|| <= E, and 5e-10 (1e-9 squared) on an instance's ||beta f|| <= E.
 _NOISE_RTOL, _BUDGET_RTOL = 1e-9, 5e-10
+_ZERO = -2**30  # the exponent of a zero in _scaled and _norm_pair: below every nonzero one's
 
 
 def parse_constraint(text: str, count: int) -> np.ndarray:
@@ -162,20 +162,33 @@ def _ldexp(x, e):
     return float(out) if out.ndim == 0 else out
 
 
-def _norm_pair(x, w=1.0):
-    """(r, h) with ||w x|| = r 2^h over the last axis (w a float or weights that broadcast
-    against x), summed from mantissas at the largest power of two: r is 0 or in [1/4, sqrt(n))."""
+def _scaled(num, den=(), e=0):
+    """(m, x) with m 2^x = prod(num) / prod(den) 2^e, from mantissas left to right and in place
+    (num[0] has the result's shape): |m| in [1/2, 1), or m = 0 and x = _ZERO where a factor is 0."""
+    m, x = map(np.asarray, np.frexp(num[0]))
+    x += e
+    for i, (mv, ev) in enumerate(map(np.frexp, (*num[1:], *den)), 1):
+        (np.multiply if i < len(num) else np.divide)(m, mv, out=m)
+        (np.add if i < len(num) else np.subtract)(x, ev, out=x)
+    x += np.frexp(m, out=(m, None))[1]
+    x[m == 0] = _ZERO
+    return m, x
+
+
+def _norm_pair(x, w=1.0, e=0):
+    """(r, h) with ||w x 2^e|| = r 2^h over the last axis (w, e broadcast to x's shape), summed in
+    place from mantissas at the largest power of two: r is 0 or in [1/4, sqrt(n))."""
     (mx, ex), (mw, ew) = np.frexp(x), np.frexp(w)
-    terms, exp = (mw * mw) * (mx * mx), 2 * (ex + ew)
-    # top is even, so the root scales by 2^(top/2); no nonzero term has 2(e_x + e_w) < -4400.
-    top = np.max(exp, axis=-1, where=terms != 0, initial=-4400, keepdims=True)
-    return np.sqrt(np.sum(np.ldexp(terms, exp - top), axis=-1)), top[..., 0] // 2
+    terms, exp = np.multiply(np.multiply(mx, mx, out=mx), mw * mw, out=mx), 2 * (ex + (ew + e))
+    # top is even, so the root scales by 2^(top/2); it is _ZERO where every term is 0.
+    top = np.max(exp, axis=-1, where=terms != 0, initial=_ZERO, keepdims=True)
+    return np.sqrt(np.sum(np.ldexp(terms, exp - top, out=terms), axis=-1)), top[..., 0] // 2
 
 
-def _norm(x, w=1.0):
-    """||w x|| from _norm_pair: bit for bit sqrt(sum(w^2 x^2)) in range, and inf with no
+def _norm(x, w=1.0, e=0):
+    """||w x 2^e|| from _norm_pair: bit for bit sqrt(sum(w^2 x^2)) in range, and inf with no
     warning above.  A vector gives a float, a stack an array."""
-    return _ldexp(*_norm_pair(x, w))
+    return _ldexp(*_norm_pair(x, w, e))
 
 
 def _bisect(below, lo: float, hi: float) -> float:
@@ -200,9 +213,9 @@ def truncation_weighted(eigenvalues, beta, eps: float, E: float) -> int:
     eps beta_k on mantissas and exponents, so neither eps / E nor a product has to be a double."""
     lam = _validate_eigenvalues(eigenvalues)
     _check_scales(eps, E, noise_free=True)
-    (ml, el), (mb, eb), (mE, eE), (me, ee) = map(np.frexp, (lam, _weights(beta, lam.size), E, eps))
-    # Both mantissa products lie in [1/4, 1) (eps beta_k may be 0): a gap of 2 exponents decides.
-    hits = np.nonzero(np.ldexp(ml * mE, np.clip(el + eE - eb - ee, -2, 2)) >= me * mb)[0]
+    (ml, xl), (mr, xr) = _scaled((lam, E)), _scaled((_weights(beta, lam.size), eps))
+    # Both mantissas lie in [1/2, 1) (eps beta_k may be 0): a gap of one exponent decides.
+    hits = np.nonzero(np.ldexp(ml, np.clip(xl - xr, -1, 1)) >= mr)[0]
     return int(hits[-1] + 1) if hits.size else 0
 
 
@@ -303,8 +316,7 @@ def truncated_solution(instance: ProblemInstance, rule: str) -> Reconstruction:
         cutoff = truncation_weighted(lam, instance.betas, instance.eps, instance.E)
     else:
         raise ValueError("rule must be 'k1' or 'k2'")
-    (mg, eg), (ml, el) = np.frexp(instance.g_noisy[:cutoff]), np.frexp(lam[:cutoff])
-    bad = np.flatnonzero((np.frexp(mg / ml)[1] + eg - el > 1024) & (mg != 0))  # as for lambda f
+    bad = np.flatnonzero(_scaled((instance.g_noisy[:cutoff],), (lam[:cutoff],))[1] > 1024)
     if bad.size:
         raise ValueError(f"fhat_k = gbar_k / lambda_k overflows at k = {bad[0] + 1}")
     coeff = np.zeros(lam.size)
@@ -386,21 +398,17 @@ def synthesize_problem(
     r, h = _norm_pair(f, betas)  # ||beta f|| = r 2^h
     why = "f is zero" if tight and r == 0 else ""
     if not why and (tight or _ldexp(r, h) > E):
-        # f_k E / ||beta f|| = (m_k m_E / r) 2^(e_k + e_E - h): finite while the exponent <= 1024.
-        (mE, eE), (mf, ef) = np.frexp(E), np.frexp(f)
-        mant, exp = np.frexp(mf * (mE / r))
-        exp = exp + ef + eE - h
+        # f_k E / ||beta f|| = f_k scale 2^x = mant_k 2^exp_k: finite while exp_k <= 1024.
+        scale, x = _scaled((E,), (r,), -h)
+        mant, exp = _scaled((f, scale), (), x)
         f = np.ldexp(mant, np.minimum(exp, 1024))
         r, h = _norm_pair(f, betas)  # meets E to the budget's allowance unless f underflowed
-        why = ("the rescaled f overflows" if np.any(exp > 1024, where=mant != 0) else
-               "the rescaled f underflows" if abs(_ldexp(r / mE, h - eE) - 1.0) > _BUDGET_RTOL
-               else "")
+        why = ("the rescaled f overflows" if np.any(exp > 1024) else "the rescaled f underflows"
+               if abs(_ldexp(*_scaled((r,), (E,), h)) - 1.0) > _BUDGET_RTOL else "")
     if why:
         raise InfeasibleSpecError(f"cannot meet the constraint budget with equality: {why}")
 
-    # lambda_k f_k = (m_k f_k) 2^e_k, m_k in [1/2, 1): finite while its exponent is <= 1024.
-    mant, exp2 = np.frexp(lam)
-    bad = np.flatnonzero(np.frexp(mant * f)[1] + exp2 > 1024)
+    bad = np.flatnonzero(_scaled((lam, f))[1] > 1024)  # lambda_k f_k = m 2^x overflows
     if bad.size:
         raise InfeasibleSpecError(f"lambda_k f_k overflows at k = {bad[0] + 1}, "
                                   "so the data cannot be formed")
@@ -442,29 +450,24 @@ def feasibility_check(instance: ProblemInstance) -> FeasibilityResult:
     (1 + x_k^2) grows with t, and beta_k f_k is gbar_k x_k / (t (1 + x_k^2)), or
     gbar_k / (rho_k (1 + x_k^-2)) where x_k >= 1.  log2 t is bisected over
     every scale the rho_k can give, and each term is kept as a mantissa and an
-    integer exponent, split between the two factors of _norm, so neither t,
+    integer exponent, which _norm takes as its exponent argument, so neither t,
     rho_k nor any square has to be a double.
     """
     g, eps = instance.g_noisy, instance.eps
     if _norm(g) <= eps:
         return FeasibilityResult(True, 0.0)
-    (mg, eg), (ml, el), (mb, eb) = map(np.frexp, (g, instance.eigenvalues, instance.betas))
-    m, e = ml / mb, el - eb  # rho_k = m_k 2^e_k
-
-    def norm(mant, exp):  # ||mant 2^exp||: a term beyond 2^(+-2000) reads 0 or inf either way
-        exp = np.clip(exp, -2000, 2000)
-        return _norm(np.ldexp(mant, exp // 2), np.ldexp(1.0, exp - exp // 2))
+    (mg, eg), (m, e) = np.frexp(g), _scaled((instance.eigenvalues,), (instance.betas,))  # rho_k
 
     def terms(S: float, sigma: float):
         """x_k >= 1, 1 + min(x_k, 1/x_k)^2, and x_k = c_k 2^d_k, at t = 2^(S + sigma), S whole."""
         c, d = m / 2.0**sigma, e - int(S)
-        fit = np.ldexp(c, np.minimum(d, 3)) >= 1.0  # c_k > 1/8, so d_k >= 3 fits
+        fit = np.ldexp(c, np.minimum(d, 3)) >= 1.0  # c_k >= 1/8, so d_k >= 3 fits
         z = np.ldexp(np.where(fit, 1.0 / c, c), np.where(fit, -d, d))  # at most 1: no overflow
         return fit, 1.0 + z * z, c, d
 
     def fits(S: float, sigma: float) -> bool:  # the misfit at t = 2^(S + sigma) is at most eps
         fit, den, c, d = terms(S, sigma)
-        return norm(mg / den / np.where(fit, c * c, 1.0), eg - np.where(fit, 2 * d, 0)) <= eps
+        return _norm(mg / den / np.where(fit, c * c, 1.0), 1.0, eg - np.where(fit, 2 * d, 0)) <= eps
 
     # Every x_k is above 2^1099 at the lower end and below 2^-1099 at the upper one.  The
     # first pass bisects log2 t + 2^42, whose doubles are 2^-10 apart, to find S; the
@@ -475,7 +478,7 @@ def feasibility_check(instance: ProblemInstance) -> FeasibilityResult:
     sigma = _bisect(lambda sigma: fits(S, sigma), -1.0, 2.0)
     fit, den, c, d = terms(S, sigma)
     size = np.where(fit, 1.0 / m, c / 2.0**sigma) / den
-    min_norm = norm(mg * size, eg + np.where(fit, -e, d - S))
+    min_norm = _norm(mg * size, 1.0, eg + np.where(fit, -e, d - S))
     return FeasibilityResult(_within(min_norm, instance.E, _NOISE_RTOL), min_norm)
 
 
@@ -500,15 +503,13 @@ def _residual_report(instance: ProblemInstance, rec: Reconstruction, betas: np.n
     lam, eps, E, u = instance.eigenvalues, instance.eps, instance.E, math.ulp(1.0)
     fhat = rec.coefficients
     diff = instance.f_true - fhat
-    (me, ee), (mE, eE) = np.frexp(eps), np.frexp(E)
     image, (r, h) = _norm(diff, lam), _norm_pair(diff, betas)
-    constr, scaled = _ldexp(r, h), _ldexp(me * r / mE, ee + h - eE)  # (eps/E) constr, at any scale
+    constr, scaled = _ldexp(r, h), _ldexp(*_scaled((eps, r), (E,), h))  # (eps/E) constr
     combined = image * image + scaled * scaled
 
     rounding = _norm(instance.g_noisy, u)
-    excess = _NOISE_RTOL * eps + rounding
-    (mb, eb), (ml, el) = np.frexp(betas[:rec.cutoff]), np.frexp(lam[:rec.cutoff])
-    amplified = float(np.max(_ldexp(excess * mb / ml, eb - el), initial=0.0))
+    m, x = _scaled((betas[:rec.cutoff], _NOISE_RTOL * eps + rounding), (lam[:rec.cutoff],))
+    amplified = float(np.max(_ldexp(m, x), initial=0.0))
     sqrt2 = math.sqrt(2.0)
     ok = (_within(image / sqrt2, eps, _NOISE_RTOL, rounding + _norm(u * fhat, lam))
           and _within(constr / sqrt2, E, _BUDGET_RTOL, amplified + _norm(u * fhat, betas)))

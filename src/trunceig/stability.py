@@ -21,7 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .kernels import _preset
-from .regularize import _bisect, _check_scales, _ldexp, _square, _validate_eigenvalues, _weights
+from .regularize import (_bisect, _check_scales, _ldexp, _scaled, _square, _validate_eigenvalues,
+                         _weights)
 
 __all__ = [
     "PFunction",
@@ -140,16 +141,15 @@ def stability_sup_exact(eigenvalues, beta, eps: float, E: float) -> float:
     """
     lam = _validate_eigenvalues(eigenvalues)
     _check_scales(eps, E)
-    mr, er = math.frexp(_square(eps / E, "(eps/E)^2", f"eps = {eps:g}, E = {E:g}"))
-    ma, ea = np.frexp(_square(lam, "lambda_k^2"))
-    mb, eb = np.frexp(_square(_weights(beta, lam.size), "beta_k^2"))
-    ea = ea - er
-    # Every point has max(x, y) above 2^(max(e_a, e_b) - 1), so the minimum lies in
-    # (2^(top - 2), 2^(top + 1)).  A point with a coordinate above 2^(top + 500) moves
+    ratio2 = _square(eps / E, "(eps/E)^2", f"eps = {eps:g}, E = {E:g}")
+    ma, ea = _scaled((_square(lam, "lambda_k^2"),), (ratio2,))
+    mb, eb = _scaled((_square(_weights(beta, lam.size), "beta_k^2"),))
+    # Every point has max(x, y) in [2^(max(e_a, e_b) - 1), 2^max(e_a, e_b)), so the minimum lies
+    # in [2^(top - 2), 2^top).  A point with a coordinate above 2^(top + 500) moves
     # it by under 2^-498 relative and is dropped; the rest, divided by 2^top, are finite.
     top = int(np.min(np.maximum(ea, eb)))
     keep = np.maximum(ea, eb) <= top + 500
-    a = np.ldexp(ma[keep] / mr, ea[keep] - top)
+    a = np.ldexp(ma[keep], ea[keep] - top)
     b = np.ldexp(mb[keep], eb[keep] - top)
 
     order = np.lexsort((b, a))
@@ -172,8 +172,7 @@ def stability_sup_exact(eigenvalues, beta, eps: float, E: float) -> float:
         best = min(best, float(np.min(num[crosses] / (d[:-1] - d[1:])[crosses])))
     # sup = E / sqrt(best 2^top), scaled back from the mantissa of E.
     half, odd = divmod(top, 2)
-    mE, eE = math.frexp(E)
-    return _ldexp(mE / math.sqrt(math.ldexp(best, odd)), eE - half)
+    return _ldexp(*_scaled((E,), (math.sqrt(math.ldexp(best, odd)),), -half))
 
 
 @dataclass

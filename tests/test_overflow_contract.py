@@ -9,7 +9,10 @@ synthesize_problem's exit class (also where its noise sum overflows), both
 truncation cutoffs, check_condition's verdict or its exit-2 gates, and the
 residual report's and feasibility_check's verdicts near the largest double; and that
 weak_pairing's bound, feasibility_check's minimum norm, the residual report's
-combined value and entropy's bits are true at every scale.  Tier-1 runs
+combined value and entropy's bits are true at every scale.  The primitives
+beneath them are checked too: _scaled's products and quotients against
+fractions.Fraction, and _norm_pair's exponent argument against the decimal
+sum of squares, both far beyond the double range.  Tier-1 runs
 with warnings as errors, so a leaked RuntimeWarning fails here too.  A
 verdict that lies within rounding of its threshold is undecidable in
 doubles; such draws are counted, must stay rare, and are not asserted.
@@ -20,6 +23,7 @@ import functools
 import math
 import re
 from decimal import Decimal as D
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -31,6 +35,7 @@ from trunceig import (
     Reconstruction,
     check_condition,
     feasibility_check,
+    identity_rule_residuals,
     make_noise,
     parse_constraint,
     parse_kernel,
@@ -42,6 +47,7 @@ from trunceig import (
     weighted_rule_residuals,
 )
 from trunceig.cli import main
+from trunceig.regularize import _ZERO, _norm_pair, _scaled
 
 CTX = decimal.Context(prec=50, Emax=999999, Emin=-999999)
 TINY = D(float(np.finfo(float).tiny))
@@ -322,6 +328,15 @@ def test_residual_verdict_near_the_largest_double(negate):
     assert weighted_rule_residuals(inst, rec).ok == want
 
 
+def test_residual_verdict_where_the_noise_allowance_is_zero():
+    # eps = 0 and gbar = 0 leave no noise to amplify, yet 0 beta_1 / lambda_1 with beta_1 /
+    # lambda_1 = 1e310 read as an infinite allowance and passed constr = 1e-200 > sqrt(2) E.
+    inst = ProblemInstance([1e-310], [1e-10], [1e-200], [0.0], 0.0, 1e-210, seed=0)
+    rec = truncated_solution(inst, "k1")
+    assert _residual_oracle(inst, rec, np.ones(1)) is False
+    assert identity_rule_residuals(inst, rec).ok is False
+
+
 def test_synthesis_where_the_noise_scale_overflows():
     # At eps = 1.7e308, eps / ||draws|| overflows, so the noise is scaled as
     # (n / ||n||) (s eps); the data lambda_1 f_1 + n_1, with f_1 = 1e308 (to within
@@ -548,3 +563,85 @@ def test_entropy_bits_where_E_lambda_over_eps_overflows(capsys, argv):
         assert (k1, k2) == ("100", "100")  # E / eps passes every mode
         want = sum((E * x / D(float(eps))).ln() for x in lam) / D(2).ln()
         assert bits_k1 == bits_k2 == f"{float(want):.9g}"
+
+
+def _doubles(rng, size):
+    """Doubles of either sign from the least subnormal to the largest double, zeros apart."""
+    mags = np.ldexp(rng.uniform(1.0, 2.0, size), rng.integers(-1074, 1024, size))
+    ends = rng.random(size)
+    mags = np.where(ends < 0.05, 5e-324, np.where(ends > 0.95, np.finfo(float).max, mags))
+    return rng.choice([-1.0, 1.0], size) * mags
+
+
+def _scaled_exact(num, den, e):
+    q = F(2) ** e
+    for v in num:
+        q *= F(float(v))
+    for v in den:
+        q /= F(float(v))
+    return q
+
+
+def _check_scaled(num, den, e=0):
+    m, x = _scaled(num, den, e)
+    assert 0.5 <= abs(m) < 1.0
+    exact = _scaled_exact(num, den, e)
+    # k factors take k - 1 roundings of at most u = 2^-53 each; frexp and the exponents are exact.
+    slack = (1 + F(1, 2**53)) ** (len(num) + len(den) - 1) - 1
+    assert abs(F(float(m)) * F(2) ** int(x) - exact) <= slack * abs(exact), (num, den, e)
+
+
+@pytest.mark.parametrize("num, den", [((1e300, 1e300), (1e-300,)), ((1e-300,), (1e300, 1e300)),
+                                      ((5e-324, 5e-324), (1.7976931348623157e308,)),
+                                      ((1.7976931348623157e308,) * 3, (5e-324,))])
+def test_scaled_far_outside_the_double_range(num, den):
+    _check_scaled(num, den)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_scaled_agrees_with_fractions(k):
+    rng = np.random.default_rng(1902 + k)
+    for _ in range(DRAWS):
+        values = _doubles(rng, k).tolist()
+        split = int(rng.integers(1, k + 1))  # at least one numerator
+        _check_scaled(values[:split], values[split:], int(rng.integers(-3000, 3001)))
+
+
+def test_scaled_zero_convention():
+    # A zero factor anywhere among the numerators gives m = 0 with the one exponent _ZERO,
+    # which lies below that of the least nonzero value four factors can give.
+    for num in ((0.0, 1e300), (1e300, -0.0, 5e-324), (5e-324, 0.0)):
+        m, x = _scaled(num, (1e-300,), 2000)
+        assert m == 0 and x == _ZERO
+    assert _ZERO < _scaled((5e-324, 5e-324), (1.7976931348623157e308,) * 2, -3000)[1]
+
+
+def test_scaled_arrays_agree_with_scalar_calls():
+    rng = np.random.default_rng(31)
+    n = 200
+    a, b, c = _doubles(rng, n), _doubles(rng, n), _doubles(rng, n)
+    a[rng.random(n) < 0.2] = 0.0
+    e = rng.integers(-2000, 2001, n)
+    m, x = _scaled((a, 3.5e-200), (b, c), e)
+    for i in range(n):
+        mi, xi = _scaled((float(a[i]), 3.5e-200), (float(b[i]), float(c[i])), int(e[i]))
+        assert (m[i], x[i]) == (mi, xi) and math.copysign(1, m[i]) == math.copysign(1, mi)
+
+
+def test_norm_pair_exponent_agrees_with_decimal():
+    # The exponent argument e takes ||w x 2^e|| to 2^(+-6000); feasibility_check's terms
+    # once went through a helper that clipped their exponents to +-2000.
+    rng = np.random.default_rng(2000)
+    for i in range(DRAWS // 4):
+        n = int(rng.integers(1, 9))
+        x, w = _doubles(rng, n), np.abs(_doubles(rng, n))
+        x[rng.random(n) < 0.2] = 0.0
+        base = int(rng.choice([-6000, -2500, 0, 2500, 6000]))
+        e = base + rng.integers(-300, 301, n) if i % 2 else base
+        r, h = _norm_pair(x, w, e)
+        want = sum(((D(float(wk)) * D(float(xk)) * D(2) ** int(ek)) ** 2
+                    for wk, xk, ek in zip(w, x, np.broadcast_to(e, n))), D(0)).sqrt()
+        if want == 0:
+            assert r == 0.0 and h == _ZERO // 2
+        else:
+            assert abs(D(float(r)) * D(2) ** int(h) / want - 1) < D("1e-14"), (x, w, e)

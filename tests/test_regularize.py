@@ -84,11 +84,13 @@ def test_truncation_keeps_boundary_ties():
     assert truncation_weighted(lam, np.array([1.0, 1.0, 1.0]), 0.25, 1.0) == 3
 
 
-def test_truncation_where_the_cap_on_the_weights_is_subnormal_or_zero():
-    # lambda_1 / (eps / E) = 1e-325 rounds to zero, yet (eps / E) beta_k = 1e305 > lambda_k.
+def test_truncation_compares_lambda_E_with_eps_beta_where_a_ratio_leaves_the_range():
+    # lambda_k E = 1e-21, 1e-22 lie below eps beta_k = 1e304, though lambda_1 / (eps / E) = 1e-325
+    # would round to zero.
     assert truncation_weighted([1e-20, 1e-21], [1.0, 1.0], 1e304, 0.1) == 0
     assert truncation_identity([1e-20, 1e-21], 1e304, 0.1) == 0
-    # Here the cap 2 lambda_1 / (eps / E) = 2e-323 is subnormal and above beta_k = 5e-324.
+    # eps beta_k = 1e302 * 5e-324 = 4.9e-22 lies between lambda_1 E = 1e-21 and lambda_2 E = 1e-22,
+    # with beta_k subnormal.
     assert truncation_weighted([1e-20, 1e-21], [5e-324, 5e-324], 1e302, 0.1) == 1
 
 
