@@ -1,15 +1,17 @@
 """Command-line driver.
 
 Commands operate on a kernel (or a saved problem instance) and return CSV,
-which main alone writes to stdout or into --output.  Floats are rendered
-with 9 significant digits in CSV and as Python's shortest round-trip repr in
-JSON, so identical inputs and seeds give byte-identical output.
-Commands that draw noise take a single --seed; a sweep derives the seed for
-its i-th row as seed + i.
+which main alone writes to stdout or into --output.  A CSV cell is empty
+where a column has no value, true/false for a flag, the digits of an
+integer, and a float with 9 significant digits; JSON floats are Python's
+shortest round-trip repr, so identical inputs and seeds give byte-identical
+output.  Commands that draw noise take a single --seed; a sweep derives the
+seed for its i-th row as seed + i.
 
-Exit codes: 0 success, 2 argument or parse error (including a size above
-spectral.MAX_ORDER, or a discretization that did not resolve or converge),
-3 infeasible synthesis request, 4 I/O failure.
+Exit codes, all mapped in main: 0 success, 2 argument, config or parse error
+(including a size above spectral.MAX_ORDER, or a discretization that did not
+resolve or converge), 3 infeasible synthesis request, 4 I/O failure (an
+unreadable --config file included).
 
 Each command imports the modules it runs, so a process loads only those.
 """
@@ -17,6 +19,7 @@ Each command imports the modules it runs, so a process loads only those.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -33,21 +36,24 @@ __all__ = ["main"]
 MAX_MODES = 10**6
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if x is None:
-        return ""
-    return f"{float(x):.9g}"
+def _csv(header: str, *columns) -> str:
+    """The header line, then one line per row of the columns: arrays or lists of Python
+    scalars, of equal length, or None for empty cells (at least one column is not None).
+    Each column's kind is read once, from its first cell: bools give true/false, integers
+    their digits, and anything else a float with 9 significant digits."""
 
+    def cells(column):
+        if isinstance(column, np.ndarray):  # a memoryview yields Python scalars, and faster
+            column = memoryview(column)
+        first = next(iter(column), None)
+        if isinstance(first, bool):
+            return ("true" if x else "false" for x in column)
+        if isinstance(first, int):
+            return map(str, column)
+        return map("{:.9g}".format, column)
 
-def _csv(rows, header: str) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(cell) for cell in row))
-    return "\n".join(lines) + "\n"
+    rows = zip(*(itertools.repeat("") if c is None else cells(c) for c in columns))
+    return "\n".join([header, *map(",".join, rows), ""])  # "" ends the last line, with no copy
 
 
 def _float_list(text: str) -> list[float]:
@@ -112,24 +118,21 @@ def cmd_spectrum(args) -> str:
     spec = kernels.parse_kernel(args.kernel)
     lam = _system(spec, args)[: args.n_modes]
     k = np.arange(1, lam.size + 1)
-    if spec.analytic_eigenvalue is None:
-        rows = zip(k, lam, [None] * lam.size, [None] * lam.size)
-    else:
+    analytic = rel_err = None
+    if spec.analytic_eigenvalue is not None:
         analytic = spec.analytic_eigenvalue(k)
-        rows = zip(k, lam, analytic, np.abs(lam - analytic) / analytic)
-    return _csv(rows, "k,lambda,lambda_analytic,rel_err")
+        rel_err = np.abs(lam - analytic) / analytic
+    return _csv("k,lambda,lambda_analytic,rel_err", k, lam, analytic, rel_err)
 
 
 def cmd_truncate(args) -> str:
     from . import regularize
 
     lam, beta = _rule_inputs(args)
-    rows = []
-    for eps in _float_list(args.eps_grid):
-        k1 = regularize.truncation_identity(lam, eps, args.E)
-        k2 = regularize.truncation_weighted(lam, beta, eps, args.E)
-        rows.append((eps, k1, k2))
-    return _csv(rows, "eps,k1,k2")
+    eps_grid = _float_list(args.eps_grid)
+    cutoffs = [(regularize.truncation_identity(lam, eps, args.E),
+                regularize.truncation_weighted(lam, beta, eps, args.E)) for eps in eps_grid]
+    return _csv("eps,k1,k2", eps_grid, *zip(*cutoffs))
 
 
 def cmd_solve(args) -> str:
@@ -138,9 +141,9 @@ def cmd_solve(args) -> str:
     with open(args.instance, "r", encoding="utf-8") as handle:
         instance = regularize.ProblemInstance.from_json(handle.read())
     rec = regularize.truncated_solution(instance, args.rule)
-    rows = zip(range(1, instance.n_modes + 1), instance.eigenvalues, instance.betas,
-               instance.f_true, instance.g_noisy, rec.coefficients)
-    return _csv(rows, "k,lambda_k,beta_k,f_k,gbar_k,fhat_k")
+    return _csv("k,lambda_k,beta_k,f_k,gbar_k,fhat_k", range(1, instance.n_modes + 1),
+                instance.eigenvalues, instance.betas, instance.f_true, instance.g_noisy,
+                rec.coefficients)
 
 
 def _build_instance(lam, beta, eps, args, seed):
@@ -162,9 +165,9 @@ def cmd_sweep(args) -> str:
     lam, beta = _rule_inputs(args)
     pfun = stability.parse_pfunction(args.p)
     v = 1.0 / np.arange(1, lam.size + 1, dtype=float)
-    rows = []
-    for i, eps in enumerate(_float_list(args.eps_grid)):
-        instance = _build_instance(lam, beta, eps, args, args.seed + i)
+
+    def row(seed, eps):
+        instance = _build_instance(lam, beta, eps, args, seed)
         rec1 = regularize.truncated_solution(instance, "k1")
         rec2 = regularize.truncated_solution(instance, "k2")
         err_f2 = regularize._norm(instance.f_true - rec2.coefficients)
@@ -173,45 +176,27 @@ def cmd_sweep(args) -> str:
         report6 = regularize.weighted_rule_residuals(instance, rec2)
         report7 = regularize.identity_rule_residuals(instance, rec1)
         flow = infotheory.information_flow_comparison(lam, beta, eps, args.E)
-        rows.append(
-            (
-                eps,
-                rec1.cutoff,
-                rec2.cutoff,
-                weak_bound,
-                err_f2,
-                bound_m,
-                report6.ok,
-                report7.ok,
-                flow.report_k1.entropy_bits,
-                flow.report_k2.entropy_bits,
-            )
-        )
+        return (eps, rec1.cutoff, rec2.cutoff, weak_bound, err_f2, bound_m, report6.ok,
+                report7.ok, flow.report_k1.entropy_bits, flow.report_k2.entropy_bits)
+
     header = (
         "eps,k1,k2,err_f1_weak_bound,err_f2,bound_sqrt2_M,"
         "lemma6_ok,lemma7_ok,H_bits_k1,H_bits_k2"
     )
-    return _csv(rows, header)
+    return _csv(header, *zip(*map(row, itertools.count(args.seed), _float_list(args.eps_grid))))
 
 
 def cmd_entropy(args) -> str:
     from . import infotheory
 
     lam, beta = _rule_inputs(args)
-    rows = []
-    for eps in _float_list(args.eps_grid):
+
+    def row(eps):
         flow = infotheory.information_flow_comparison(lam, beta, eps, args.E)
-        rows.append(
-            (
-                eps,
-                flow.report_k1.cutoff,
-                flow.report_k1.entropy_bits,
-                flow.report_k2.cutoff,
-                flow.report_k2.entropy_bits,
-                flow.bit_difference,
-            )
-        )
-    return _csv(rows, "eps,k1,bits_k1,k2,bits_k2,bit_diff")
+        return (eps, flow.report_k1.cutoff, flow.report_k1.entropy_bits, flow.report_k2.cutoff,
+                flow.report_k2.entropy_bits, flow.bit_difference)
+
+    return _csv("eps,k1,bits_k1,k2,bits_k2,bit_diff", *zip(*map(row, _float_list(args.eps_grid))))
 
 
 def cmd_stability(args) -> str:
@@ -221,14 +206,11 @@ def cmd_stability(args) -> str:
     pfun = stability.parse_pfunction(args.p)
     eps_grid = _float_list(args.eps_grid)
     ok, _ = stability.check_condition(lam, beta, pfun)  # free of eps
-    rows = []
-    sups = []
-    for eps in eps_grid:
-        bound = stability.stability_bound(eps, args.E, pfun)
-        sup = stability.stability_sup_exact(lam, beta, eps, args.E)
-        rows.append((eps, bound, sup, ok))
-        sups.append(sup)
-    text = _csv(rows, "eps,bound,exact_sup,condition_ok")
+    # Any eps that makes stability_sup_exact raise makes stability_bound raise with the same
+    # message (one scale check and one (eps/E)^2 gate), so the first error is the first bound's.
+    bounds = [stability.stability_bound(eps, args.E, pfun) for eps in eps_grid]
+    sups = [stability.stability_sup_exact(lam, beta, eps, args.E) for eps in eps_grid]
+    text = _csv("eps,bound,exact_sup,condition_ok", eps_grid, bounds, sups, [ok] * len(sups))
     try:
         fit = stability.classify_continuity(np.asarray(eps_grid), np.asarray(sups))
         text += (
@@ -376,49 +358,43 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, commands.choices
 
 
-def main(argv=None) -> int:
-    parser, commands = _build_parser()
-
+def _apply_config(argv, commands) -> None:
+    """Make the JSON object of argv's --config file, if any, the option defaults of every
+    subcommand: an OSError where the file cannot be read, a ValueError where it is not a
+    JSON object or a key or value is not an option's."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config", default=None)
-    known, _ = pre.parse_known_args(argv)
-    if known.config is not None:
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return
+    with open(path, "r", encoding="utf-8") as handle:
         try:
-            with open(known.config, "r", encoding="utf-8") as handle:
-                defaults = json.load(handle)
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 4
+            defaults = json.load(handle)
         except ValueError as exc:
-            print(f"error: bad config JSON: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(defaults, dict):
-            print("error: config must be a JSON object", file=sys.stderr)
-            return 2
-        options = {action.dest for sub in commands.values() for action in sub._actions}
-        unknown = [key for key in defaults if key not in options]
-        if unknown:
-            print(f"error: unknown config key {unknown[0]!r}", file=sys.stderr)
-            return 2
-        for sub in commands.values():
-            try:
-                sub.set_defaults(**{key: _config_text(key, value, sub.get_default(key))
-                                    for key, value in defaults.items()})
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+            raise ValueError(f"bad config JSON: {exc}") from None
+    if not isinstance(defaults, dict):
+        raise ValueError("config must be a JSON object")
+    options = {action.dest for sub in commands.values() for action in sub._actions}
+    unknown = [key for key in defaults if key not in options]
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r}")
+    for sub in commands.values():
+        sub.set_defaults(**{key: _config_text(key, value, sub.get_default(key))
+                            for key, value in defaults.items()})
 
+
+def main(argv=None) -> int:
+    parser, commands = _build_parser()
     try:
+        _apply_config(argv, commands)
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    try:
         text = args.func(args)
         with (nullcontext(sys.stdout) if args.output is None
               else open(args.output, "w", encoding="utf-8")) as handle:
             handle.write(text)
         return 0
+    except SystemExit as exc:  # argparse's exit, after it printed help or a usage error
+        return int(exc.code or 0)
     except InfeasibleSpecError as exc:
         print(f"error: infeasible request: {exc}", file=sys.stderr)
         return 3

@@ -531,9 +531,13 @@ def identity_rule_residuals(instance: ProblemInstance, rec: Reconstruction) -> R
 
 
 def weak_pairing(instance: ProblemInstance, rec: Reconstruction, v) -> tuple[float, float]:
-    """Pairing |sum (f_k - fhat_k) v_k| and its Schwarz bound.
+    """Pairing |sum (f_k - fhat_k) v_k| and its Schwarz bound, both inf with no warning
+    above the largest double.
 
-    The bound 2 eps sqrt(sum v_k^2 / (lambda_k^2 + (eps/E)^2)) is read from _norm with
+    The pairing takes f_k - fhat_k from the two mantissas aligned at the larger exponent,
+    and sums its products with v_k (from _scaled) at the largest power of two, so no
+    difference, product or partial sum leaves the range.
+    The bound 2 eps sqrt(sum v_k^2 / (lambda_k^2 + (eps/E)^2)) is read from _norm_pair with
     weights 1 / hypot(lambda_k 2^e, eps/E 2^e), times eps 2^e, where 2^e brings eps/E
     into (1/2, 2) but keeps lambda_1 2^e below 2^1023: no square leaves the range, and
     a weight overflows only where lambda_1 / max(lambda_k, eps/E) exceeds 2^2046.
@@ -542,10 +546,14 @@ def weak_pairing(instance: ProblemInstance, rec: Reconstruction, v) -> tuple[flo
     if v.shape != instance.f_true.shape:
         raise ValueError("need one pairing coefficient per mode")
     _check_scales(instance.eps)
-    diff = instance.f_true - rec.coefficients
-    pairing = abs(float(np.sum(diff * v)))
+    (mf, xf), (mh, xh) = np.frexp(instance.f_true), np.frexp(rec.coefficients)
+    xd = np.maximum(xf, xh)
+    m, x = _scaled((np.ldexp(mf, xf - xd) - np.ldexp(mh, xh - xd), v), (), xd)
+    top = np.max(x)
+    pairing = _ldexp(*_scaled((abs(float(np.sum(np.ldexp(m, x - top, out=m)))),), (), top))
     (m_eps, e_eps), (m_E, e_E) = np.frexp(instance.eps), np.frexp(instance.E)
     e = min(e_E - e_eps, 1023 - int(np.frexp(instance.eigenvalues[0])[1]))
     ratio = np.ldexp(m_eps / m_E, e - e_E + e_eps)
     weights = 1.0 / np.hypot(np.ldexp(instance.eigenvalues, e), ratio)
-    return pairing, _ldexp(m_eps * _norm(v, weights), e_eps + e + 1)
+    r, h = _norm_pair(v, weights)
+    return pairing, _ldexp(*_scaled((m_eps, r), (), e_eps + e + 1 + h))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from trunceig import check_condition, parse_constraint, parse_kernel, parse_pfunction, spectral
-from trunceig.cli import MAX_MODES, _build_parser, main
+from trunceig.cli import MAX_MODES, _build_parser, _csv, main
 from trunceig.errors import ConvergenceError
 from trunceig.regularize import truncation_identity, truncation_weighted
 from trunceig.spectral import MAX_ORDER
@@ -308,6 +308,16 @@ def test_config_file_sets_defaults_but_flags_win(tmp_path):
     assert len(rows) == 2
 
 
+def test_csv_reads_each_column_kind_once():
+    text = _csv("none,flag,int,np_int,float", None, np.array([True, False, True]), [3, -4, 0],
+                np.array([5, 2**62, -1]), np.array([-0.0, 1e-300, 1e308]))
+    assert text == ("none,flag,int,np_int,float\n"
+                    ",true,3,5,-0\n"
+                    ",false,-4,4611686018427387904,1e-300\n"
+                    ",true,0,-1,1e+308\n")
+    assert _csv("k,lambda", np.arange(1, 1), np.zeros(0)) == "k,lambda\n"
+
+
 def test_default_output_is_stdout(capsys):
     rc = main(["truncate", "--kernel", "triangular", "--n-modes", "10",
                "--eps-grid", "1e-2"])
@@ -331,8 +341,11 @@ def test_exit_codes(tmp_path, capsys):
     list_cfg = tmp_path / "list.json"
     list_cfg.write_text("[1, 2]")
     assert main(["truncate", "--config", str(list_cfg)]) == 2
-    assert main(["truncate", "--config", str(tmp_path / "nope.json")]) == 4
+    assert main(["truncate", "--config"]) == 2
     capsys.readouterr()  # swallow the accumulated argparse chatter
+    assert main(["truncate", "--config", str(tmp_path / "nope.json")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: I/O failure: ") and "nope.json" in err
 
 
 @pytest.mark.parametrize("field", ["beta", "eigenvalues", "f_true", "g_noisy", "eps", "E"])

@@ -22,6 +22,7 @@ import decimal
 import functools
 import math
 import re
+import warnings
 from decimal import Decimal as D
 from fractions import Fraction as F
 
@@ -387,14 +388,40 @@ def test_weak_pairing_bound_where_its_squares_leave_the_range():
     # lambda_k to inf, its weight to 0 and the bound to 0.
     cases += [(np.array([1e200]), 1e-100, 1e20), (np.array([1.0]), 1e-160, 1e150),
               (np.array([1e300, 1e-300]), 1e-290, 1.0), (np.array([1e300, 1e-300]), 1e-320, 1.0)]
-    for lam, eps, E in cases:
-        m, v = lam.size, 1.0 / np.arange(1.0, lam.size + 1)
+    cases = [(lam, eps, E, 1.0 / np.arange(1.0, lam.size + 1)) for lam, eps, E in cases]
+    # The weighted norm, about 2e-297 / 2^1025, underflowed to 0 before it was
+    # scaled back by 2^1025, and the bound read inf.
+    cases.append((np.array([2.0**-10, 2.0**-11]), 0.5, 1.7e308, np.array([1e-300, 0.0])))
+    for lam, eps, E, v in cases:
+        m = lam.size
         inst = ProblemInstance(lam, np.ones(m), np.zeros(m), np.zeros(m), eps, E, seed=0)
         _, bound = weak_pairing(inst, truncated_solution(inst, "k1"), v)
         ratio2 = (D(eps) / D(E)) ** 2
         want = 2 * D(eps) * sum(D(vk) ** 2 / (D(lk) ** 2 + ratio2)
                                 for lk, vk in zip(lam, v)).sqrt()
         assert abs(D(bound) / want - 1) < D("1e-15"), (lam, eps, E)
+
+
+@pytest.mark.parametrize("f, v", [
+    ([1e300], [1e10]),  # |f_1 v_1| passes the largest double: the pairing is inf
+    ([1e300, -1e300], [1e10, 1e10]),  # the two terms overflow and cancel exactly
+    ([1e300, -1e300], [1e10, 1e10 * (1 - 2.0**-20)]),  # ... and leave about 9.5e303
+])
+def test_weak_pairing_where_its_terms_leave_the_range(f, v):
+    # The plain sum of (f_k - fhat_k) v_k overflowed with a RuntimeWarning, to
+    # inf - inf = nan where two terms cancel.  A cutoff-0 reconstruction keeps
+    # all of f in the difference.
+    f, v = np.array(f), np.array(v)
+    inst = ProblemInstance(np.ones(f.size), np.ones(f.size), f, f, 1.0, 1e301, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pairing, _ = weak_pairing(inst, Reconstruction("k1", 0, np.zeros(f.size)), v)
+    terms = [D(fk) * D(vk) for fk, vk in zip(f, v)]
+    want = abs(sum(terms))  # within rounding of each term, as a sum in doubles would be
+    if want > MAX:
+        assert pairing == math.inf
+    else:
+        assert abs(D(pairing) - want) <= f.size * MACH * sum(map(abs, terms))
 
 
 def _feasibility_exact(lam, beta, g, eps):
