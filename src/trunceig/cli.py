@@ -6,7 +6,9 @@ where a column has no value, true/false for a flag, the digits of an
 integer, and a float with 9 significant digits; JSON floats are Python's
 shortest round-trip repr, so identical inputs and seeds give byte-identical
 output.  Commands that draw noise take a single --seed; a sweep derives the
-seed for its i-th row as seed + i.
+seed for its i-th row as seed + i.  A subcommand's --config FILE holds option
+defaults: main reads it after the subcommand's own parse, never for --help, and
+parses argv again, so flags still win.
 
 Exit codes, all mapped in main: 0 success, 2 argument, config or parse error
 (including a size above spectral.MAX_ORDER, or a discretization that did not
@@ -206,10 +208,9 @@ def cmd_stability(args) -> str:
     pfun = stability.parse_pfunction(args.p)
     eps_grid = _float_list(args.eps_grid)
     ok, _ = stability.check_condition(lam, beta, pfun)  # free of eps
-    # Any eps that makes stability_sup_exact raise makes stability_bound raise with the same
-    # message (one scale check and one (eps/E)^2 gate), so the first error is the first bound's.
-    bounds = [stability.stability_bound(eps, args.E, pfun) for eps in eps_grid]
-    sups = [stability.stability_sup_exact(lam, beta, eps, args.E) for eps in eps_grid]
+    bounds, sups = zip(*[(stability.stability_bound(eps, args.E, pfun),
+                          stability.stability_sup_exact(lam, beta, eps, args.E))
+                         for eps in eps_grid])
     text = _csv("eps,bound,exact_sup,condition_ok", eps_grid, bounds, sups, [ok] * len(sups))
     try:
         fit = stability.classify_continuity(np.asarray(eps_grid), np.asarray(sups))
@@ -358,15 +359,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, commands.choices
 
 
-def _apply_config(argv, commands) -> None:
-    """Make the JSON object of argv's --config file, if any, the option defaults of every
+def _apply_config(path, commands) -> None:
+    """Make the JSON object of the --config file at path the option defaults of every
     subcommand: an OSError where the file cannot be read, a ValueError where it is not a
     JSON object or a key or value is not an option's."""
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", default=None)
-    path = pre.parse_known_args(argv)[0].config
-    if path is None:
-        return
     with open(path, "r", encoding="utf-8") as handle:
         try:
             defaults = json.load(handle)
@@ -386,8 +382,10 @@ def _apply_config(argv, commands) -> None:
 def main(argv=None) -> int:
     parser, commands = _build_parser()
     try:
-        _apply_config(argv, commands)
         args = parser.parse_args(argv)
+        if args.config is not None:  # the file's values become defaults, and flags still win
+            _apply_config(args.config, commands)
+            args = parser.parse_args(argv)
         text = args.func(args)
         with (nullcontext(sys.stdout) if args.output is None
               else open(args.output, "w", encoding="utf-8")) as handle:

@@ -154,26 +154,39 @@ def _preset(text: str, what: str, heads: dict) -> tuple[str, dict[str, float]]:
     return head, params
 
 
-def _from_json(raw, what: str, keys: tuple[str, ...], build):
-    """build(*values) of `keys` in a parsed JSON file.
+_JSON_KINDS = {"number": (int, float), "integer": int, "string": str}
 
-    The one shape check of a JSON file: raw must be an object holding every
-    key, and a TypeError from build, a field of the wrong type, becomes a
-    ValueError.  `what` names the file in error messages.
+
+def _from_json(raw, what: str, fields: dict[str, str], build):
+    """build(*values) of `fields`, each mapped to its JSON kind, in a parsed JSON file.
+
+    The one shape and type check of a JSON file: raw must be an object holding
+    every field.  A "number" is a JSON int or float, never a bool or a string,
+    and is passed as a float; an "integer" is a JSON int and a "string" a JSON
+    string.  An "array" is left to build, whose TypeError or OverflowError
+    becomes a ValueError.  `what` names the file in error messages.
     """
     if not isinstance(raw, dict):
         raise ValueError(f"{what} must be a JSON object")
-    missing = [key for key in keys if key not in raw]
+    missing = [key for key in fields if key not in raw]
     if missing:
         raise ValueError(f"{what} lacks {', '.join(missing)}")
+
+    def value(key, kind):
+        if kind == "array":
+            return raw[key]
+        if isinstance(raw[key], bool) or not isinstance(raw[key], _JSON_KINDS[kind]):
+            raise ValueError(f"{what} field of the wrong type: {key!r} must be a JSON {kind}")
+        return float(raw[key]) if kind == "number" else raw[key]
+
     try:
-        return build(*(raw[key] for key in keys))
-    except TypeError as exc:
+        return build(*map(value, fields, fields.values()))
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"{what} field of the wrong type: {exc}") from None
 
 
 def _tabulated(a, b, nodes, weights, samples) -> KernelSpec:
-    grid = QuadratureGrid(float(a), float(b), nodes, weights)
+    grid = QuadratureGrid(a, b, nodes, weights)
     return KernelSpec(TabulatedKernel(grid, samples), grid.a, grid.b, grid=grid)
 
 
@@ -185,8 +198,8 @@ def parse_kernel(text: str) -> KernelSpec:
             raise ValueError("tabulated kernel requires a file path")
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-        return _from_json(raw, "kernel table", ("a", "b", "nodes", "weights", "samples"),
-                          _tabulated)
+        return _from_json(raw, "kernel table", {"a": "number", "b": "number", "nodes": "array",
+                          "weights": "array", "samples": "array"}, _tabulated)
     head, params = _preset(text, "kernel", {"triangular": ((), ()), "sinc": (("c",), ("a", "b"))})
     if head == "triangular":
         return KernelSpec(triangular_kernel, 0.0, 1.0,

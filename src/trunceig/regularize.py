@@ -286,11 +286,9 @@ class ProblemInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "ProblemInstance":
-        def build(lam, beta, f_true, g_noisy, eps, E, seed, noise_mode):
-            return cls(lam, beta, f_true, g_noisy, float(eps), float(E), int(seed), str(noise_mode))
-
-        return _from_json(json.loads(text), "instance", ("eigenvalues", "beta", "f_true",
-                          "g_noisy", "eps", "E", "seed", "noise_mode"), build)
+        return _from_json(json.loads(text), "instance", {
+            "eigenvalues": "array", "beta": "array", "f_true": "array", "g_noisy": "array",
+            "eps": "number", "E": "number", "seed": "integer", "noise_mode": "string"}, cls)
 
 
 @dataclass

@@ -334,6 +334,7 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["truncate", "--output", str(tmp_path / "no-dir" / "x.csv")]) == 4
     assert main(["bogus-command"]) == 2
     assert main(["truncate", "--bogus-flag", "1"]) == 2
+    assert main(["simulate", "--n-modes", "2", "--f-coeffs", "1,2,3"]) == 2
 
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text("{not json")
@@ -346,6 +347,25 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["truncate", "--config", str(tmp_path / "nope.json")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: I/O failure: ") and "nope.json" in err
+
+
+@pytest.mark.parametrize("argv, code, usage, fragment", [
+    (["truncate", "--con", "derivative"], 2, "usage: trunceig truncate",
+     "ambiguous option: --con could match --config, --constraint"),
+    (["truncate", "--help", "--config", "MISSING"], 0, "usage: trunceig truncate", ""),
+    (["--config", "MISSING", "truncate"], 2, "usage: trunceig [-h]", "invalid choice: "),
+    (["truncate", "--config"], 2, "usage: trunceig truncate",
+     "argument --config: expected one argument"),
+], ids=["abbreviation", "help", "before-subcommand", "no-value"])
+def test_config_is_read_after_the_subcommand_parse(tmp_path, capsys, argv, code, usage, fragment):
+    # The subcommand's parser alone reads argv: it decides abbreviations, --help and where
+    # --config may stand, and no missing --config file is opened before it has.
+    argv = [str(tmp_path / "missing.json") if arg == "MISSING" else arg for arg in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    text = captured.out if code == 0 else captured.err
+    assert text.startswith(usage) and fragment in captured.err
+    assert "I/O failure" not in captured.err
 
 
 @pytest.mark.parametrize("field", ["beta", "eigenvalues", "f_true", "g_noisy", "eps", "E"])
@@ -612,13 +632,29 @@ def test_solve_where_eps_over_E_underflows(tmp_path, capsys, rule, fhat):
     assert capsys.readouterr().out.splitlines()[1] == f"1,1e-300,1e+200,0,1e-300,{fhat}"
 
 
+def _instance_text(**fields):
+    """A valid one-mode instance, with `fields` in place of its own."""
+    return json.dumps({"eigenvalues": [1.0], "beta": [1.0], "f_true": [0.0], "g_noisy": [0.0],
+                       "eps": 0.1, "E": 1.0, "seed": 0, "noise_mode": "flat", **fields})
+
+
 @pytest.mark.parametrize("text, err", [
     ('{"eigenvalues": [1.0]}', "error: instance lacks beta, f_true, g_noisy, eps, E, seed, "
                                "noise_mode\n"),
     ("[1, 2]", "error: instance must be a JSON object\n"),
-    ('{"eigenvalues": [1.0], "beta": [1.0], "f_true": [0.0], "g_noisy": [0.0], "eps": [0.1], '
-     '"E": 1.0, "seed": 0, "noise_mode": "flat"}', None),
-], ids=["missing-keys", "not-an-object", "list-eps"])
+    (_instance_text(eps=[0.1]), None),
+    # Each of these was cast, and solved: seed 2.7 as 2, E true as 1.0.
+    (_instance_text(seed=2.7), "error: instance field of the wrong type: 'seed' must be a "
+                               "JSON integer\n"),
+    (_instance_text(E=True), "error: instance field of the wrong type: 'E' must be a JSON "
+                             "number\n"),
+    (_instance_text(eps="0.001"), "error: instance field of the wrong type: 'eps' must be a "
+                                  "JSON number\n"),
+    (_instance_text(noise_mode=5), "error: instance field of the wrong type: 'noise_mode' "
+                                   "must be a JSON string\n"),
+    (_instance_text(E=10**400), None),  # an int beyond the doubles: an OverflowError traceback
+], ids=["missing-keys", "not-an-object", "list-eps", "float-seed", "bool-E", "string-eps",
+        "int-noise-mode", "huge-int-E"])
 def test_solve_on_a_malformed_instance_exits_2(tmp_path, capsys, text, err):
     inst = tmp_path / "inst.json"
     inst.write_text(text)
@@ -637,9 +673,16 @@ def test_solve_on_a_malformed_instance_exits_2(tmp_path, capsys, text, err):
     (lambda raw: [1, 2], "error: kernel table must be a JSON object\n"),
     (lambda raw: {**raw, "a": None}, "error: kernel table field of the wrong type: "),
     (lambda raw: {**raw, "nodes": {"x": 1}}, "error: kernel table field of the wrong type: "),
-], ids=["missing-samples", "not-an-object", "null-a", "object-nodes"])
+    (lambda raw: {**raw, "a": "0", "b": True},
+     "error: kernel table field of the wrong type: 'a' must be a JSON number\n"),
+    (lambda raw: {**raw, "b": True},
+     "error: kernel table field of the wrong type: 'b' must be a JSON number\n"),
+    (lambda raw: {**raw, "samples": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+     "error: sample matrix must be square and match the grid\n"),
+], ids=["missing-samples", "not-an-object", "null-a", "object-nodes", "string-a", "bool-b",
+        "2x3-samples"])
 def test_spectrum_on_a_malformed_kernel_table_exits_2(tmp_path, capsys, edit, err):
-    # Each of these used to end in a KeyError or TypeError traceback, exit 1.
+    # The first four used to end in a KeyError or TypeError traceback, exit 1.
     path = tmp_path / "table.json"
     _table(path, n=8)
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))

@@ -88,6 +88,8 @@ def test_tabulated_kernel_lookup():
         kern(g.nodes[:, None], g.nodes[None, :] + 1e-6)
     with pytest.raises(ValueError):
         TabulatedKernel(g, samples + np.triu(np.ones((6, 6)), k=1))
+    with pytest.raises(ValueError, match="^sample matrix must be square and match the grid$"):
+        TabulatedKernel(g, samples[:, :5])
 
 
 def test_parse_kernel_grammar(tmp_path):
@@ -154,6 +156,8 @@ def test_prolate_eigenvalues_structure():
     m = np.arange(21.0)
     dev = np.abs(chi - (m * (m + 1.0) + 2.0))
     assert float(np.max(dev[7:])) < 0.05
+    with pytest.raises(ValueError, match="^count must be at least 1$"):
+        prolate_eigenvalues(2.0, 0)
 
 
 def test_prolate_modes_are_orthonormal():
@@ -232,6 +236,7 @@ def test_legendre_series_orthonormality():
             inner = float(np.sum(g.weights * legendre_series(cm, g.nodes)
                                  * legendre_series(cn, g.nodes)))
             assert inner == pytest.approx(1.0 if m == n else 0.0, abs=1e-12)
+    assert np.array_equal(legendre_series([], g.nodes), np.zeros(64))  # the empty sum
 
 
 def test_bandlimited_modes_match_commuting_operator(sinc_sys_200):

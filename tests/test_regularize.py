@@ -107,6 +107,9 @@ def test_truncation_input_validation():
         truncation_weighted(TRI_LAM_80, np.ones(79), 1e-2, 1.0)
     with pytest.raises(ValueError):
         truncation_weighted(TRI_LAM_80, -np.ones(80), 1e-2, 1.0)
+    for lam in (np.array([]), np.full((2, 2), 0.5)):
+        with pytest.raises(ValueError, match="^eigenvalues must be a non-empty 1-d sequence$"):
+            truncation_identity(lam, 1e-2, 1.0)
 
 
 def test_parse_constraint_presets():
@@ -213,6 +216,12 @@ def test_synthesize_problem_coefficient_options():
 
     with pytest.raises(InfeasibleSpecError):
         synthesize_problem(TRI_LAM_80[:5], np.ones(5), 1e-3, 1.0, f_coeffs=[0.0, 0.0], seed=0)
+    for law in ({}, {"f_coeffs": [1.0], "f_decay": (1.0, 2.0)}):
+        with pytest.raises(ValueError, match="^give exactly one of f_coeffs or f_decay$"):
+            synthesize_problem(TRI_LAM_80[:5], np.ones(5), 1e-3, 1.0, seed=0, **law)
+    with pytest.raises(ValueError, match="^more coefficients than modes$"):
+        synthesize_problem(TRI_LAM_80[:2], np.ones(2), 1e-3, 1.0, f_coeffs=[1.0, 2.0, 3.0],
+                           seed=0)
 
 
 def test_synthesize_problem_untight_rescales_only_over_budget():
@@ -654,6 +663,7 @@ BAD_WEIGHTS = {
     "nan": [1.0, 2.0, math.nan, 4.0, 5.0],
     "one_too_few": [1.0, 2.0, 3.0, 4.0],
     "one_too_many": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+    "ragged": np.array([[1.0], [2.0, 3.0], 4.0, 5.0, 6.0], dtype=object),  # no float array
 }
 
 

@@ -128,6 +128,10 @@ def test_quadrature_grid_validation():
         QuadratureGrid(0.0, 1.0, np.array([1.2, 1.8]), w)
     with pytest.raises(ValueError):
         QuadratureGrid(0.0, 1.0, np.array([0.4]), np.array([1.0]))
+    with pytest.raises(ValueError, match="^nodes and weights must be one-dimensional$"):
+        QuadratureGrid(0.0, 1.0, nodes[None, :], w)
+    with pytest.raises(ValueError, match="^nodes and weights must have equal length$"):
+        QuadratureGrid(0.0, 1.0, nodes, np.array([0.25, 0.25, 0.5]))
 
 
 def test_nystrom_matrix_constant_kernel():
@@ -384,6 +388,8 @@ def test_project_reconstruct_round_trip(tri_sys_256):
     assert np.all(reconstruct(sys, coeffs, 0) == 0.0)
     with pytest.raises(ValueError):
         reconstruct(sys, coeffs, sys.n_modes + 1)
+    with pytest.raises(ValueError, match="^need at least cutoff coefficients$"):
+        reconstruct(sys, coeffs[:3], 4)
     with pytest.raises(ValueError):
         project(sys, samples[:-1])
 

@@ -354,6 +354,8 @@ def test_classify_continuity_validation():
     grid = np.geomspace(0.3, 1e-4, 8)
     with pytest.raises(ValueError):
         classify_continuity(grid[:4], grid[:4])
+    with pytest.raises(ValueError, match="^grids must be matching 1-d arrays$"):
+        classify_continuity(grid, np.ones(7))
     with pytest.raises(ValueError):
         classify_continuity(grid[::-1].copy(), np.ones(8))
     with pytest.raises(ValueError):
