@@ -154,17 +154,32 @@ def _preset(text: str, what: str, heads: dict) -> tuple[str, dict[str, float]]:
     return head, params
 
 
-_JSON_KINDS = {"number": (int, float), "integer": int, "string": str}
+def _numbers(item) -> bool:
+    """Whether item is a JSON array whose leaves, under at most one level of nesting, are
+    JSON numbers: one set of types per array, not a call per leaf."""
+    if type(item) is not list:
+        return False
+    kinds = set(map(type, item))
+    if list in kinds:
+        kinds.discard(list)
+        kinds.update(*(map(type, row) for row in item if type(row) is list))
+    return kinds <= {int, float}
+
+
+# Each JSON kind as a test of a parsed value; a bool is never a number.
+_JSON_KINDS = {"number": lambda x: type(x) in (int, float), "integer": lambda x: type(x) is int,
+               "string": lambda x: type(x) is str, "array of numbers": _numbers}
 
 
 def _from_json(raw, what: str, fields: dict[str, str], build):
     """build(*values) of `fields`, each mapped to its JSON kind, in a parsed JSON file.
 
     The one shape and type check of a JSON file: raw must be an object holding
-    every field.  A "number" is a JSON int or float, never a bool or a string,
-    and is passed as a float; an "integer" is a JSON int and a "string" a JSON
-    string.  An "array" is left to build, whose TypeError or OverflowError
-    becomes a ValueError.  `what` names the file in error messages.
+    every field, each of its kind.  A "number" is a JSON int or float, never a
+    bool or a string, and is passed as a float; an "integer" is a JSON int and
+    a "string" a JSON string.  An "array of numbers" holds numbers or arrays of
+    numbers; its shape is left to build, whose OverflowError (an int beyond the
+    doubles) becomes a ValueError.  `what` names the file in error messages.
     """
     if not isinstance(raw, dict):
         raise ValueError(f"{what} must be a JSON object")
@@ -173,15 +188,13 @@ def _from_json(raw, what: str, fields: dict[str, str], build):
         raise ValueError(f"{what} lacks {', '.join(missing)}")
 
     def value(key, kind):
-        if kind == "array":
-            return raw[key]
-        if isinstance(raw[key], bool) or not isinstance(raw[key], _JSON_KINDS[kind]):
+        if not _JSON_KINDS[kind](raw[key]):
             raise ValueError(f"{what} field of the wrong type: {key!r} must be a JSON {kind}")
         return float(raw[key]) if kind == "number" else raw[key]
 
     try:
         return build(*map(value, fields, fields.values()))
-    except (TypeError, OverflowError) as exc:
+    except OverflowError as exc:
         raise ValueError(f"{what} field of the wrong type: {exc}") from None
 
 
@@ -198,8 +211,9 @@ def parse_kernel(text: str) -> KernelSpec:
             raise ValueError("tabulated kernel requires a file path")
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-        return _from_json(raw, "kernel table", {"a": "number", "b": "number", "nodes": "array",
-                          "weights": "array", "samples": "array"}, _tabulated)
+        return _from_json(raw, "kernel table", {
+            "a": "number", "b": "number", "nodes": "array of numbers",
+            "weights": "array of numbers", "samples": "array of numbers"}, _tabulated)
     head, params = _preset(text, "kernel", {"triangular": ((), ()), "sinc": (("c",), ("a", "b"))})
     if head == "triangular":
         return KernelSpec(triangular_kernel, 0.0, 1.0,
@@ -238,27 +252,18 @@ def parse_kernel(text: str) -> KernelSpec:
 # ---------------------------------------------------------------------------
 
 
-def _prolate_coefficients(c: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and (m, m + 2) coupling of the operator in a basis of `order`."""
+def _prolate_blocks(c: float, order: int) -> list[np.ndarray]:
+    """The even-degree and the odd-degree block of the operator in a basis of `order`, each
+    tridiagonal: diagonal m (m + 1) + c^2 (a_m^2 + a_{m+1}^2), coupling c^2 a_{m+1} a_{m+2}."""
     if order > MAX_ORDER:
         raise ValueError(
             f"prolate basis order {order} exceeds the limit MAX_ORDER = {MAX_ORDER}"
         )
-    m = np.arange(order, dtype=float)
-    # Off-diagonal of multiplication-by-x in the normalized Legendre basis:
-    # a_m = m / sqrt(4 m^2 - 1), with a_0 = 0.
-    a = np.zeros(order)
+    m = np.arange(order + 1, dtype=float)
+    a = np.zeros(order + 1)  # a_0 .. a_order, with a_0 = 0
     a[1:] = m[1:] / np.sqrt(4.0 * m[1:] ** 2 - 1.0)
-    a_next = (m + 1.0) / np.sqrt(4.0 * (m + 1.0) ** 2 - 1.0)
-    diag = m * (m + 1.0) + c * c * (a * a + a_next * a_next)
-    coupling = c * c * a_next[:-2] * a_next[1:-1]
-    return diag, coupling
-
-
-def _prolate_blocks(c: float, order: int) -> list[np.ndarray]:
-    """The even-degree and the odd-degree block, each tridiagonal, built
-    straight from the coefficient vectors."""
-    diag, coupling = _prolate_coefficients(c, order)
+    diag = m[:-1] * m[1:] + c * c * (a[:-1] * a[:-1] + a[1:] * a[1:])
+    coupling = c * c * a[1:-2] * a[2:-1]
     blocks = []
     for parity in (0, 1):
         block = np.diag(diag[parity::2])

@@ -62,6 +62,7 @@ _SQRT_TINY, _SQRT_MAX = math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(floa
 # ||beta f|| <= E, and 5e-10 (1e-9 squared) on an instance's ||beta f|| <= E.
 _NOISE_RTOL, _BUDGET_RTOL = 1e-9, 5e-10
 _ZERO = -2**30  # the exponent of a zero in _scaled and _norm_pair: below every nonzero one's
+_NOISE_MODES = ("flat", "range_compatible")  # the modes make_noise reads
 
 
 def parse_constraint(text: str, count: int) -> np.ndarray:
@@ -122,6 +123,12 @@ def _check_scales(eps: float, E: float | None = None, *, noise_free: bool = Fals
     if not (0 <= eps < math.inf and (noise_free or eps > 0) and (E is None or 0 < E < math.inf)):
         raise ValueError(f"need finite eps {'>=' if noise_free else '>'} 0"
                          + ("" if E is None else " and E > 0"))
+
+
+def _check_noise_mode(mode) -> None:
+    """The one check of a noise mode: one of _NOISE_MODES."""
+    if mode not in _NOISE_MODES:
+        raise ValueError(f"noise mode must be {' or '.join(map(repr, _NOISE_MODES))}")
 
 
 def _within(value: float, bound: float, rtol: float, rounding: float = 0.0) -> bool:
@@ -226,8 +233,9 @@ class ProblemInstance:
     Holds the fields of its JSON file: the eigenvalues, the constraint
     weights betas (one per mode), the exact solution f_true, the noisy data
     g_noisy, the noise bound eps, the constraint budget E, the seed and the
-    noise mode.  g_clean = lambda * f_true and noise = g_noisy - g_clean are
-    derived, and ||noise|| <= eps and ||beta f|| <= E are checked by _norm.
+    noise mode, one that make_noise reads.  g_clean = lambda * f_true and
+    noise = g_noisy - g_clean are derived, and ||noise|| <= eps and
+    ||beta f|| <= E are checked by _norm.
     """
 
     eigenvalues: np.ndarray
@@ -240,6 +248,7 @@ class ProblemInstance:
     noise_mode: str = "flat"
 
     def __post_init__(self):
+        _check_noise_mode(self.noise_mode)
         self.eigenvalues = _validate_eigenvalues(self.eigenvalues)
         m = self.eigenvalues.size
         self.betas = _weights(self.betas, m)
@@ -287,7 +296,7 @@ class ProblemInstance:
     @classmethod
     def from_json(cls, text: str) -> "ProblemInstance":
         return _from_json(json.loads(text), "instance", {
-            "eigenvalues": "array", "beta": "array", "f_true": "array", "g_noisy": "array",
+            **dict.fromkeys(("eigenvalues", "beta", "f_true", "g_noisy"), "array of numbers"),
             "eps": "number", "E": "number", "seed": "integer", "noise_mode": "string"}, cls)
 
 
@@ -333,15 +342,11 @@ def make_noise(seed: int, eps: float, mode: str, eigenvalues) -> np.ndarray:
     """
     lam = np.asarray(eigenvalues, dtype=float)
     _check_scales(eps, noise_free=True)
+    _check_noise_mode(mode)
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal(lam.size)
     scale_fraction = rng.uniform(0.5, 1.0)
-    if mode == "flat":
-        n, w = draws, 1.0
-    elif mode == "range_compatible":
-        n, w = lam * draws, lam
-    else:
-        raise ValueError("noise mode must be 'flat' or 'range_compatible'")
+    n, w = (draws, 1.0) if mode == "flat" else (lam * draws, lam)
     with np.errstate(over="ignore"):  # an overflow takes _norm below
         norm = float(np.linalg.norm(n))
     if not _SQRT_TINY <= norm < math.inf:
@@ -454,7 +459,9 @@ def feasibility_check(instance: ProblemInstance) -> FeasibilityResult:
     g, eps = instance.g_noisy, instance.eps
     if _norm(g) <= eps:
         return FeasibilityResult(True, 0.0)
-    (mg, eg), (m, e) = np.frexp(g), _scaled((instance.eigenvalues,), (instance.betas,))  # rho_k
+    # A zero gbar_k has the exponent _ZERO: the int32 exponents formed from it in _norm_pair
+    # may wrap, but they only ever scale its zero mantissa, and its term is left out of the top.
+    (mg, eg), (m, e) = _scaled((g,)), _scaled((instance.eigenvalues,), (instance.betas,))  # rho_k
 
     def terms(S: float, sigma: float):
         """x_k >= 1, 1 + min(x_k, 1/x_k)^2, and x_k = c_k 2^d_k, at t = 2^(S + sigma), S whole."""
@@ -537,21 +544,20 @@ def weak_pairing(instance: ProblemInstance, rec: Reconstruction, v) -> tuple[flo
     difference, product or partial sum leaves the range.
     The bound 2 eps sqrt(sum v_k^2 / (lambda_k^2 + (eps/E)^2)) is read from _norm_pair with
     weights 1 / hypot(lambda_k 2^e, eps/E 2^e), times eps 2^e, where 2^e brings eps/E
-    into (1/2, 2) but keeps lambda_1 2^e below 2^1023: no square leaves the range, and
+    into [1/2, 1) but keeps lambda_1 2^e below 2^1023: no square leaves the range, and
     a weight overflows only where lambda_1 / max(lambda_k, eps/E) exceeds 2^2046.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != instance.f_true.shape:
         raise ValueError("need one pairing coefficient per mode")
     _check_scales(instance.eps)
-    (mf, xf), (mh, xh) = np.frexp(instance.f_true), np.frexp(rec.coefficients)
+    (mf, xf), (mh, xh) = _scaled((instance.f_true,)), _scaled((rec.coefficients,))
     xd = np.maximum(xf, xh)
     m, x = _scaled((np.ldexp(mf, xf - xd) - np.ldexp(mh, xh - xd), v), (), xd)
     top = np.max(x)
     pairing = _ldexp(*_scaled((abs(float(np.sum(np.ldexp(m, x - top, out=m)))),), (), top))
-    (m_eps, e_eps), (m_E, e_E) = np.frexp(instance.eps), np.frexp(instance.E)
-    e = min(e_E - e_eps, 1023 - int(np.frexp(instance.eigenvalues[0])[1]))
-    ratio = np.ldexp(m_eps / m_E, e - e_E + e_eps)
-    weights = 1.0 / np.hypot(np.ldexp(instance.eigenvalues, e), ratio)
+    m_r, x_r = _scaled((instance.eps,), (instance.E,))  # eps/E
+    e = min(-x_r, 1023 - _scaled((instance.eigenvalues[0],))[1])
+    weights = 1.0 / np.hypot(np.ldexp(instance.eigenvalues, e), np.ldexp(m_r, x_r + e))
     r, h = _norm_pair(v, weights)
-    return pairing, _ldexp(*_scaled((m_eps, r), (), e_eps + e + 1 + h))
+    return pairing, _ldexp(*_scaled((instance.eps, r), (), e + 1 + h))

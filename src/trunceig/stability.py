@@ -164,12 +164,10 @@ def stability_sup_exact(eigenvalues, beta, eps: float, E: float) -> float:
         hull.append((x, y))
 
     hx, hy = np.array(hull).T
-    best = float(np.min(np.maximum(hx, hy)))
     d = hx - hy
-    crosses = np.sign(d[:-1]) * np.sign(d[1:]) < 0
-    if np.any(crosses):
-        num = hx[:-1] * hy[1:] - hx[1:] * hy[:-1]
-        best = min(best, float(np.min(num[crosses] / (d[:-1] - d[1:])[crosses])))
+    i = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)  # the edges (i, i + 1) crossing x = y
+    crossings = (hx[i] * hy[i + 1] - hx[i + 1] * hy[i]) / (d[i] - d[i + 1])
+    best = float(np.min(np.concatenate([np.maximum(hx, hy), crossings])))
     # sup = E / sqrt(best 2^top), scaled back from the mantissa of E.
     half, odd = divmod(top, 2)
     return _ldexp(*_scaled((E,), (math.sqrt(math.ldexp(best, odd)),), -half))

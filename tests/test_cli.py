@@ -584,7 +584,7 @@ def test_solve_decides_the_budget_on_the_products(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({"eigenvalues": [1.0], "beta": [1e200], "f_true": [1e-200],
                                 "g_noisy": [1e-200], "eps": 0.1, "E": 0.5, "seed": 0,
-                                "noise_mode": "white"}))
+                                "noise_mode": "flat"}))
     assert main(["solve", "--instance", str(inst)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -653,8 +653,13 @@ def _instance_text(**fields):
     (_instance_text(noise_mode=5), "error: instance field of the wrong type: 'noise_mode' "
                                    "must be a JSON string\n"),
     (_instance_text(E=10**400), None),  # an int beyond the doubles: an OverflowError traceback
+    # These solved too: numpy parsed the strings and the bool in the arrays, and any mode passed.
+    (_instance_text(eigenvalues=["1.0"], beta=[True], f_true=["0"]),
+     "error: instance field of the wrong type: 'eigenvalues' must be a JSON array of numbers\n"),
+    (_instance_text(noise_mode="bogus"),
+     "error: noise mode must be 'flat' or 'range_compatible'\n"),
 ], ids=["missing-keys", "not-an-object", "list-eps", "float-seed", "bool-E", "string-eps",
-        "int-noise-mode", "huge-int-E"])
+        "int-noise-mode", "huge-int-E", "string-arrays", "bogus-noise-mode"])
 def test_solve_on_a_malformed_instance_exits_2(tmp_path, capsys, text, err):
     inst = tmp_path / "inst.json"
     inst.write_text(text)
@@ -665,6 +670,12 @@ def test_solve_on_a_malformed_instance_exits_2(tmp_path, capsys, text, err):
         assert captured.err.startswith("error: instance field of the wrong type: ")
     else:
         assert captured.err == err
+
+
+def _string_first(raw):
+    """A table's samples with samples[0][0] written as a JSON string."""
+    (first, *row), *rows = raw["samples"]
+    return [[str(first), *row], *rows]
 
 
 @pytest.mark.parametrize("edit, err", [
@@ -679,8 +690,13 @@ def test_solve_on_a_malformed_instance_exits_2(tmp_path, capsys, text, err):
      "error: kernel table field of the wrong type: 'b' must be a JSON number\n"),
     (lambda raw: {**raw, "samples": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
      "error: sample matrix must be square and match the grid\n"),
+    # numpy parsed these strings, and the spectrum printed.
+    (lambda raw: {**raw, "nodes": list(map(str, raw["nodes"])), "samples": _string_first(raw)},
+     "error: kernel table field of the wrong type: 'nodes' must be a JSON array of numbers\n"),
+    (lambda raw: {**raw, "samples": _string_first(raw)},
+     "error: kernel table field of the wrong type: 'samples' must be a JSON array of numbers\n"),
 ], ids=["missing-samples", "not-an-object", "null-a", "object-nodes", "string-a", "bool-b",
-        "2x3-samples"])
+        "2x3-samples", "string-nodes-and-sample", "string-sample"])
 def test_spectrum_on_a_malformed_kernel_table_exits_2(tmp_path, capsys, edit, err):
     # The first four used to end in a KeyError or TypeError traceback, exit 1.
     path = tmp_path / "table.json"

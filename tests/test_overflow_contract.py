@@ -406,6 +406,8 @@ def test_weak_pairing_bound_where_its_squares_leave_the_range():
     ([1e300], [1e10]),  # |f_1 v_1| passes the largest double: the pairing is inf
     ([1e300, -1e300], [1e10, 1e10]),  # the two terms overflow and cancel exactly
     ([1e300, -1e300], [1e10, 1e10 * (1 - 2.0**-20)]),  # ... and leave about 9.5e303
+    # f_2 = fhat_2 = 0: the zero difference is aligned at the zero exponent
+    ([1e300, 0.0, -1e300], [1e10, 1e300, 1e10 * (1 - 2.0**-20)]),
 ])
 def test_weak_pairing_where_its_terms_leave_the_range(f, v):
     # The plain sum of (f_k - fhat_k) v_k overflowed with a RuntimeWarning, to
