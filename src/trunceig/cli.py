@@ -30,7 +30,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .errors import ConvergenceError, InfeasibleSpecError, ResolutionError
+from .errors import InfeasibleSpecError
 
 __all__ = ["main"]
 
@@ -83,14 +83,14 @@ def _system(spec, args) -> np.ndarray:
     from . import spectral
 
     if spec.min_nodes is not None and args.n_nodes < spec.min_nodes:
-        raise ResolutionError(f"{args.n_nodes} quadrature nodes cannot resolve the kernel: "
-                              f"it needs at least {spec.min_nodes:g}")
+        raise ValueError(f"{args.n_nodes} quadrature nodes cannot resolve the kernel: "
+                         f"it needs at least {spec.min_nodes:g}")
     grid = spec.grid or spectral.gauss_legendre(args.n_nodes, spec.a, spec.b)
     lam = spectral.spectral_eigenvalues(spec.kernel, grid)
     top, bound = (float(lam[0]) if lam.size else 0.0), spec.max_eigenvalue
     if bound is not None and top - bound > grid.size * math.ulp(1.0) * top:
-        raise ResolutionError(f"{grid.size} quadrature nodes do not resolve the kernel: "
-                              f"lambda_1 exceeds its bound {bound:g} by {top - bound:.3g}")
+        raise ValueError(f"{grid.size} quadrature nodes do not resolve the kernel: "
+                         f"lambda_1 exceeds its bound {bound:g} by {top - bound:.3g}")
     return lam
 
 
@@ -399,7 +399,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, ResolutionError, ConvergenceError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

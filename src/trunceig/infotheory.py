@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BudgetExceededError
 from .regularize import (_check_scales, _norm, _validate_eigenvalues, _weights,
                          truncation_identity, truncation_weighted)
 
@@ -152,8 +151,8 @@ class FinitePointSet:
         if self.points.ndim != 2 or self.points.shape[0] == 0:
             raise ValueError("points must form a non-empty 2-d array")
         if self.size > EXACT_BUDGET:
-            raise BudgetExceededError(f"exact search limited to {EXACT_BUDGET} points, "
-                                      f"got {self.size}")
+            raise ValueError(f"exact search limited to {EXACT_BUDGET} points, "
+                             f"got {self.size}")
         if not np.all(np.isfinite(self.points)):
             raise ValueError("points must be finite")
         half = 0.5 * self.points  # so no difference overflows

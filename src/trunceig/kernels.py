@@ -17,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ResolutionError
 from .spectral import MAX_ORDER, QuadratureGrid, eigh
 
 __all__ = [
@@ -282,7 +281,7 @@ def _prolate_chi(c: float, count: int) -> tuple[np.ndarray, np.ndarray, int]:
     numpy.linalg.eigvalsh on the two blocks, merged in ascending order.
     Returns (chi, position, order) of the order + 10 solve: position[k] is
     chi_k's index among the even block's ascending eigenvalues followed by the
-    odd block's.  Raises ResolutionError after six orders.
+    odd block's.  Raises ValueError after six orders.
     """
     if not 0 < c < math.inf:
         raise ValueError("bandwidth c must be finite and positive")
@@ -303,7 +302,7 @@ def _prolate_chi(c: float, count: int) -> tuple[np.ndarray, np.ndarray, int]:
         scale = max(float(np.abs(chi[-1])), 1.0)
         if float(np.max(np.abs(chi - chi_check))) <= 1e-8 * scale:
             return chi_check, position, order + 10
-    raise ResolutionError(f"operator eigenvalues did not stabilize by order {order}")
+    raise ValueError(f"operator eigenvalues did not stabilize by order {order}")
 
 
 def prolate_modes(c: float, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -329,7 +328,7 @@ def prolate_modes(c: float, count: int) -> tuple[np.ndarray, np.ndarray]:
 def prolate_eigenvalues(c: float, count: int) -> np.ndarray:
     """Smallest `count` eigenvalues chi_0 < chi_1 < ... of the commuting
     operator for bandwidth c, from eigvalsh on its even and odd blocks at the
-    basis order that _prolate_chi resolves.  Raises ResolutionError if none
+    basis order that _prolate_chi resolves.  Raises ValueError if none
     does."""
     return _prolate_chi(c, count)[0]
 

@@ -9,7 +9,6 @@ import pytest
 
 from trunceig import check_condition, parse_constraint, parse_kernel, parse_pfunction, spectral
 from trunceig.cli import MAX_MODES, _build_parser, _csv, main
-from trunceig.errors import ConvergenceError
 from trunceig.regularize import truncation_identity, truncation_weighted
 from trunceig.spectral import MAX_ORDER
 
@@ -695,8 +694,12 @@ def _string_first(raw):
      "error: kernel table field of the wrong type: 'nodes' must be a JSON array of numbers\n"),
     (lambda raw: {**raw, "samples": _string_first(raw)},
      "error: kernel table field of the wrong type: 'samples' must be a JSON array of numbers\n"),
+    # The weights' sum overflowed with a RuntimeWarning before this error.
+    (lambda raw: {"a": 0.0, "b": 1.0, "nodes": [0.25, 0.75], "weights": [1e308, 1e308],
+                  "samples": [[1, 0], [0, 1]]},
+     "error: weights must sum to b - a\n"),
 ], ids=["missing-samples", "not-an-object", "null-a", "object-nodes", "string-a", "bool-b",
-        "2x3-samples", "string-nodes-and-sample", "string-sample"])
+        "2x3-samples", "string-nodes-and-sample", "string-sample", "overflowing-weights"])
 def test_spectrum_on_a_malformed_kernel_table_exits_2(tmp_path, capsys, edit, err):
     # The first four used to end in a KeyError or TypeError traceback, exit 1.
     path = tmp_path / "table.json"
@@ -875,7 +878,7 @@ def test_unresolved_prolate_basis_exits_2(capsys):
 
 def test_convergence_failure_exits_2(capsys, monkeypatch):
     def stalled(n, a, b):
-        raise ConvergenceError("Newton iteration for quadrature nodes stalled")
+        raise ValueError("Newton iteration for quadrature nodes stalled")
 
     monkeypatch.setattr(spectral, "gauss_legendre", stalled)
     assert main(["spectrum", "--kernel", "sinc:c=2"]) == 2

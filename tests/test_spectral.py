@@ -24,7 +24,6 @@ from trunceig import (
     spectral_system,
     triangular_kernel,
 )
-from trunceig.errors import NumericDomainError
 from trunceig.spectral import MAX_ORDER
 
 from conftest import triangular_eigensystem
@@ -162,7 +161,7 @@ def test_nystrom_matrix_rejects_non_finite_kernel():
     def bad(x, y):
         return np.where((x > 0.8) & (y > 0.8), np.nan, x * y)
 
-    with pytest.raises(NumericDomainError, match=r"\(3, 3\)"):
+    with pytest.raises(ValueError, match=r"\(3, 3\)"):
         nystrom_matrix(bad, g)
 
 
@@ -254,10 +253,10 @@ def test_eigh_checks_its_input_array():
         eigh(np.ones(4))
     m = np.eye(3)
     m[2, 1] = np.inf
-    with pytest.raises(NumericDomainError, match=r"non-finite matrix entry at \(2, 1\)"):
+    with pytest.raises(ValueError, match=r"non-finite matrix entry at \(2, 1\)"):
         eigh(m)
     m[2, 1] = np.nan
-    with pytest.raises(NumericDomainError, match=r"\(2, 1\)"):
+    with pytest.raises(ValueError, match=r"\(2, 1\)"):
         eigh(m)
 
 
