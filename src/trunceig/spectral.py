@@ -70,14 +70,28 @@ SPLIT_ORDER = 24
 CHECK_ORDER = 16
 DEFECT_RTOL = 1e-12
 
-# Largest order of any dense build: the Gauss-Legendre node count (and so the
-# Nystrom matrix) and the prolate basis order in kernels.  Both are checked
-# before anything of that size is allocated.  At the limit, on a 2-core x86-64
-# VM with 1 BLAS thread, `trunceig spectrum --kernel sinc:c=10 --n-nodes 2048`
-# takes 1.4-1.7 s at 102 MB peak RSS, and `trunceig stability --constraint
-# prolate:c=1 --n-modes 2008` (basis order 2038, checked at 2048, as two
-# blocks of about half that order) takes 0.6 s at 53-54 MB.
+# Largest order of any dense build: a quadrature rule's node count (and so the
+# Nystrom matrix) and the prolate basis order in kernels.  Each is checked
+# before anything of that size is allocated, except a kernel table's rule: its
+# file already holds n^2 samples, so it is checked before the Nystrom matrix.
+# At the limit, on a 2-core x86-64 VM with 1 BLAS thread, `trunceig spectrum
+# --kernel sinc:c=10 --n-nodes 2048` takes 1.4-1.7 s at 102 MB peak RSS, and
+# `trunceig stability --constraint prolate:c=1 --n-modes 2008` (basis order
+# 2038, checked at 2048, as two blocks of about half that order) takes 0.6 s
+# at 53-54 MB.
 MAX_ORDER = 2048
+
+
+def _check_rule(n: int, a: float, b: float) -> None:
+    """Refuse an n-node rule on [a, b] unless 2 <= n <= MAX_ORDER, a < b and b - a is finite."""
+    if n < 2:
+        raise ValueError("need at least two nodes")
+    if n > MAX_ORDER:
+        raise ValueError(f"{n} quadrature nodes exceed the limit MAX_ORDER = {MAX_ORDER}")
+    if not a < b:
+        raise ValueError("interval must satisfy a < b")
+    if not math.isfinite(b - a):
+        raise ValueError(f"interval [{a:g}, {b:g}] must have a finite length b - a")
 
 
 @dataclass
@@ -92,14 +106,11 @@ class QuadratureGrid:
     def __post_init__(self):
         self.nodes = np.asarray(self.nodes, dtype=float)
         self.weights = np.asarray(self.weights, dtype=float)
-        if not self.a < self.b:
-            raise ValueError("interval must satisfy a < b")
         if self.nodes.ndim != 1 or self.weights.ndim != 1:
             raise ValueError("nodes and weights must be one-dimensional")
         if self.nodes.size != self.weights.size:
             raise ValueError("nodes and weights must have equal length")
-        if self.nodes.size < 2:
-            raise ValueError("a grid needs at least two nodes")
+        _check_rule(self.nodes.size, self.a, self.b)
         if np.any(np.diff(self.nodes) <= 0):
             raise ValueError("nodes must be strictly increasing")
         if self.nodes[0] < self.a or self.nodes[-1] > self.b:
@@ -128,12 +139,7 @@ def gauss_legendre(n: int, a: float, b: float) -> QuadratureGrid:
     within 6.4e-17 and the end weights within 1.9e-12 relative at n = 800 and
     7.0e-11 at n = 2048; numpy's leggauss has 1.4e-9 at n = 800, and is cubic in n.
     """
-    if n < 2:
-        raise ValueError("need at least two nodes")
-    if n > MAX_ORDER:
-        raise ValueError(f"{n} quadrature nodes exceed the limit MAX_ORDER = {MAX_ORDER}")
-    if not math.isfinite(b - a):  # QuadratureGrid checks a < b
-        raise ValueError(f"interval [{a:g}, {b:g}] must have a finite length b - a")
+    _check_rule(n, a, b)
 
     # Descending roots in [0, 1); cos(theta_k) as a sine is exactly 0 for an odd order's middle root.
     k = np.arange(1, (n + 1) // 2 + 1)

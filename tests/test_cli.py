@@ -9,7 +9,7 @@ import pytest
 
 from trunceig import check_condition, parse_constraint, parse_kernel, parse_pfunction, spectral
 from trunceig.cli import MAX_MODES, _build_parser, _csv, main
-from trunceig.regularize import truncation_identity, truncation_weighted
+from trunceig.regularize import _NOISE_MODES, truncation_identity, truncation_weighted
 from trunceig.spectral import MAX_ORDER
 
 
@@ -18,7 +18,7 @@ def run_rows(path):
     return lines[0], [line.split(",") for line in lines[1:] if not line.startswith("#")]
 
 
-def test_spectrum_triangular_analytic_column(tmp_path):
+def test_spectrum_triangular_analytic_column(tmp_path, capsys):
     out = tmp_path / "spec.csv"
     rc = main(["spectrum", "--kernel", "triangular", "--n-nodes", "200",
                "--n-modes", "5", "--output", str(out)])
@@ -32,6 +32,11 @@ def test_spectrum_triangular_analytic_column(tmp_path):
         assert float(row[3]) < 1e-3
     lam = [float(r[1]) for r in rows]
     assert lam == sorted(lam, reverse=True)
+    # On stdout, from a coarser grid: the row defect keeps 64 nodes within 1e-5.
+    assert main(["spectrum", "--kernel", "triangular", "--n-nodes", "64", "--n-modes", "3"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header == "k,lambda,lambda_analytic,rel_err" and len(lines) == 3
+    assert all(float(line.split(",")[3]) < 1e-5 for line in lines)
 
 
 def test_spectrum_sinc_leaves_analytic_cells_empty(tmp_path):
@@ -57,13 +62,17 @@ def test_truncate_closed_form_counts(tmp_path):
     assert [(r[1], r[2]) for r in rows] == [("3", "1"), ("10", "3"), ("31", "6")]
 
 
-def _table(path, sign=1.0, n=60, a=-0.5, b=1.0):
-    """A tabulated kernel: sign times the triangular kernel moved to [a, b]."""
+def _table_fields(sign=1.0, n=60, a=-0.5, b=1.0):
+    """A kernel table: sign times the triangular kernel moved to [a, b]."""
     grid = spectral.gauss_legendre(n, a, b)
     lo, hi = np.minimum.outer(grid.nodes, grid.nodes), np.maximum.outer(grid.nodes, grid.nodes)
-    path.write_text(json.dumps({"a": a, "b": b, "nodes": grid.nodes.tolist(),
-                                "weights": grid.weights.tolist(),
-                                "samples": (sign * (lo - a) * (b - hi) / (b - a)).tolist()}))
+    return {"a": a, "b": b, "nodes": grid.nodes.tolist(), "weights": grid.weights.tolist(),
+            "samples": (sign * (lo - a) * (b - hi) / (b - a)).tolist()}
+
+
+def _table(path, sign=1.0, n=60, a=-0.5, b=1.0):
+    """The tabulated kernel whose file at path holds _table_fields."""
+    path.write_text(json.dumps(_table_fields(sign, n, a, b)))
     return f"tabulated:{path}"
 
 
@@ -152,18 +161,19 @@ def test_stability_command_with_classification(tmp_path):
 
 
 @pytest.mark.parametrize("options, ok", [
-    (["--constraint", "derivative"], True),
-    (["--constraint", "derivative", "--n-modes", "30"], True),
-    (["--constraint", "power:p=0.1", "--p", "explog"], False),
-], ids=["derivative", "derivative-K-30", "power-explog"])
+    (["--n-modes", "60", "--constraint", "derivative"], True),
+    (["--n-modes", "60", "--constraint", "derivative", "--n-modes", "30"], True),
+    (["--n-modes", "60", "--constraint", "power:p=0.1", "--p", "explog"], False),
+    (["--p", "explog"], False),
+], ids=["derivative", "derivative-K-30", "power-explog", "explog"])
 def test_stability_condition_column_matches_check_condition(capsys, options, ok):
     # The condition does not depend on eps: every row carries one verdict.
-    assert main(["stability", "--n-modes", "60", *options]) == 0
+    assert main(["stability", *options]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:-1]]
-    argv = dict(zip(options[::2], options[1::2]))
-    K = int(argv.get("--n-modes", 60))
+    argv = dict(zip(options[::2], options[1::2]))  # the last of a repeated option wins
+    K = int(argv.get("--n-modes", 100))
     lam = 1.0 / (np.arange(1, K + 1) * math.pi) ** 2
-    beta = parse_constraint(argv["--constraint"], K)
+    beta = parse_constraint(argv.get("--constraint", "identity"), K)
     pfun = parse_pfunction(argv.get("--p", "power:gamma=0.3333333333333333"))
     assert check_condition(lam, beta, pfun)[0] is ok
     assert len(rows) == 6
@@ -406,9 +416,14 @@ def _range_error(what, eps, E):
     (["entropy", "--constraint", "derivative", "--E", "1e308"], ""),
     (["sweep", "--constraint", "derivative", "--E", "1e308", "--n-modes", "10"],
      _range_error("(eps/E)^2", "0.01", "1e+308")),
+    (["simulate", "--E", "1e300", "--no-tight", "--f-coeffs", "1e-10", "--n-modes", "3"], ""),
+    (["simulate", "--E", "1e-200", "--no-tight", "--f-coeffs", "1e-250", "--n-modes", "3",
+      "--eps", "1e-260"], ""),
+    (["sweep", "--E", "1e-160", "--eps-grid", "1e-161,1e-162", "--n-modes", "10"], ""),
 ], ids=["truncate-nan-eps", "entropy-nan-E", "stability-nan-eps", "stability-inf-E",
         "stability-E-1e-300", "sweep-E-1e-300", "simulate-E-1e300", "simulate-no-tight-E-1e300",
-        "stability-E-1e308", "entropy-E-1e308", "sweep-E-1e308"])
+        "stability-E-1e308", "entropy-E-1e308", "sweep-E-1e308", "simulate-no-tight-f-1e-10",
+        "simulate-no-tight-E-1e-200", "sweep-E-1e-160"])
 @pytest.mark.filterwarnings("error")
 def test_non_finite_eps_or_E_exits_2(capsys, argv, err):
     # Beyond finiteness, (eps/E)^2 must be a normal double where the stability layer
@@ -444,7 +459,11 @@ def test_stability_at_tiny_eps_and_E(capsys):
     (["--E", "1.34e154", "--eps-grid", "1.3e153", "--n-modes", "3", "--f-coeffs", "0,0,1"],
      "1.3e+153,1,1,2.42976827e+154,1.34564545e+154,8.70761691e+153,true,true,"
      "0.0626572134,0.0626572134"),
-], ids=["four-eps-squared", "err-f2"])
+    (["--E", "1.34e154", "--eps-grid", "1.3e153", "--n-modes", "3", "--f-coeffs", "0,0,1",
+      "--seed", "0"],
+     "1.3e+153,1,1,2.42976827e+154,1.34564545e+154,8.70761691e+153,true,true,"
+     "0.0626572134,0.0626572134"),
+], ids=["four-eps-squared", "err-f2", "err-f2-seed-0"])
 @pytest.mark.filterwarnings("error")
 def test_sweep_where_a_square_overflows(capsys, argv, row):
     # 4 eps**2 raised OverflowError (exit 1) at eps = 1e160, and err_f2 printed
@@ -478,6 +497,24 @@ def test_stability_where_lambda_over_eps_squared_overflows(tmp_path, capsys):
     assert sups[-1] == pytest.approx(sups[0] * 1.6e-4, rel=1e-8)
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--noise-mode", "range_compatible", "--n-modes", "3", "--f-coeffs", "1e-200",
+     "--no-tight"],
+    ["sweep", "--n-modes", "3"],
+], ids=["simulate-range-compatible", "sweep"])
+def test_commands_on_a_kernel_table_scaled_by_1e200(tmp_path, capsys, argv):
+    # lambda_1 ~ 1e199: range_compatible noise took norm(lambda * draws), which
+    # overflowed with a RuntimeWarning and left g_noisy = lambda f, with no noise.
+    kernel = _table(tmp_path / "table.json", sign=1e200, n=20, a=0.0, b=1.0)
+    assert main([argv[0], "--kernel", kernel, *argv[1:]]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if argv[0] == "simulate":
+        inst = json.loads(captured.out)
+        noise = np.subtract(inst["g_noisy"], np.multiply(inst["eigenvalues"], inst["f_true"]))
+        assert inst["eps"] / 2 <= np.linalg.norm(noise) <= inst["eps"]
+
+
 @pytest.mark.filterwarnings("error")
 def test_stability_at_tiny_lambda_and_eps(tmp_path, capsys):
     # A kernel scaled by 1e-90 at eps / E = 1e-90 has the suprema of the unscaled kernel
@@ -505,6 +542,24 @@ def test_simulate_where_lambda_f_overflows_exits_3(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == ("error: infeasible request: lambda_k f_k overflows at k = 1, "
                             "so the data cannot be formed\n")
+
+
+@pytest.mark.parametrize("seed, err", [
+    ("1", "error: infeasible request: lambda_k f_k + n_k overflows at k = 1, "
+          "so the data cannot be formed\n"),
+    ("4", ""),
+], ids=["seed-1", "seed-4"])
+def test_simulate_where_lambda_f_plus_noise_nears_the_largest_double(tmp_path, capsys, seed, err):
+    # lambda_1 f_1 ~ 1.6e308 and eps = 1.7e308: the seed's noise decides whether the
+    # sum leaves the range.  Seeds 1 and 3 printed a RuntimeWarning, and seeds 0 to 3
+    # exited 2 with "g_noisy must be finite".
+    kernel = _table(tmp_path / "table.json", sign=10.0)
+    assert main(["simulate", "--kernel", kernel, "--constraint", "power:p=0,scale=1e-158",
+                 "--E", "1e150", "--f-coeffs", "7e307", "--no-tight", "--n-modes", "2",
+                 "--eps", "1.7e308", "--seed", seed]) == (3 if err else 0)
+    captured = capsys.readouterr()
+    assert (captured.out == "") == bool(err)
+    assert captured.err == err
 
 
 @pytest.mark.filterwarnings("error")
@@ -566,7 +621,11 @@ def test_simulate_without_tight_keeps_a_tiny_solution(capsys):
      "error: constraint budget exceeded: sum beta^2 f^2 > E^2\n"),
     ({"eigenvalues": [1e200], "f_true": [1e200], "g_noisy": [0.0]},
      "error: noise norm exceeds its stated bound eps\n"),
-], ids=["budget-overflow", "g-clean-overflow"])
+    # eps (1 + 1e-9) overflowed and passed noise of norm 2.4e308, with exit 0.
+    ({"eigenvalues": [1.0, 1.0], "beta": [1, 1], "f_true": [0, 0],
+      "g_noisy": [1.7e308, 1.7e308], "eps": 1.7976931348623e308},
+     "error: noise norm exceeds its stated bound eps\n"),
+], ids=["budget-overflow", "g-clean-overflow", "near-max-eps"])
 def test_solve_rejects_an_overflowing_instance_without_a_warning(tmp_path, capsys, fields, err):
     inst = tmp_path / "inst.json"
     m = len(fields["eigenvalues"])
@@ -601,6 +660,18 @@ def test_solve_where_gbar_over_lambda_overflows_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: fhat_k = gbar_k / lambda_k overflows at k = 1\n"
+
+
+def test_solve_where_gbar_is_zero_over_a_subnormal_lambda(tmp_path, capsys):
+    # A zero has the exponent _ZERO, so 0 / 1e-310 does not read as an overflow.
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"eigenvalues": [1.0, 1e-310], "beta": [1, 1], "f_true": [1e13, 0.0], '
+                    '"g_noisy": [1e13, 0.0], "eps": 1e-300, "E": 1e13, "seed": 0, '
+                    '"noise_mode": "flat"}')
+    assert main(["solve", "--instance", str(inst)]) == 0
+    assert capsys.readouterr() == ("k,lambda_k,beta_k,f_k,gbar_k,fhat_k\n"
+                                   "1,1,1,1e+13,1e+13,1e+13\n"
+                                   "2,1e-310,1,0,0,0\n", "")
 
 
 @pytest.mark.filterwarnings("error")
@@ -677,6 +748,11 @@ def _string_first(raw):
     return [[str(first), *row], *rows]
 
 
+def _strings(raw):
+    """A table with its nodes and samples[0][0] written as JSON strings."""
+    return {**raw, "nodes": list(map(str, raw["nodes"])), "samples": _string_first(raw)}
+
+
 @pytest.mark.parametrize("edit, err", [
     (lambda raw: {k: v for k, v in raw.items() if k != "samples"},
      "error: kernel table lacks samples\n"),
@@ -690,7 +766,7 @@ def _string_first(raw):
     (lambda raw: {**raw, "samples": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
      "error: sample matrix must be square and match the grid\n"),
     # numpy parsed these strings, and the spectrum printed.
-    (lambda raw: {**raw, "nodes": list(map(str, raw["nodes"])), "samples": _string_first(raw)},
+    (_strings,
      "error: kernel table field of the wrong type: 'nodes' must be a JSON array of numbers\n"),
     (lambda raw: {**raw, "samples": _string_first(raw)},
      "error: kernel table field of the wrong type: 'samples' must be a JSON array of numbers\n"),
@@ -698,17 +774,37 @@ def _string_first(raw):
     (lambda raw: {"a": 0.0, "b": 1.0, "nodes": [0.25, 0.75], "weights": [1e308, 1e308],
                   "samples": [[1, 0], [0, 1]]},
      "error: weights must sum to b - a\n"),
+    (lambda raw: {k: v for k, v in _table_fields().items() if k != "samples"},
+     "error: kernel table lacks samples\n"),
+    (lambda raw: _strings(_table_fields(n=4, a=0.0, b=1.0)),
+     "error: kernel table field of the wrong type: 'nodes' must be a JSON array of numbers\n"),
+    # b - a overflowed in the Nystrom build, with a RuntimeWarning before its error.
+    (lambda raw: {"a": -1e308, "b": 1e308, "nodes": [0.25, 0.75], "weights": [1e308, 1e308],
+                  "samples": [[1, 0], [0, 1]]},
+     "error: interval [-1e+308, 1e+308] must have a finite length b - a\n"),
 ], ids=["missing-samples", "not-an-object", "null-a", "object-nodes", "string-a", "bool-b",
-        "2x3-samples", "string-nodes-and-sample", "string-sample", "overflowing-weights"])
+        "2x3-samples", "string-nodes-and-sample", "string-sample", "overflowing-weights",
+        "missing-samples-60-nodes", "four-node-string-table", "infinite-length"])
 def test_spectrum_on_a_malformed_kernel_table_exits_2(tmp_path, capsys, edit, err):
     # The first four used to end in a KeyError or TypeError traceback, exit 1.
+    # Each error comes before --n-modes is read.
     path = tmp_path / "table.json"
     _table(path, n=8)
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-    assert main(["spectrum", "--kernel", f"tabulated:{path}"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(err) and captured.err.endswith("\n")
+    for options in ([], ["--n-modes", "2"]):
+        assert main(["spectrum", "--kernel", f"tabulated:{path}", *options]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(err) and captured.err.endswith("\n")
+
+
+def test_spectrum_on_a_kernel_table_past_max_order_exits_2(tmp_path, capsys, monkeypatch):
+    # A table's rule had no size check: 2050 nodes ran a dense solve with exit 0.
+    kernel = _table(tmp_path / "table.json", n=9)  # written before the limit drops below it
+    monkeypatch.setattr(spectral, "MAX_ORDER", 8)
+    assert main(["spectrum", "--kernel", kernel]) == 2
+    assert capsys.readouterr() == ("", "error: 9 quadrature nodes exceed the limit "
+                                       "MAX_ORDER = 8\n")
 
 
 @pytest.mark.parametrize("p, k", [("100", 35), ("-200", 6)])
@@ -745,6 +841,11 @@ def test_simulate_rescales_where_E_over_the_budget_overflows(capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert json.loads(captured.out)["f_true"] == [pytest.approx(1e124, rel=1e-15)]
+    assert main(["simulate", "--constraint", "power:p=1,scale=1e30", "--E", "1e154",
+                 "--f-coeffs", "1e-190", "--n-modes", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["f_true"] == [pytest.approx(1e124, rel=1e-15), 0.0]
 
 
 @pytest.mark.parametrize("rule", ["k1", "k2"])
@@ -795,17 +896,18 @@ def test_cover_over_budget_exits_before_distance_matrix(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     rng = np.random.default_rng(0)
     np.savetxt(pts, rng.uniform(-1.0, 1.0, size=(1000, 2)), delimiter=",")
-    tracemalloc.start()
-    try:
-        rc = main(["cover", "--points", str(pts), "--eps", "0.1"])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: exact search limited to 30 points, got 1000\n"
-    assert peak < 5e6  # the 1000 x 1000 x 2 difference tensor alone is 16 MB
+    for eps in ("0.1", "0.5"):
+        tracemalloc.start()
+        try:
+            rc = main(["cover", "--points", str(pts), "--eps", eps])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: exact search limited to 30 points, got 1000\n"
+        assert peak < 5e6  # the 1000 x 1000 x 2 difference tensor alone is 16 MB
 
 
 @pytest.mark.parametrize("argv", [
@@ -855,11 +957,16 @@ OVERFLOW_ERROR = "error: bandwidth c = 1e+308 is too large: c^2 overflows\n"
      "error: repeated power constraint parameter 'p'\n"),
     (["stability", "--p", "power:gamma=0.5,gamma=0.2"],
      "error: repeated power preset parameter 'gamma'\n"),
+    (["truncate", "--constraint", "power:p=nan"], POWER_ERROR),
+    # beta_k^2 is in range here, but the preset's p(beta_k^-2) overflowed with a
+    # RuntimeWarning, and the command exited 0.
+    (["stability", "--constraint", "power:p=-40", "--n-modes", "40"],
+     "error: p(beta_k^-2) is not a finite double at k = 20\n"),
 ], ids=["entropy-power-p-nan", "stability-power-p-nan", "truncate-scale-nan",
         "truncate-scale-inf", "sinc_log-c-inf", "sinc_log-c-nan", "prolate-c-inf",
         "sinc_log-c-overflow", "prolate-c-overflow", "power-weights-overflow",
         "power-scale-overflow", "sinc-repeated-c", "sinc-repeated-a", "power-repeated-p",
-        "p-repeated-gamma"])
+        "p-repeated-gamma", "truncate-power-p-nan", "stability-p-of-beta-overflow"])
 @pytest.mark.filterwarnings("error")
 def test_non_finite_constraint_parameter_exits_2(capsys, argv, err):
     assert main(argv) == 2
@@ -927,18 +1034,19 @@ def test_mode_counts_above_max_modes_exit_2(tmp_path, capsys, argv, value):
         f"error: argument --n-modes: must be at most {MAX_MODES}, got {value}\n")
 
 
-@pytest.mark.parametrize("config, err", [
-    ({"n_modes": 2.5}, "error: argument --n-modes: invalid int value: '2.5'\n"),
-    ({"n_modes": None}, "error: argument --n-modes: invalid int value: 'null'\n"),
-    ({"n_modes": False}, "error: argument --n-modes: invalid int value: 'false'\n"),
-    ({"n_modes": [0]}, "error: argument --n-modes: must be at least 1, got 0\n"),
-], ids=["float", "null", "bool", "list"])
-def test_config_values_are_converted_like_flags(tmp_path, capsys, config, err):
+@pytest.mark.parametrize("command, config, err", [
+    ("stability", {"n_modes": 2.5}, "error: argument --n-modes: invalid int value: '2.5'\n"),
+    ("stability", {"n_modes": None}, "error: argument --n-modes: invalid int value: 'null'\n"),
+    ("stability", {"n_modes": False}, "error: argument --n-modes: invalid int value: 'false'\n"),
+    ("stability", {"n_modes": [0]}, "error: argument --n-modes: must be at least 1, got 0\n"),
+    ("truncate", {"n_modes": 2.5}, "error: argument --n-modes: invalid int value: '2.5'\n"),
+], ids=["float", "null", "bool", "list", "truncate-float"])
+def test_config_values_are_converted_like_flags(tmp_path, capsys, command, config, err):
     # A config value that was not a string used to skip the option's type:
     # 2.5 ran 2 modes, and a list ended in a TypeError traceback.
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    assert main(["stability", "--config", str(path)]) == 2
+    assert main([command, "--config", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(err)
@@ -1025,13 +1133,15 @@ def test_spectrum_on_a_wide_sinc_interval_prints_no_warning(capsys):
     # though the sinc operator's eigenvalues lie in (0, 1).  The floor is
     # ceil(c (b - a) / 2) = 5e293, named in :g form, not as a 294-digit integer.
     # (row_defect's own overflow at this scale is checked in test_spectral.)
-    argv = ["spectrum", "--kernel", "sinc:c=10,a=1e300,b=1.0000001e300", "--n-nodes", "8",
-            "--n-modes", "2"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: 8 quadrature nodes cannot resolve the kernel: "
-                            "it needs at least 5e+293\n")
+    # An interval whose pi*(b - a) overflows printed a RuntimeWarning and exited 0.
+    for kernel, n_modes, err in [
+        ("sinc:c=10,a=1e300,b=1.0000001e300", "2",
+         "error: 8 quadrature nodes cannot resolve the kernel: it needs at least 5e+293\n"),
+        ("sinc:c=1e-300,a=-1e308,b=1e307", "1",
+         "error: sinc interval [-1e+308, 1e+307] is too long: pi*(b - a) overflows\n"),
+    ]:
+        assert main(["spectrum", "--kernel", kernel, "--n-nodes", "8", "--n-modes", n_modes]) == 2
+        assert capsys.readouterr() == ("", err)
 
 
 @pytest.mark.parametrize("kernel, n, least", [
@@ -1146,6 +1256,14 @@ OUTPUT_COMMANDS = {
 
 def test_output_table_covers_every_subcommand():
     assert set(OUTPUT_COMMANDS) == set(_build_parser()[1])
+
+
+def test_noise_mode_choices_are_the_modes_make_noise_reads():
+    # cli keeps its own copy of the list, since it does not import regularize at load.
+    commands = _build_parser()[1]
+    choices = {name: tuple(action.choices) for name, sub in commands.items()
+               for action in sub._actions if action.dest == "noise_mode"}
+    assert choices == dict.fromkeys(["simulate", "sweep"], _NOISE_MODES)
 
 
 @pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))

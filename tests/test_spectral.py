@@ -131,6 +131,14 @@ def test_quadrature_grid_validation():
         QuadratureGrid(0.0, 1.0, nodes[None, :], w)
     with pytest.raises(ValueError, match="^nodes and weights must have equal length$"):
         QuadratureGrid(0.0, 1.0, nodes, np.array([0.25, 0.25, 0.5]))
+    # A kernel table's rule gets gauss_legendre's limits on the interval and the order.
+    with pytest.raises(ValueError, match=r"^interval \[-1e\+308, 1e\+308\] must have a finite "
+                                         r"length b - a$"):
+        QuadratureGrid(-1e308, 1e308, nodes, np.array([1e308, 1e308]))
+    n = MAX_ORDER + 1
+    with pytest.raises(ValueError, match=f"^{n} quadrature nodes exceed the limit "
+                                         f"MAX_ORDER = {MAX_ORDER}$"):
+        QuadratureGrid(0.0, 1.0, (np.arange(n) + 0.5) / n, np.full(n, 1.0 / n))
 
 
 def test_nystrom_matrix_constant_kernel():
