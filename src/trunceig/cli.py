@@ -208,12 +208,11 @@ def cmd_stability(args) -> str:
     pfun = stability.parse_pfunction(args.p)
     eps_grid = _float_list(args.eps_grid)
     ok, _ = stability.check_condition(lam, beta, pfun)  # free of eps
-    bounds, sups = zip(*[(stability.stability_bound(eps, args.E, pfun),
-                          stability.stability_sup_exact(lam, beta, eps, args.E))
-                         for eps in eps_grid])
+    bounds = [stability.stability_bound(eps, args.E, pfun) for eps in eps_grid]
+    sups = stability.stability_sup_exact(lam, beta, eps_grid, args.E)
     text = _csv("eps,bound,exact_sup,condition_ok", eps_grid, bounds, sups, [ok] * len(sups))
     try:
-        fit = stability.classify_continuity(np.asarray(eps_grid), np.asarray(sups))
+        fit = stability.classify_continuity(eps_grid, sups)
         text += (
             f"# classification: model={fit.model} exponent={fit.exponent:.9g} "
             f"residual={fit.residual:.9g}\n"

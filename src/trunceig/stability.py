@@ -6,10 +6,10 @@ for a convex p with p(r)/r increasing and p(0+) = 0, a Jensen argument caps
 that supremum by E sqrt(p^{-1}(eps^2 / E^2)).  Two presets cover the classical
 regimes: power-law p gives Holder continuity, the exp-log p gives the far
 weaker logarithmic modulus.  In finite mode space the supremum itself is a
-two-constraint linear program over u_k = f_k^2.  Its value is read off the
-lower convex hull of the points (lambda_k^2 / eps^2, beta_k^2 / E^2): one
-monotone-chain pass (Andrew 1979) gives it exactly in O(K log K) time and
-O(K) memory, which keeps the analytic bound honest at any mode count.
+two-constraint linear program over u_k = f_k^2, read off the lower convex hull
+of the points (lambda_k^2 / eps^2, beta_k^2 / E^2), whose vertices do not depend
+on eps: one monotone-chain pass (Andrew 1979) serves an eps grid in O(K log K)
+time and O(K) memory, which keeps the analytic bound honest at any mode count.
 """
 
 from __future__ import annotations
@@ -117,8 +117,9 @@ def stability_bound(eps: float, E: float, p: PFunction) -> float:
     return E * math.sqrt(p.inverse(_square(eps / E, "(eps/E)^2", f"eps = {eps:g}, E = {E:g}")))
 
 
-def stability_sup_exact(eigenvalues, beta, eps: float, E: float) -> float:
-    """Exact sup { ||f|| : ||lambda f|| <= eps, ||beta f|| <= E } over the listed modes.
+def stability_sup_exact(eigenvalues, beta, eps, E: float):
+    """Exact sup { ||f|| : ||lambda f|| <= eps, ||beta f|| <= E } over the listed modes, for a
+    float eps (giving a float) or a 1-d grid of them (giving an array of its length).
 
     In u_k = f_k^2 this is a linear program with two resource constraints.
     Put a_k = lambda_k^2 / eps^2 and b_k = beta_k^2 / E^2.  A feasible u of
@@ -131,46 +132,52 @@ def stability_sup_exact(eigenvalues, beta, eps: float, E: float) -> float:
     lower-hull vertex or at such a crossing, which on the edge (p, q) has
     x = y = (x_p y_q - x_q y_p) / ((x_p - y_p) - (x_q - y_q)).  Every
     candidate is a point of P, so none undercuts the true minimum, and the
-    minimizer is among them: the result is exact, found with one sort and
-    one monotone-chain pass (Andrew 1979) in O(K log K) time and O(K)
-    memory.  The supremum scales, sup(eps, E) = E sup(eps / E, 1), and the
-    points (lambda_k^2 / (eps/E)^2, beta_k^2) are formed from mantissas and
-    exponents divided by a power of two near the minimum, so only (eps / E)^2,
-    lambda_k^2 and beta_k^2 have to be finite, normal doubles (checked as in
-    stability_bound), not eps^2, E^2 or the points themselves.
+    minimizer is among them: the result is exact.
+
+    The supremum scales, sup(eps, E) = E sup(eps / E, 1), so the points are
+    (lambda_k^2 / (eps/E)^2, beta_k^2).  Scaling x keeps every turn, so one
+    monotone-chain pass (Andrew 1979) over (lambda_k^2, beta_k^2) gives the H
+    hull vertices for every eps in O(K log K) time and O(K) memory; its turn
+    test divides before it multiplies, so it forms no product of two squares.
+    Each eps reads its minimum off the vertices in O(H), from mantissas and
+    exponents divided by 2^top, the least power of two above some vertex's
+    max(x, y).  A vertex with a coordinate above 2^(top + 500) is dropped: its
+    weight on the hull edge through the minimizer is under 2^-500, so the kept
+    ones give the minimum within 2^-498 relative.  Only (eps/E)^2 (as in
+    stability_bound), lambda_k^2 and beta_k^2 must be finite, normal doubles.
     """
     lam = _validate_eigenvalues(eigenvalues)
-    _check_scales(eps, E)
-    ratio2 = _square(eps / E, "(eps/E)^2", f"eps = {eps:g}, E = {E:g}")
-    ma, ea = _scaled((_square(lam, "lambda_k^2"),), (ratio2,))
-    mb, eb = _scaled((_square(_weights(beta, lam.size), "beta_k^2"),))
-    # Every point has max(x, y) in [2^(max(e_a, e_b) - 1), 2^max(e_a, e_b)), so the minimum lies
-    # in [2^(top - 2), 2^top).  A point with a coordinate above 2^(top + 500) moves
-    # it by under 2^-498 relative and is dropped; the rest, divided by 2^top, are finite.
-    top = int(np.min(np.maximum(ea, eb)))
-    keep = np.maximum(ea, eb) <= top + 500
-    a = np.ldexp(ma[keep], ea[keep] - top)
-    b = np.ldexp(mb[keep], eb[keep] - top)
-
-    order = np.lexsort((b, a))
-    hull: list[tuple[float, float]] = []
-    for x, y in zip(a[order].tolist(), b[order].tolist()):
+    grid = np.asarray(eps, dtype=float)
+    if grid.ndim > 1:
+        raise ValueError("eps must be a float or a 1-d grid")
+    hull = []
+    for point in sorted(zip(_square(lam, "lambda_k^2").tolist(),
+                            _square(_weights(beta, lam.size), "beta_k^2").tolist())):
+        x, y = point
         # Pop while the last two hull points and (x, y) fail to turn left.
         while len(hull) >= 2:
             (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            if (x1 - x0) * (y - y0) > (y1 - y0) * (x - x0):
+            if x > x0 and (x1 - x0) / (x - x0) * (y - y0) > y1 - y0:
                 break
             hull.pop()
-        hull.append((x, y))
+        hull.append(point)  # the sorted list's own tuple: no second tuple per vertex
 
-    hx, hy = np.array(hull).T
-    d = hx - hy
-    i = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)  # the edges (i, i + 1) crossing x = y
-    crossings = (hx[i] * hy[i + 1] - hx[i + 1] * hy[i]) / (d[i] - d[i + 1])
-    best = float(np.min(np.concatenate([np.maximum(hx, hy), crossings])))
-    # sup = E / sqrt(best 2^top), scaled back from the mantissa of E.
-    half, odd = divmod(top, 2)
-    return _ldexp(*_scaled((E,), (math.sqrt(math.ldexp(best, odd)),), -half))
+    hull = np.array(hull).T  # rows x and y, in place of the list's tuples
+    sups = []
+    for e in grid.reshape(-1).tolist():
+        _check_scales(e, E)
+        ratio2 = _square(e / E, "(eps/E)^2", f"eps = {e:g}, E = {E:g}")
+        m, ex = _scaled((hull,), ([[ratio2], [1.0]],))  # the vertices (x / ratio2, y) as m 2^ex
+        top = int(np.min(np.max(ex, axis=0)))
+        keep = np.max(ex, axis=0) <= top + 500
+        a, b = np.ldexp(m[:, keep], ex[:, keep] - top)
+        d = a - b
+        i = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)  # edges crossing x = y
+        crossings = (a[i] * b[i + 1] - a[i + 1] * b[i]) / (d[i] - d[i + 1])
+        best = float(np.min(np.concatenate([np.maximum(a, b), crossings])))
+        # sup = E / sqrt(best 2^top), scaled back from the mantissa of E.
+        sups.append(_ldexp(*_scaled((E,), (math.sqrt(math.ldexp(best, top % 2)),), -(top // 2))))
+    return sups[0] if grid.ndim == 0 else np.array(sups)
 
 
 @dataclass
@@ -204,14 +211,8 @@ def classify_continuity(eps_grid, sup_values) -> ContinuityFit:
     if float(np.ptp(y)) < 1e-13:
         raise ValueError("sup values are constant: unclassifiable")
 
-    def fit(x):
-        A = np.stack([x, np.ones_like(x)], axis=1)
-        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-        resid = float(np.sum((A @ coef - y) ** 2))
-        return float(coef[0]), resid
-
-    slope_h, resid_h = fit(np.log(eps_grid))
-    slope_l, resid_l = fit(np.log(np.abs(np.log(eps_grid / 2.0))))
+    (slope_h, _), (resid_h,), *_ = np.polyfit(np.log(eps_grid), y, 1, full=True)
+    (slope_l, _), (resid_l,), *_ = np.polyfit(np.log(-np.log(eps_grid / 2.0)), y, 1, full=True)
     if resid_h <= resid_l:
-        return ContinuityFit("holder", slope_h, resid_h)
-    return ContinuityFit("logarithmic", slope_l, resid_l)
+        return ContinuityFit("holder", float(slope_h), float(resid_h))
+    return ContinuityFit("logarithmic", float(slope_l), float(resid_l))

@@ -160,6 +160,23 @@ def test_stability_command_with_classification(tmp_path):
     assert 0.30 <= exponent <= 0.37
 
 
+def test_stability_makes_one_supremum_call_per_command(monkeypatch, capsys):
+    # One hull serves the whole eps grid, so the command asks for the supremum once.
+    from trunceig import stability
+
+    calls = []
+    exact = stability.stability_sup_exact
+
+    def counted(eigenvalues, beta, eps, E):
+        calls.append(np.atleast_1d(eps).tolist())
+        return exact(eigenvalues, beta, eps, E)
+
+    monkeypatch.setattr(stability, "stability_sup_exact", counted)
+    assert main(["stability", "--constraint", "derivative", "--n-modes", "50"]) == 0
+    assert calls == [[1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7]]
+    assert len(capsys.readouterr().out.splitlines()) == 8
+
+
 @pytest.mark.parametrize("options, ok", [
     (["--n-modes", "60", "--constraint", "derivative"], True),
     (["--n-modes", "60", "--constraint", "derivative", "--n-modes", "30"], True),

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -85,14 +86,79 @@ SUP_DEGENERATE = {
 }
 
 
-@pytest.mark.parametrize(
-    "instance",
-    [pytest.param(_random_instance(seed), id=f"random-{seed}") for seed in range(300)]
-    + [pytest.param(case, id=name) for name, case in SUP_DEGENERATE.items()],
-)
-def test_sup_exact_matches_pair_enumeration(instance):
-    expected = _sup_by_pairs(*instance)
-    assert stability_sup_exact(*instance) == pytest.approx(expected, rel=1e-12)
+SUP_CASES = {**{f"random-{seed}": _random_instance(seed) for seed in range(300)}, **SUP_DEGENERATE}
+
+
+@pytest.mark.parametrize("instance, grid", [
+    pytest.param(case, grid, id=name + ("-grid" if grid else ""))
+    for grid in (False, True) for name, case in SUP_CASES.items()
+])
+def test_sup_exact_matches_pair_enumeration(instance, grid):
+    if not grid:
+        assert stability_sup_exact(*instance) == pytest.approx(_sup_by_pairs(*instance), rel=1e-12)
+        return
+    # The grid form: one call, one hull, for six eps around the instance's own.
+    lam, beta, eps, E = instance
+    eps_grid = eps * np.array([1e2, 1e1, 1.0, 1e-1, 1e-2, 1e-3])
+    expected = [_sup_by_pairs(lam, beta, e, E) for e in eps_grid.tolist()]
+    assert stability_sup_exact(lam, beta, eps_grid, E).tolist() == pytest.approx(expected, rel=1e-12)
+
+
+def _sup2_exact(lam, beta, eps: float, E: float) -> Fraction:
+    """sup^2 by vertex enumeration in exact rational arithmetic on the given doubles: the
+    best single mode, and every pair of modes with both constraints active."""
+    lam2 = [Fraction(x) ** 2 for x in lam]
+    bet2 = [Fraction(x) ** 2 for x in beta]
+    e2, E2 = Fraction(eps) ** 2, Fraction(E) ** 2
+    best = max(min(e2 / a, E2 / b) for a, b in zip(lam2, bet2))
+    for i in range(len(lam2)):
+        for j in range(i + 1, len(lam2)):
+            det = lam2[i] * bet2[j] - lam2[j] * bet2[i]
+            if det:
+                ui = (e2 * bet2[j] - E2 * lam2[j]) / det
+                uj = (E2 * lam2[i] - e2 * bet2[i]) / det
+                if ui >= 0 and uj >= 0:
+                    best = max(best, ui + uj)
+    return best
+
+
+@pytest.mark.parametrize("form", ["scalar", "grid"])
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.filterwarnings("error")
+def test_sup_exact_matches_the_exact_oracle_at_wide_scales(seed, form):
+    # lambda, beta over 1e+-150, E over 1e+-50 and eps/E over 1e+-150, where _sup_by_pairs
+    # overflows: sup^2 against the exact optimum of the linear program.
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        K = int(rng.integers(1, 7))
+        lam = np.sort(10.0 ** rng.uniform(-150.0, 150.0, K))[::-1].copy()
+        beta = 10.0 ** rng.uniform(-150.0, 150.0, K)
+        E = float(10.0 ** rng.uniform(-50.0, 50.0))
+        grid = E * 10.0 ** rng.uniform(-150.0, 150.0, 6)
+        sups = (stability_sup_exact(lam, beta, grid, E).tolist() if form == "grid"
+                else [stability_sup_exact(lam, beta, e, E) for e in grid.tolist()])
+        for e, sup in zip(grid.tolist(), sups):
+            exact = _sup2_exact(lam.tolist(), beta.tolist(), e, E)
+            assert float(abs(Fraction(sup) ** 2 - exact) / exact) <= 1e-13
+
+
+def test_sup_exact_grid_shapes():
+    lam, beta = TRI_LAM[:10], DERIV_BETA[:10]
+    assert type(stability_sup_exact(lam, beta, 1e-3, 1.0)) is float
+    assert type(stability_sup_exact(lam, beta, np.float64(1e-3), 1.0)) is float
+    grid = [1e-2, 1e-3, 1e-4]
+    sups = stability_sup_exact(lam, beta, grid, 1.0)
+    assert isinstance(sups, np.ndarray) and sups.shape == (3,)
+    assert sups.tolist() == [stability_sup_exact(lam, beta, e, 1.0) for e in grid]
+    assert stability_sup_exact(lam, beta, [], 1.0).shape == (0,)
+    with pytest.raises(ValueError, match="^eps must be a float or a 1-d grid$"):
+        stability_sup_exact(lam, beta, np.full((2, 3), 1e-3), 1.0)
+    # A bad eps in a grid fails as it does alone, naming that eps.
+    with pytest.raises(ValueError, match=r"^\(eps/E\)\^2 is not a finite, normal double at "
+                                         r"eps = 1e-200, E = 1$"):
+        stability_sup_exact(lam, beta, [1e-2, 1e-200, 1e-3], 1.0)
+    with pytest.raises(ValueError, match="^need finite eps > 0 and E > 0$"):
+        stability_sup_exact(lam, beta, [1e-2, 0.0], 1.0)
 
 
 def test_sup_exact_degenerate_closed_forms():
@@ -344,7 +410,7 @@ def test_classify_continuity_synthetic_regimes():
 
 def test_classify_continuity_on_computed_sweep():
     grid = np.geomspace(1e-2, 1e-6, 15)
-    sups = np.array([stability_sup_exact(TRI_LAM, DERIV_BETA, float(e), 1.0) for e in grid])
+    sups = stability_sup_exact(TRI_LAM, DERIV_BETA, grid, 1.0)
     fit = classify_continuity(grid, sups)
     assert fit.model == "holder"
     assert 0.25 < fit.exponent < 0.40
